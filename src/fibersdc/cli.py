@@ -8,11 +8,11 @@ Four subcommands cover the package's workflows:
     transfer       send a four-gray image over the simulated link
 
 Every run writes a manifest (subcommand, resolved settings, their hash,
-seed, package version, no timestamps), so rerunning with the same seed
-and settings reproduces every output byte for byte.  Settings come from
-an optional key=value config file plus repeatable --set overrides; the
-output directory falls back to $FIBERSDC_OUTDIR, then the current
-directory.  Exit codes: 0 success, 2 configuration problem, 3 protocol
+seed, package version, random-stream version, no timestamps), so
+rerunning with the same seed and settings reproduces every output byte
+for byte.  Settings come from an optional key=value config file plus
+repeatable --set overrides; the output directory falls back to
+$FIBERSDC_OUTDIR, then the current directory.  Exit codes: 0 success, 2 configuration problem, 3 protocol
 violation, 1 anything else.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import fields
@@ -55,16 +56,16 @@ from .imagecodec import (
     read_ppm,
     write_ppm,
 )
-from .interferometer import InterferometerConfig, verdict_distribution, verdict_label
+from .interferometer import InterferometerConfig, kernel_verdicts
 from .noise import (
     DriftConfig,
     SourceConfig,
-    generate_event_stream,
-    tally_verdicts,
-    write_event_log,
+    append_events,
+    iter_event_chunks,
+    open_event_log,
 )
 from .protocol import TimingConfig, run_session
-from .seeds import substream
+from .seeds import STREAM_VERSION, substream
 from .states import BELL_ORDER
 
 OUTDIR_ENV = "FIBERSDC_OUTDIR"
@@ -160,16 +161,26 @@ def _resolved_settings(source, drift, interf, timing, extras: dict) -> dict[str,
     return out
 
 
-def _write_manifest(outdir: Path, command: str, settings: dict[str, str], seed: int) -> None:
-    body = "".join(f"{k}={settings[k]}\n" for k in sorted(settings))
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+def _settings_body(settings: dict[str, str]) -> str:
+    return "".join(f"{k}={settings[k]}\n" for k in sorted(settings))
+
+
+def settings_digest(settings: dict[str, str]) -> str:
+    """SHA-256 of the resolved settings, one `key=value` line per key."""
+    return hashlib.sha256(_settings_body(settings).encode("utf-8")).hexdigest()
+
+
+def _write_manifest(
+    outdir: Path, command: str, settings: dict[str, str], seed: int, digest: str
+) -> None:
     lines = [
         f"command={command}",
         f"package_version={__version__}",
+        f"stream_version={STREAM_VERSION}",
         f"master_seed={seed}",
         f"settings_sha256={digest}",
         "",
-        body.rstrip("\n"),
+        _settings_body(settings).rstrip("\n"),
     ]
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -198,27 +209,26 @@ def cmd_characterize(args) -> int:
     outdir = _outdir(args)
     source, drift, interf, timing, extras = _gather_settings(args)
     seconds = float(extras.get("seconds_per_state", args.seconds_per_state))
-    if seconds <= 0:
-        raise ConfigError("seconds_per_state must be positive")
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ConfigError(f"seconds_per_state must be finite and positive, got {seconds!r}")
     schedule = [(b, seconds) for b in BELL_ORDER]
-    rng = substream(args.seed, "characterize")
-    events = generate_event_stream(schedule, source, drift, interf, rng)
-    counts, ambiguous = tally_verdicts(events)
-
     settings = _resolved_settings(
         source, drift, interf, timing, {"seconds_per_state": seconds}
     )
-    digest = hashlib.sha256(
-        "".join(f"{k}={settings[k]}\n" for k in sorted(settings)).encode()
-    ).hexdigest()
-    save_counts(outdir / "counts.txt", counts)
-    write_event_log(
-        outdir / "events.csv",
-        events,
-        {"settings_sha256": digest, "master_seed": str(args.seed)},
-    )
+    digest = settings_digest(settings)
 
-    lines = [f"events_total={len(events)}"]
+    # Each chunk is tallied and logged, then dropped: memory stays bounded.
+    table = np.zeros((len(BELL_ORDER), len(BELL_ORDER) + 1), dtype=np.int64)
+    header = {"settings_sha256": digest, "master_seed": str(args.seed)}
+    with open_event_log(outdir / "events.csv", header) as log:
+        rng = substream(args.seed, "characterize")
+        for chunk in iter_event_chunks(schedule, source, drift, rng):
+            table += chunk.tally()
+            append_events(log, chunk)
+    counts, ambiguous = table[:, :-1], table[:, -1]
+    save_counts(outdir / "counts.txt", counts)
+
+    lines = [f"events_total={table.sum()}"]
     safe = counts.copy()
     safe[safe.sum(axis=1) == 0] = 1  # uniform placeholder so tiny runs still report
     P = estimate_conditionals(safe)
@@ -234,7 +244,7 @@ def cmd_characterize(args) -> int:
     (outdir / "characterization_report.txt").write_text(
         "\n".join(lines) + "\n", encoding="utf-8"
     )
-    _write_manifest(outdir, "characterize", settings, args.seed)
+    _write_manifest(outdir, "characterize", settings, args.seed, digest)
     print("\n".join(lines))
     return 0
 
@@ -264,7 +274,7 @@ def cmd_capacity(args) -> int:
         lines.append(f"optimal_input_{b.label}={p:.9f}")
     (outdir / "capacity_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     settings = {"counts": counts_name, "resamples": repr(args.resamples)}
-    _write_manifest(outdir, "capacity", settings, args.seed)
+    _write_manifest(outdir, "capacity", settings, args.seed, settings_digest(settings))
     print("\n".join(lines))
     return 0
 
@@ -276,21 +286,18 @@ def cmd_calibrate(args) -> int:
     if n < 2:
         raise ConfigError("--grid must be at least 2")
     phis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    best = (-1.0, 0.0, 0.0)
+    phi0, phi1 = (a.ravel() for a in np.meshgrid(phis, phis, indexing="ij"))
+    score = sum(kernel_verdicts(b.index, phi0, phi1)[:, b.index] for b in BELL_ORDER) / 4.0
     rows = ["phi0_rad\tphi1_rad\tmean_diagonal"]
-    for p0 in phis:
-        for p1 in phis:
-            cfg = interf.with_phases(float(p0), float(p1))
-            score = 0.0
-            for b in BELL_ORDER:
-                score += verdict_distribution(b, cfg).get(b, 0.0)
-            score /= 4.0
-            rows.append(f"{p0:.9f}\t{p1:.9f}\t{score:.9f}")
-            if score > best[0]:
-                best = (score, float(p0), float(p1))
+    rows.extend(
+        f"{p0:.9f}\t{p1:.9f}\t{s:.9f}"
+        for p0, p1, s in zip(phi0.tolist(), phi1.tolist(), score.tolist())
+    )
+    top = int(np.argmax(score))  # the first point scanned wins a tie
+    best = (float(score[top]), float(phi0[top]), float(phi1[top]))
     (outdir / "calibration_grid.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     settings = _resolved_settings(source, drift, interf, timing, {"grid": n})
-    _write_manifest(outdir, "calibrate", settings, args.seed)
+    _write_manifest(outdir, "calibrate", settings, args.seed, settings_digest(settings))
     summary = (
         f"best_score={best[0]:.9f}\nbest_phi0_rad={best[1]:.9f}\nbest_phi1_rad={best[2]:.9f}"
     )
@@ -333,7 +340,7 @@ def cmd_transfer(args) -> int:
         lines.append(f"verdicts_{label}={stats.verdict_counts[label]}")
     (outdir / "transfer_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     settings = _resolved_settings(source, drift, interf, timing, {"image": image_name})
-    _write_manifest(outdir, "transfer", settings, args.seed)
+    _write_manifest(outdir, "transfer", settings, args.seed, settings_digest(settings))
     print("\n".join(lines))
     return 0
 

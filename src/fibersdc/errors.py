@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+import math
+from dataclasses import fields
+
 
 class FiberSdcError(Exception):
     """Base class for package errors."""
@@ -15,3 +18,15 @@ class StateError(FiberSdcError, ValueError):
 
 class ProtocolError(FiberSdcError, RuntimeError):
     """Raised when a session transcript violates the framing protocol."""
+
+
+def require_finite(config) -> None:
+    """Reject a NaN or infinite value in any field of a config dataclass.
+
+    Range checks written as comparisons let NaN through (every comparison
+    with NaN is false), so each config calls this before its own checks.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")

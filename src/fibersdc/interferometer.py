@@ -21,6 +21,20 @@ fixed orthogonal leak vector.  The map stays exactly unitary at every
 phase setting, reduces to the four calibrated signatures when both phase
 offsets vanish, and leaks into ambiguous or wrong-class signatures in a
 way that reproduces measured confusion rates (see `CAL_DEPTH`).
+
+`evolve_bsm` and `measurement_distribution` are the reference oracle and
+the golden-file contract; no hot path calls them.  Because each class
+leaks into a vector whose outcomes are disjoint from its target's, its
+outcome distribution at loop phases (phi0, phi1) is the closed-form
+mixture
+
+    (1 - w) * T_k + w * L_k,    w = 2 v (1 - v) (1 - cos theta_k),
+
+with T_k and L_k the outcome distributions of the target and leak
+vectors, v = CAL_DEPTH[k] and theta_k the phase of the class's path-family
+monomial.  `kernel_distribution` and `kernel_verdicts` evaluate that
+kernel on whole arrays of phases from tables built once, at import, from
+the states below; the event sampler and the calibration sweep use it.
 """
 
 from __future__ import annotations
@@ -30,11 +44,15 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .errors import ConfigError, StateError
+import numpy as np
+
+from .errors import ConfigError, StateError, require_finite
 from .states import (
     BELL_ORDER,
     BELL_BY_LABEL,
     H,
+    OUTPUT_PORTS,
+    POLARIZATIONS,
     V,
     BellState,
     PhotonMode,
@@ -69,6 +87,7 @@ class InterferometerConfig:
     detector_resolution_ns: float = 4.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.delay0_ns <= 0 or self.delay1_ns <= 0:
             raise ConfigError("delays must be positive")
         if abs(self.delay1_ns - 2.0 * self.delay0_ns) > 1e-9 * self.delay0_ns:
@@ -371,19 +390,25 @@ CAL_DEPTH = {
 }
 
 
+# Net loop traversals (short, long) separating the two interfering path
+# families of each class: both loops twice for PHI_MINUS, the short loop
+# twice for PHI_PLUS and PSI_MINUS, the long loop twice for PSI_PLUS.
+LOOP_TRAVERSALS = {
+    BellState.PHI_MINUS: (2, 2),
+    BellState.PHI_PLUS: (2, 0),
+    BellState.PSI_MINUS: (2, 0),
+    BellState.PSI_PLUS: (0, 2),
+}
+
+
 def _phase_monomial(which: BellState, alpha: complex, beta: complex) -> complex:
     """Relative phase between the two interfering path families.
 
     alpha and beta are the per-traversal phase factors of the short and
-    long loop.  The relative phase counts loop traversals along one family
-    minus the other: both loops twice for PHI_MINUS, the short loop twice
-    for PHI_PLUS and PSI_MINUS, the long loop twice for PSI_PLUS.
+    long loop, raised to the class's `LOOP_TRAVERSALS`.
     """
-    if which is BellState.PHI_MINUS:
-        return alpha * alpha * beta * beta
-    if which is BellState.PSI_PLUS:
-        return beta * beta
-    return alpha * alpha
+    short, long = LOOP_TRAVERSALS[which]
+    return alpha**short * beta**long
 
 
 def evolve_bsm(state: TwoPhotonState, config: InterferometerConfig) -> TwoPhotonState:
@@ -466,6 +491,109 @@ def verdict_distribution(
         v = classify(outcome)
         out[v] = out.get(v, 0.0) + p
     return out
+
+
+# ---------------------------------------------------------------------------
+# closed-form kernel
+# ---------------------------------------------------------------------------
+
+COINCIDENCE_BINS = range(4)
+"""Time-bin separations the coincidence window resolves."""
+
+
+# Every ordered pair of detector clicks in the coincidence window; two
+# uncorrelated clicks land on each with equal probability.
+_DETECTORS = [(port, pol) for port in OUTPUT_PORTS for pol in POLARIZATIONS]
+_CLICK_PAIRS = [
+    DetectionOutcome.from_modes(PhotonMode(*a, 0), PhotonMode(*b, dt))
+    for dt in COINCIDENCE_BINS
+    for a in _DETECTORS
+    for b in _DETECTORS
+]
+
+OUTCOMES = tuple(sorted(set(_CLICK_PAIRS)))
+"""Every signature the detectors can report, in sorted order."""
+
+OUTCOME_INDEX = {o: i for i, o in enumerate(OUTCOMES)}
+
+VERDICTS = (*BELL_ORDER, None)
+"""Verdict order of the kernel tables: the four classes, then ambiguous."""
+
+
+# The tables are summed in plain Python and converted once: numpy routines
+# run here would page in library code that the capacity workflow never
+# uses and raise its peak memory.
+def _tabulate(pairs, size: int) -> list[float]:
+    """Sum (index, probability) pairs into `size` bins."""
+    bins = [0.0] * size
+    for i, p in pairs:
+        bins[i] += p
+    return bins
+
+
+_VERDICT_OF = [VERDICTS.index(classify(o)) for o in OUTCOMES]
+
+OUTCOME_VERDICT = np.array(_VERDICT_OF)
+"""Index into VERDICTS of each outcome's verdict."""
+
+UNCORRELATED_DIST = np.array(
+    _tabulate(((OUTCOME_INDEX[o], 1.0 / len(_CLICK_PAIRS)) for o in _CLICK_PAIRS), len(OUTCOMES))
+)
+"""Outcome distribution of two uncorrelated clicks (an accidental)."""
+
+
+def _branch(state: TwoPhotonState) -> list[float]:
+    dist = measurement_distribution(state, InterferometerConfig())
+    return _tabulate(((OUTCOME_INDEX[o], p) for o, p in dist.items()), len(OUTCOMES))
+
+
+_BRANCHES = [[_branch(TARGET_STATES[b]), _branch(LEAK_STATES[b])] for b in BELL_ORDER]
+
+BRANCH_OUTCOMES = np.array(_BRANCHES)
+"""Shape (4, 2, len(OUTCOMES)): T_k and L_k, the outcome distributions of
+class k's target (branch 0) and leak (branch 1) vectors.  Their supports
+are disjoint, so they mix without interference."""
+
+BRANCH_VERDICTS = np.array(
+    [[_tabulate(zip(_VERDICT_OF, dist), len(VERDICTS)) for dist in pair] for pair in _BRANCHES]
+)
+"""The same two distributions per class over VERDICTS."""
+
+_DEPTH = np.array([CAL_DEPTH[b] for b in BELL_ORDER])
+_TRAVERSALS = np.array([LOOP_TRAVERSALS[b] for b in BELL_ORDER], dtype=float)
+
+
+def leak_weight(which, phi0, phi1):
+    """Probability that class `which` leaves its target signature at loop
+    phases (phi0, phi1): 2 v (1 - v) (1 - cos theta).
+
+    `which` indexes BELL_ORDER; it and the phases may be scalars or arrays
+    that broadcast together.  theta is the phase of `_phase_monomial`.
+    """
+    v = _DEPTH[which]
+    theta = _TRAVERSALS[which, 0] * phi0 + _TRAVERSALS[which, 1] * phi1
+    return 2.0 * v * (1.0 - v) * (1.0 - np.cos(theta))
+
+
+def _mix(table: np.ndarray, which, phi0, phi1) -> np.ndarray:
+    w = np.asarray(leak_weight(which, phi0, phi1))[..., None]
+    return (1.0 - w) * table[which, 0] + w * table[which, 1]
+
+
+def kernel_distribution(which, phi0, phi1) -> np.ndarray:
+    """Outcome distribution over OUTCOMES of class `which` (an index into
+    BELL_ORDER) at loop phases (phi0, phi1), on the last axis.
+
+    Equals `measurement_distribution(evolve_bsm(make_bell(...), ...))`
+    without building a state; arguments broadcast as in `leak_weight`.
+    """
+    return _mix(BRANCH_OUTCOMES, which, phi0, phi1)
+
+
+def kernel_verdicts(which, phi0, phi1) -> np.ndarray:
+    """Verdict distribution over VERDICTS of class `which` at loop phases
+    (phi0, phi1), on the last axis: `verdict_distribution` as an array."""
+    return _mix(BRANCH_VERDICTS, which, phi0, phi1)
 
 
 def load_reference_outputs() -> dict[BellState, TwoPhotonState]:

@@ -9,33 +9,44 @@ stream:
   Gaussian random walks between recalibrations, detuning the analyzer;
 * accidental coincidences: uncorrelated detector pairs fire at a fixed
   rate and produce uniformly random signatures.
+
+Detections are drawn from the closed-form kernel of
+`fibersdc.interferometer`, never from the state algebra, which stays its
+reference oracle.  `iter_event_chunks` samples a timed run with numpy,
+`EVENT_CHUNK` arrivals at a time, so memory stays bounded whatever the
+run length.  Arrival gaps, walk increments and the per-event uniforms
+each come from their own generator, spawned from the caller's, and are
+consumed in a fixed amount per arrival or event; the events therefore do
+not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .interferometer import (
+    BRANCH_OUTCOMES,
+    OUTCOME_INDEX,
+    OUTCOME_VERDICT,
+    OUTCOMES,
+    UNCORRELATED_DIST,
+    VERDICTS,
     DetectionOutcome,
     InterferometerConfig,
     classify,
-    evolve_bsm,
-    measurement_distribution,
+    leak_weight,
     verdict_label,
 )
-from .states import (
-    BELL_ORDER,
-    BELL_BY_LABEL,
-    POLARIZATIONS,
-    OUTPUT_PORTS,
-    BellState,
-    TwoPhotonState,
-    make_bell,
-)
+from .states import BELL_ORDER, BELL_BY_LABEL, BellState, TwoPhotonState, make_bell
+
+EVENT_CHUNK = 2048
+"""Arrival gaps drawn per sampling step of `iter_event_chunks`."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,7 @@ class SourceConfig:
     accidental_rate_hz: float = 1.359
 
     def __post_init__(self):
+        require_finite(self)
         if not (0.0 < self.coincidence_rate_hz <= self.pair_rate_hz):
             raise ConfigError("need 0 < coincidence_rate_hz <= pair_rate_hz")
         if not (0.0 <= self.source_fidelity <= 1.0):
@@ -85,6 +97,7 @@ class DriftConfig:
     recalibration_residual_rad: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.sigma_rad_per_sqrt_s < 0:
             raise ConfigError("sigma_rad_per_sqrt_s must be >= 0")
         if self.recalibration_period_s <= 0:
@@ -111,83 +124,116 @@ def drift_phases(
 class PhaseWalk:
     """Stateful phase trajectory with periodic recalibration.
 
-    Query times must be non-decreasing.  The walk is advanced in
-    increments, and whenever a query crosses one or more recalibration
-    boundaries the phases reset to the residual at the last boundary
-    before continuing.
+    Query times must be non-decreasing, within one call and across calls.
+    Between consecutive queries each phase moves by an independent
+    Gaussian increment of variance sigma^2 * elapsed; a query past one or
+    more recalibration boundaries first resets both phases to the
+    residual at the last boundary.  `advance` answers a whole array of
+    times and carries the walk to the next call, so splitting the times
+    over several calls gives identical phases; `phases_at` asks for one.
     """
 
     def __init__(self, config: DriftConfig, rng: np.random.Generator):
         self._cfg = config
         self._rng = rng
         self._t = 0.0
-        self._phi0 = config.recalibration_residual_rad
-        self._phi1 = config.recalibration_residual_rad
+        self._phases = np.full(2, config.recalibration_residual_rad)
         self._resets = 0
 
     @property
     def recalibrations(self) -> int:
         return self._resets
 
-    def _advance(self, dt: float) -> None:
-        if dt <= 0:
-            return
-        step = self._cfg.sigma_rad_per_sqrt_s * math.sqrt(dt)
-        z0, z1 = self._rng.standard_normal(2)
-        self._phi0 += step * z0
-        self._phi1 += step * z1
-
     def phases_at(self, t_s: float) -> tuple[float, float]:
-        if t_s < self._t - 1e-9:
+        phi0, phi1 = self.advance(np.array([t_s]))[0].tolist()
+        return phi0, phi1
+
+    def advance(self, times: np.ndarray) -> np.ndarray:
+        """Both phases at each query time, shape (len(times), 2)."""
+        n = len(times)
+        if n == 0:
+            return np.empty((0, 2))
+        # Each query continues the walk from the one before it, the first
+        # from where the previous call left it.
+        prev = np.concatenate(([self._t], times))
+        if prev[1] < self._t - 1e-9 or (n > 1 and (prev[2:] < prev[1:-1]).any()):
             raise ConfigError("PhaseWalk queries must be non-decreasing in time")
-        period = self._cfg.recalibration_period_s
-        while math.floor(t_s / period) > math.floor(self._t / period):
-            boundary = (math.floor(self._t / period) + 1) * period
-            self._t = boundary
-            self._phi0 = self._cfg.recalibration_residual_rad
-            self._phi1 = self._cfg.recalibration_residual_rad
-            self._resets += 1
-        self._advance(t_s - self._t)
-        self._t = max(self._t, t_s)
-        return self._phi0, self._phi1
+        prev[1] = max(prev[1], self._t)
+        cfg = self._cfg
+        period = np.floor(prev / cfg.recalibration_period_s)
+        reset = period[1:] > period[:-1]
+        since = np.maximum(prev[:-1], period[1:] * cfg.recalibration_period_s)
+        steps = cfg.sigma_rad_per_sqrt_s * np.sqrt(np.maximum(prev[1:] - since, 0.0))
+        phases = steps[:, None] * self._rng.standard_normal((n, 2))
+        # Sequential sums from the carried phases, restarted at each reset,
+        # so the result is the same however the times are split.
+        starts = reset.nonzero()[0].tolist()
+        if not starts or starts[0]:
+            starts.insert(0, 0)
+        level = self._phases
+        for a, b in zip(starts, starts[1:] + [n]):
+            phases[a] += cfg.recalibration_residual_rad if reset[a] else level
+            phases[a:b].cumsum(axis=0, out=phases[a:b])
+            level = phases[b - 1]
+        self._phases = level.copy()
+        self._resets += int(period[-1] - period[0])
+        self._t = float(prev[-1])
+        return phases
 
 
-def _sample_emitted(
-    ideal: BellState, config: SourceConfig, rng: np.random.Generator
-) -> BellState:
-    if rng.random() < config.source_fidelity:
-        return ideal
-    others = [b for b in BELL_ORDER if b is not ideal]
-    return others[rng.integers(0, 3)]
+def _emitted(sent, u_keep, u_pick, fidelity):
+    """Emitted class index: `sent` when u_keep < fidelity, else one of the
+    three others, uniformly by u_pick."""
+    shift = (u_keep >= fidelity) * (1 + (3.0 * u_pick).astype(int))
+    return (sent + shift) % len(BELL_ORDER)
 
 
 def apply_source_noise(
     ideal: BellState, config: SourceConfig, rng: np.random.Generator
 ) -> TwoPhotonState:
     """Emit the ideal Bell pair, or a uniformly random wrong one."""
-    return make_bell(_sample_emitted(ideal, config, rng))
+    u = rng.random(2)
+    return make_bell(BELL_ORDER[int(_emitted(ideal.index, u[0], u[1], config.source_fidelity))])
 
 
-def _sample_accidental_outcome(rng: np.random.Generator) -> DetectionOutcome:
-    """Uncorrelated double click: independent uniform detectors and a
-    uniform bin separation in 0..3."""
-    p1 = OUTPUT_PORTS[rng.integers(0, 2)]
-    l1 = POLARIZATIONS[rng.integers(0, 2)]
-    p2 = OUTPUT_PORTS[rng.integers(0, 2)]
-    l2 = POLARIZATIONS[rng.integers(0, 2)]
-    dt = int(rng.integers(0, 4))
-    if dt == 0:
-        (p1, l1), (p2, l2) = sorted(((p1, l1), (p2, l2)))
-    return DetectionOutcome(p1, l1, p2, l2, dt)
+def _sampling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outcome distributions a detection draws from, as one inverse-CDF
+    table: group g holds g + its CDF over its support, so one search finds
+    any group's outcome.  Group 2k + b is class k's target (b = 0) or leak
+    (b = 1) branch; the last group is the accidentals."""
+    dists = [*BRANCH_OUTCOMES.reshape(-1, len(OUTCOMES)).tolist(), UNCORRELATED_DIST.tolist()]
+    cdf, outcome, last = [], [], []
+    for g, dist in enumerate(dists):
+        support = [i for i, p in enumerate(dist) if p > 0]
+        total = sum(dist[i] for i in support)
+        cdf.extend(g + c / total for c in accumulate(dist[i] for i in support))
+        cdf[-1] = g + 1.0
+        outcome.extend(support)
+        last.append(len(outcome) - 1)
+    return np.array(cdf), np.array(outcome), np.array(last)
 
 
-def _sample_from_distribution(
-    dist: dict[DetectionOutcome, float], rng: np.random.Generator
-) -> DetectionOutcome:
-    outcomes = sorted(dist)
-    probs = np.array([dist[o] for o in outcomes])
-    probs = probs / probs.sum()
-    return outcomes[rng.choice(len(outcomes), p=probs)]
+_GROUP_CDF, _GROUP_OUTCOME, _GROUP_LAST = _sampling_table()
+_ACCIDENTAL_GROUP = len(_GROUP_LAST) - 1
+
+# Uniforms per event: accidental, keep the sent class, substitute,
+# leak, outcome within the chosen distribution.
+_DRAWS_PER_EVENT = 5
+
+
+def _sample_outcomes(sent, phases: np.ndarray, config: SourceConfig, u: np.ndarray):
+    """Outcome index (into OUTCOMES) per event.
+
+    `sent` holds class indices, `phases` the loop phases on its last axis
+    and `u` the event's uniforms on its last axis; one event takes
+    scalars, a batch takes arrays.
+    """
+    emitted = _emitted(sent, u[..., 1], u[..., 2], config.source_fidelity)
+    leak = u[..., 3] < leak_weight(emitted, phases[..., 0], phases[..., 1])
+    group = np.where(u[..., 0] < config.accidental_fraction, _ACCIDENTAL_GROUP, 2 * emitted + leak)
+    # Rounding can lift group + u onto the group's last entry, never further.
+    at = _GROUP_CDF.searchsorted(group + u[..., 4], side="right")
+    return _GROUP_OUTCOME[np.minimum(at, _GROUP_LAST[group])]
 
 
 def sample_detection(
@@ -201,15 +247,11 @@ def sample_detection(
 
     Returns the outcome together with its verdict.  With probability
     accidental_rate / (coincidence_rate + accidental_rate) the event is an
-    uncorrelated accidental instead of a real pair.
+    uncorrelated accidental instead of a real pair.  The analyzer sits at
+    `phases`, whatever offsets `interf_cfg` holds.
     """
-    if rng.random() < source_cfg.accidental_fraction:
-        outcome = _sample_accidental_outcome(rng)
-    else:
-        emitted = _sample_emitted(sent, source_cfg, rng)
-        cfg = interf_cfg.with_phases(phases[0], phases[1])
-        dist = measurement_distribution(evolve_bsm(make_bell(emitted), cfg), cfg)
-        outcome = _sample_from_distribution(dist, rng)
+    u = rng.random(_DRAWS_PER_EVENT)
+    outcome = OUTCOMES[_sample_outcomes(sent.index, np.asarray(phases), source_cfg, u)]
     return outcome, classify(outcome)
 
 
@@ -221,6 +263,88 @@ class DetectionEvent:
     verdict: BellState | None
 
 
+class EventChunk(NamedTuple):
+    """Detection events as parallel arrays: wall time, sent class (index
+    into BELL_ORDER), outcome (index into OUTCOMES) and verdict (index into
+    VERDICTS, the last one ambiguous)."""
+
+    wall_time_s: np.ndarray
+    truth: np.ndarray
+    outcome: np.ndarray
+    verdict: np.ndarray
+
+    @classmethod
+    def of(cls, events: list[DetectionEvent]) -> "EventChunk":
+        return cls(
+            np.array([ev.wall_time_s for ev in events], dtype=float),
+            np.array([ev.truth.index for ev in events], dtype=np.intp),
+            np.array([OUTCOME_INDEX[ev.outcome] for ev in events], dtype=np.intp),
+            np.array([VERDICTS.index(ev.verdict) for ev in events], dtype=np.intp),
+        )
+
+    def events(self) -> list[DetectionEvent]:
+        return [
+            DetectionEvent(t, BELL_ORDER[k], OUTCOMES[o], VERDICTS[v])
+            for t, k, o, v in zip(
+                self.wall_time_s.tolist(), self.truth.tolist(),
+                self.outcome.tolist(), self.verdict.tolist(),
+            )
+        ]
+
+    def tally(self) -> np.ndarray:
+        """Counts over (truth, verdict), shape (4, 5); the last column
+        counts ambiguous verdicts."""
+        width = len(VERDICTS)
+        counts = np.bincount(self.truth * width + self.verdict, minlength=len(BELL_ORDER) * width)
+        return counts.reshape(len(BELL_ORDER), width)
+
+
+def iter_event_chunks(
+    schedule: list[tuple[BellState, float]],
+    source_cfg: SourceConfig,
+    drift_cfg: DriftConfig,
+    rng: np.random.Generator,
+) -> Iterator[EventChunk]:
+    """Simulate a timed run through a schedule of (sent class, seconds).
+
+    Coincidences arrive as a Poisson process at the total detected rate;
+    the first arrival at or past the end of a schedule entry closes it,
+    and the next entry starts at that end.  The phase walk advances
+    between arrivals and recalibrates on its period.  Events come in
+    strictly increasing wall time, in chunks of at most EVENT_CHUNK.
+    """
+    for _, duration in schedule:
+        if not (math.isfinite(duration) and duration >= 0):
+            raise ConfigError(f"schedule durations must be finite and >= 0, got {duration!r}")
+    arrivals, walk_rng, draws = rng.spawn(3)
+    walk = PhaseWalk(drift_cfg, walk_rng)
+    mean_gap = 1.0 / source_cfg.total_rate_hz
+    entry, t = 0, 0.0
+    end = schedule[0][1] if schedule else 0.0
+    while entry < len(schedule):
+        gaps = arrivals.exponential(mean_gap, EVENT_CHUNK)
+        times, truth = [], []
+        pos = 0
+        while pos < len(gaps) and entry < len(schedule):
+            run = np.cumsum(np.concatenate(([t], gaps[pos:])))[1:]
+            k = int(np.searchsorted(run, end))  # arrivals before the entry ends
+            times.append(run[:k])
+            truth.append(np.full(k, schedule[entry][0].index))
+            if k == len(run):
+                t = float(run[-1])
+                break
+            pos += k + 1
+            t = end
+            entry += 1
+            if entry < len(schedule):
+                end = t + schedule[entry][1]
+        times, truth = np.concatenate(times), np.concatenate(truth)
+        if len(times):
+            u = draws.random((len(times), _DRAWS_PER_EVENT))
+            outcome = _sample_outcomes(truth, walk.advance(times), source_cfg, u)
+            yield EventChunk(times, truth, outcome, OUTCOME_VERDICT[outcome])
+
+
 def generate_event_stream(
     schedule: list[tuple[BellState, float]],
     source_cfg: SourceConfig,
@@ -228,29 +352,10 @@ def generate_event_stream(
     interf_cfg: InterferometerConfig,
     rng: np.random.Generator,
 ) -> list[DetectionEvent]:
-    """Simulate a timed run through a schedule of (sent class, seconds).
-
-    Coincidences arrive as a Poisson process at the total detected rate;
-    the phase walk advances between arrivals and recalibrates on its
-    period.  Events come back in strictly increasing wall time.
-    """
-    walk = PhaseWalk(drift_cfg, rng)
-    rate = source_cfg.total_rate_hz
-    events: list[DetectionEvent] = []
-    t = 0.0
-    for sent, duration in schedule:
-        if duration < 0:
-            raise ConfigError("schedule durations must be >= 0")
-        end = t + duration
-        while True:
-            t += rng.exponential(1.0 / rate)
-            if t >= end:
-                t = end
-                break
-            phases = walk.phases_at(t)
-            outcome, verdict = sample_detection(sent, phases, source_cfg, interf_cfg, rng)
-            events.append(DetectionEvent(t, sent, outcome, verdict))
-    return events
+    """Every event of `iter_event_chunks` in one list; the analyzer sits
+    at the walk's phases, whatever offsets `interf_cfg` holds."""
+    chunks = iter_event_chunks(schedule, source_cfg, drift_cfg, rng)
+    return [ev for chunk in chunks for ev in chunk.events()]
 
 
 def tally_verdicts(events: list[DetectionEvent]) -> tuple[np.ndarray, np.ndarray]:
@@ -259,15 +364,8 @@ def tally_verdicts(events: list[DetectionEvent]) -> tuple[np.ndarray, np.ndarray
     The matrix rows and columns follow canonical Bell order; ambiguous
     verdicts are tallied separately, mirroring how a bench discards them.
     """
-    counts = np.zeros((4, 4), dtype=np.int64)
-    ambiguous = np.zeros(4, dtype=np.int64)
-    for ev in events:
-        row = ev.truth.index
-        if ev.verdict is None:
-            ambiguous[row] += 1
-        else:
-            counts[row, ev.verdict.index] += 1
-    return counts, ambiguous
+    table = EventChunk.of(events).tally()
+    return table[:, :-1], table[:, -1]
 
 
 # --------------------------------------------------------------------------
@@ -275,20 +373,40 @@ def tally_verdicts(events: list[DetectionEvent]) -> tuple[np.ndarray, np.ndarray
 # --------------------------------------------------------------------------
 
 _LOG_COLUMNS = "wall_time_s,truth,port1,pol1,port2,pol2,dt_bins,verdict"
+_TRUTH_FIELDS = tuple(b.label for b in BELL_ORDER)
+_OUTCOME_FIELDS = tuple(
+    f"{o.first_port},{o.first_pol},{o.second_port},{o.second_pol},{o.dt_bins}" for o in OUTCOMES
+)
+_VERDICT_FIELDS = tuple(verdict_label(v) for v in VERDICTS)
+
+
+def open_event_log(path, header: dict[str, str]) -> TextIO:
+    """Create an event log: `# key: value` header lines, then the column
+    line.  Append rows with `append_events`; the caller closes the file."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        fh.writelines(f"# {key}: {header[key]}\n" for key in sorted(header))
+        fh.write(_LOG_COLUMNS + "\n")
+    except BaseException:
+        fh.close()
+        raise
+    return fh
+
+
+def append_events(fh: TextIO, chunk: EventChunk) -> None:
+    fh.writelines(
+        f"{t:.6f},{_TRUTH_FIELDS[k]},{_OUTCOME_FIELDS[o]},{_VERDICT_FIELDS[v]}\n"
+        for t, k, o, v in zip(
+            chunk.wall_time_s.tolist(), chunk.truth.tolist(),
+            chunk.outcome.tolist(), chunk.verdict.tolist(),
+        )
+    )
 
 
 def write_event_log(path, events: list[DetectionEvent], header: dict[str, str]) -> None:
     """Write events as CSV with `# key: value` header lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(header):
-            fh.write(f"# {key}: {header[key]}\n")
-        fh.write(_LOG_COLUMNS + "\n")
-        for ev in events:
-            o = ev.outcome
-            fh.write(
-                f"{ev.wall_time_s:.6f},{ev.truth.label},{o.first_port},{o.first_pol},"
-                f"{o.second_port},{o.second_pol},{o.dt_bins},{verdict_label(ev.verdict)}\n"
-            )
+    with open_event_log(path, header) as fh:
+        append_events(fh, EventChunk.of(events))
 
 
 def read_event_log(path) -> tuple[list[DetectionEvent], dict[str, str]]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, require_finite
 from .interferometer import InterferometerConfig, verdict_label
 from .noise import DriftConfig, PhaseWalk, SourceConfig, sample_detection
 from .seeds import substream
@@ -80,6 +80,7 @@ class TimingConfig:
     recalibration_pause_s: float = 2.0
 
     def __post_init__(self):
+        require_finite(self)
         for name in (
             "message_latency_s",
             "encoder_settle_s",

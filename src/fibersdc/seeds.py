@@ -12,6 +12,14 @@ import hashlib
 
 import numpy as np
 
+STREAM_VERSION = 2
+"""Version of how the workflows consume their random streams.
+
+Bumped by every change that alters which draws a seeded run makes, since
+such a change alters seeded outputs; manifests record it.  Version 2:
+events are sampled in chunks from the closed-form kernel.
+"""
+
 
 def substream_seed(master_seed: int, name: str) -> np.random.SeedSequence:
     """Return a SeedSequence unique to (master_seed, name).

@@ -1,9 +1,22 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from fibersdc import noise
 from fibersdc.capacity import load_counts
 from fibersdc.cli import main
 from fibersdc.imagecodec import ImageRaster, read_ppm, write_ppm
+from fibersdc.interferometer import InterferometerConfig, verdict_distribution
+from fibersdc.noise import DriftConfig, SourceConfig, read_event_log
+from fibersdc.protocol import TimingConfig
+from fibersdc.states import BELL_ORDER
+
+SETTING_KEYS = [
+    f.name
+    for cfg in (SourceConfig, DriftConfig, InterferometerConfig, TimingConfig)
+    for f in fields(cfg)
+] + ["seconds_per_state"]
 
 
 def _read_report(path):
@@ -44,6 +57,9 @@ def test_characterize_writes_all_outputs(tmp_path):
     manifest = (tmp_path / "manifest.txt").read_text()
     assert "command=characterize" in manifest
     assert "master_seed=3" in manifest
+    events, header = read_event_log(tmp_path / "events.csv")
+    assert len(events) == int(report["events_total"])
+    assert f"settings_sha256={header['settings_sha256']}\n" in manifest
 
 
 def test_characterize_clean_settings_give_diagonal_counts(tmp_path):
@@ -102,6 +118,28 @@ def test_characterize_rejects_bad_duration(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf"])
+def test_characterize_rejects_non_finite_duration(tmp_path, capsys, seconds):
+    rc = main([
+        "characterize", "--outdir", str(tmp_path), "--seconds-per-state", seconds,
+    ])
+    assert rc == 2
+    assert "seconds_per_state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_characterize_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch, chunk):
+    # Recalibration boundaries and schedule ends fall inside and across chunks.
+    argv = ["characterize", "--seed", "5", "--seconds-per-state", "1",
+            "--set", "recalibration_period_s=0.35"]
+    assert main(argv + ["--outdir", str(tmp_path / "default")]) == 0
+    monkeypatch.setattr(noise, "EVENT_CHUNK", chunk)
+    assert main(argv + ["--outdir", str(tmp_path / "small")]) == 0
+    for name in ("events.csv", "counts.txt"):
+        default = (tmp_path / "default" / name).read_bytes()
+        assert (tmp_path / "small" / name).read_bytes() == default, name
+
+
 # ---------------------------------------------------------------------------
 # capacity
 # ---------------------------------------------------------------------------
@@ -146,6 +184,18 @@ def test_calibrate_small_grid_finds_origin(tmp_path):
     assert float(report["best_phi0_rad"]) == 0.0
     assert float(report["best_phi1_rad"]) == 0.0
     assert float(report["best_score"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_calibrate_grid_matches_a_state_algebra_sweep(tmp_path):
+    assert main(["calibrate", "--outdir", str(tmp_path), "--grid", "7"]) == 0
+    cfg = InterferometerConfig()
+    rows = ["phi0_rad\tphi1_rad\tmean_diagonal"]
+    for p0 in np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False):
+        for p1 in np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False):
+            c = cfg.with_phases(float(p0), float(p1))
+            score = sum(verdict_distribution(b, c).get(b, 0.0) for b in BELL_ORDER) / 4.0
+            rows.append(f"{p0:.9f}\t{p1:.9f}\t{score:.9f}")
+    assert (tmp_path / "calibration_grid.tsv").read_text() == "\n".join(rows) + "\n"
 
 
 def test_calibrate_rejects_tiny_grid(tmp_path):
@@ -217,6 +267,17 @@ def test_unknown_setting_is_rejected(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", SETTING_KEYS)
+def test_non_finite_setting_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    rc = main([
+        "characterize", "--outdir", str(tmp_path), "--seconds-per-state", "0.01",
+        "--set", f"{key}={value}",
+    ])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_bad_config_file_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("source_fidelity 0.9\n")
@@ -230,6 +291,7 @@ def test_manifest_has_no_timestamps(tmp_path):
     manifest = (tmp_path / "manifest.txt").read_text()
     lines = [l for l in manifest.splitlines() if l and "=" in l]
     keys = {l.split("=", 1)[0] for l in lines}
-    assert {"command", "package_version", "master_seed", "settings_sha256"} <= keys
+    assert {"command", "package_version", "stream_version", "master_seed",
+            "settings_sha256"} <= keys
     assert "timestamp" not in manifest.lower()
     assert "date" not in manifest.lower()

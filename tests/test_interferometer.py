@@ -5,6 +5,9 @@ import pytest
 
 from fibersdc.errors import ConfigError, StateError
 from fibersdc.interferometer import (
+    BRANCH_OUTCOMES,
+    OUTCOMES,
+    VERDICTS,
     DetectionOutcome,
     InterferometerConfig,
     beamsplitter,
@@ -12,6 +15,8 @@ from fibersdc.interferometer import (
     delay_loop,
     evolve_bsm,
     hadamard_waveplate,
+    kernel_distribution,
+    kernel_verdicts,
     load_reference_outputs,
     measurement_distribution,
     verdict_distribution,
@@ -320,6 +325,41 @@ def test_distributions_vary_continuously_in_phase():
     keys = set(base) | set(nudged)
     drift = max(abs(base.get(k, 0.0) - nudged.get(k, 0.0)) for k in keys)
     assert drift < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# closed-form kernel against the state algebra
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_branches_are_disjoint_distributions():
+    assert BRANCH_OUTCOMES.shape == (4, 2, len(OUTCOMES))
+    assert np.allclose(BRANCH_OUTCOMES.sum(axis=-1), 1.0, atol=1e-12)
+    assert not np.any((BRANCH_OUTCOMES[:, 0] > 0) & (BRANCH_OUTCOMES[:, 1] > 0))
+
+
+def test_kernel_matches_state_algebra_at_random_phases():
+    rng = np.random.default_rng(20261018)
+    phases = rng.uniform(-4 * np.pi, 4 * np.pi, size=(300, 2))
+    cfg = InterferometerConfig()
+    worst = 0.0
+    for which in BELL_ORDER:
+        outcomes = kernel_distribution(which.index, phases[:, 0], phases[:, 1])
+        verdicts = kernel_verdicts(which.index, phases[:, 0], phases[:, 1])
+        for (p0, p1), got, got_verdicts in zip(phases.tolist(), outcomes, verdicts):
+            c = cfg.with_phases(p0, p1)
+            dist = measurement_distribution(evolve_bsm(make_bell(which), c), c)
+            assert set(dist) <= set(OUTCOMES)
+            want = np.array([dist.get(o, 0.0) for o in OUTCOMES])
+            vd = verdict_distribution(which, c)
+            want_verdicts = np.array([vd.get(v, 0.0) for v in VERDICTS])
+            worst = max(
+                worst,
+                np.abs(got - want).max(),
+                np.abs(got_verdicts - want_verdicts).max(),
+                np.abs(kernel_distribution(which.index, p0, p1) - want).max(),
+            )
+    assert worst < 1e-12
 
 
 # ---------------------------------------------------------------------------

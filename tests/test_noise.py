@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from fibersdc import noise
 from fibersdc.configs import (
     CHARACTERIZATION_DRIFT,
     CHARACTERIZATION_SOURCE,
     SECONDS_PER_STATE,
 )
 from fibersdc.errors import ConfigError
-from fibersdc.interferometer import InterferometerConfig
+from fibersdc.interferometer import (
+    OUTCOMES,
+    UNCORRELATED_DIST,
+    InterferometerConfig,
+    kernel_distribution,
+)
 from fibersdc.noise import (
     DetectionEvent,
     DriftConfig,
@@ -16,6 +22,7 @@ from fibersdc.noise import (
     apply_source_noise,
     drift_phases,
     generate_event_stream,
+    iter_event_chunks,
     read_event_log,
     sample_detection,
     tally_verdicts,
@@ -144,6 +151,35 @@ def test_phase_walk_reset_shrinks_excursion():
     assert np.mean(fresh) < 0.25 * np.mean(drifted)
 
 
+def test_batch_walk_increments_have_variance_sigma_squared_dt():
+    sigma = 0.7
+    cfg = DriftConfig(sigma_rad_per_sqrt_s=sigma, recalibration_period_s=1e9)
+    dt = np.where(np.arange(20_000) % 2, 0.01, 0.04)
+    phases = PhaseWalk(cfg, substream(19, "test.walk.var")).advance(np.cumsum(dt))
+    steps = np.diff(np.vstack([[0.0, 0.0], phases]), axis=0)
+    for width in (0.01, 0.04):
+        assert steps[dt == width].var() == pytest.approx(sigma**2 * width, rel=0.05)
+
+
+def test_batch_walk_resets_at_boundaries_however_the_times_are_split():
+    cfg = DriftConfig(sigma_rad_per_sqrt_s=1.0, recalibration_period_s=10.0,
+                      recalibration_residual_rad=0.3)
+    times = np.array([1.0, 4.0, 9.5, 10.0, 13.0, 19.9, 20.0, 20.0, 35.0, 40.0, 41.0])
+    walk = PhaseWalk(cfg, substream(4, "test.walk.split"))
+    whole = walk.advance(times)
+    assert walk.recalibrations == 4
+    for i in (3, 6, 7, 9):  # queries on a boundary sit at the residual
+        assert whole[i].tolist() == [0.3, 0.3]
+    assert np.all(whole[[0, 1, 2, 4, 5, 8, 10]] != 0.3)
+    for cut in range(len(times) + 1):
+        walk = PhaseWalk(cfg, substream(4, "test.walk.split"))
+        split = np.vstack([walk.advance(times[:cut]), walk.advance(times[cut:])])
+        assert np.array_equal(split, whole), cut
+        assert walk.recalibrations == 4
+    walk = PhaseWalk(cfg, substream(4, "test.walk.split"))
+    assert [walk.phases_at(t) for t in times] == [tuple(row) for row in whole.tolist()]
+
+
 def test_phase_walk_rejects_backwards_queries():
     walk = PhaseWalk(DriftConfig(), substream(9, "test.walk.back"))
     walk.phases_at(10.0)
@@ -186,6 +222,24 @@ def test_noiseless_detection_is_always_correct():
             assert verdict is which
 
 
+def test_sampled_outcomes_follow_the_kernel_mixture():
+    # With sigma == 0 the loop phases stay at the residual for the whole run.
+    source = SourceConfig(source_fidelity=0.9, accidental_rate_hz=20.0)
+    drift = DriftConfig(sigma_rad_per_sqrt_s=0.0, recalibration_residual_rad=0.7)
+    sent = BELL_ORDER[3]
+    chunks = iter_event_chunks([(sent, 400.0)], source, drift, substream(8, "test.mixture"))
+    outcome = np.concatenate([chunk.outcome for chunk in chunks])
+    n = len(outcome)
+    seen = np.bincount(outcome, minlength=len(OUTCOMES)) / n
+    kernel = [kernel_distribution(b.index, 0.7, 0.7) for b in BELL_ORDER]
+    others = sum(kernel[b.index] for b in BELL_ORDER if b is not sent) / 3.0
+    pair = source.source_fidelity * kernel[sent.index] + (1 - source.source_fidelity) * others
+    want = (source.accidental_fraction * UNCORRELATED_DIST
+            + (1 - source.accidental_fraction) * pair)
+    assert n > 80_000
+    assert np.all(np.abs(seen - want) <= 5 * np.sqrt(want * (1 - want) / n))
+
+
 # ---------------------------------------------------------------------------
 # event streams
 # ---------------------------------------------------------------------------
@@ -203,6 +257,31 @@ def test_event_stream_rate_and_ordering():
     for ev in events:
         slot = min(int(ev.wall_time_s // SECONDS_PER_STATE), 3)
         assert ev.truth is BELL_ORDER[slot]
+
+
+@pytest.mark.parametrize("chunk", [3, 2048])
+def test_arrivals_match_a_one_at_a_time_reference(monkeypatch, chunk):
+    # Reference: one gap per arrival; the arrival at or past an entry's end
+    # is dropped and the next entry starts at that end.
+    monkeypatch.setattr(noise, "EVENT_CHUNK", chunk)
+    schedule = [(BELL_ORDER[0], 0.2), (BELL_ORDER[1], 0.0), (BELL_ORDER[2], 0.15)]
+    source = CHARACTERIZATION_SOURCE
+    events = generate_event_stream(
+        schedule, source, CHARACTERIZATION_DRIFT, InterferometerConfig(),
+        substream(2, "test.arrivals"),
+    )
+    gaps = substream(2, "test.arrivals").spawn(3)[0]  # the arrival stream
+    want, t = [], 0.0
+    for sent, duration in schedule:
+        end = t + duration
+        while True:
+            t += gaps.exponential(1.0 / source.total_rate_hz)
+            if t >= end:
+                t = end
+                break
+            want.append((t, sent))
+    assert len(want) > 30
+    assert [(ev.wall_time_s, ev.truth) for ev in events] == want
 
 
 def test_event_stream_is_deterministic_per_seed():
