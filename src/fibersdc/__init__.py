@@ -20,7 +20,6 @@ from .capacity import (
     mutual_information,
     partial_bsm_channel,
     save_counts,
-    subtract_uniform_background,
 )
 from .configs import (
     CHARACTERIZATION_DRIFT,

@@ -35,19 +35,21 @@ def estimate_conditionals(counts) -> np.ndarray:
     return m / sums[:, None]
 
 
-def subtract_uniform_background(counts, accidental_fraction: float) -> np.ndarray:
-    """Optional accidental correction before normalizing.
+def _log2(a: np.ndarray) -> np.ndarray:
+    """Base-2 log of the positive entries, 0 elsewhere."""
+    out = np.zeros_like(a)
+    np.log2(a, where=a > 0, out=out)
+    return out
 
-    Removes the expected uniform-accidental load from each row: accidental
-    signatures land on the four verdict zones with relative masses
-    (1, 1, 2, 2)/6 among accepted events.  Entries are floored at zero.
-    """
-    if not (0.0 <= accidental_fraction < 1.0):
-        raise ConfigError("accidental_fraction must be in [0, 1)")
-    m = _as_matrix(counts)
-    zone = np.array([1.0, 1.0, 2.0, 2.0]) / 6.0
-    expected = accidental_fraction * m.sum(axis=1)[:, None] * zone[None, :]
-    return np.maximum(m - expected, 0.0)
+
+def _divergences(p: np.ndarray, P: np.ndarray, logP: np.ndarray) -> np.ndarray:
+    """D[r, x] = KL(P(.|x) || q) in bits for each channel of a stack, with
+    inputs p[r] and output distribution q[r] = p[r] P[r].  logP is
+    `_log2(P)`, so the entries where P is 0 contribute 0."""
+    # einsum rather than matmul: these products are too small for BLAS,
+    # whose first call alone pages in about 0.15 MB
+    q = np.einsum("rx,rxy->ry", p, P)
+    return (P * (logP - _log2(q)[:, None, :])).sum(axis=2)
 
 
 def mutual_information(input_dist, conditionals) -> float:
@@ -58,15 +60,8 @@ def mutual_information(input_dist, conditionals) -> float:
         raise ConfigError("input distribution does not match channel rows")
     if abs(p.sum() - 1.0) > 1e-9 or (p < -1e-12).any():
         raise ConfigError("input distribution must be a probability vector")
-    q = p @ P
-    total = 0.0
-    for x in range(P.shape[0]):
-        if p[x] <= 0:
-            continue
-        for y in range(P.shape[1]):
-            if P[x, y] > 0 and q[y] > 0:
-                total += p[x] * P[x, y] * np.log2(P[x, y] / q[y])
-    return float(total)
+    D = _divergences(p[None], P[None], _log2(P)[None])[0]
+    return float((p * D).sum())
 
 
 @dataclass(frozen=True)
@@ -75,6 +70,41 @@ class CapacityResult:
     input_distribution: np.ndarray
     iterations: int
     converged: bool
+
+
+def _blahut_arimoto(P: np.ndarray, tol: float, max_iterations: int, trajectory=None):
+    """Blahut-Arimoto over a stack of channels, P[r, x, y] = P(y | x).
+
+    Each channel runs the update and stop rule of `channel_capacity`.  A
+    channel that meets the rule is frozen there, its input and so its
+    lower bound no longer change, while the others go on.  Returns the
+    capacities, input distributions, iteration counts and converged mask;
+    with a `trajectory` list, each iteration's lower bounds are appended.
+    """
+    R, n, _ = P.shape
+    p = np.full((R, n), 1.0 / n)
+    logP = _log2(P)
+    capacity = np.zeros(R)
+    last = np.full(R, -np.inf)
+    iterations = np.zeros(R, dtype=np.int64)
+    active = np.ones(R, dtype=bool)
+    for _ in range(max_iterations):
+        D = _divergences(p, P, logP)
+        capacity = np.einsum("rx,rx->r", p, D)
+        if trajectory is not None:
+            trajectory.append(capacity)
+        iterations += active
+        scale = np.maximum(1.0, np.abs(capacity))
+        active &= ~(
+            (np.abs(capacity - last) <= tol * scale)
+            & (D.max(axis=1) - capacity <= max(tol * 100, 1e-12) * scale)
+        )
+        if not active.any():
+            break
+        last = capacity
+        w = p * np.exp2(D)
+        p = np.where(active[:, None], w / w.sum(axis=1, keepdims=True), p)
+    return capacity, p, iterations, ~active
 
 
 def channel_capacity(
@@ -97,44 +127,34 @@ def channel_capacity(
         raise ConfigError("channel matrix must be non-negative")
     if np.abs(P.sum(axis=1) - 1.0).max() > 1e-9:
         raise ConfigError("channel rows must each sum to 1")
-    n = P.shape[0]
-    p = np.full(n, 1.0 / n)
-    logP = np.zeros_like(P)
-    np.log2(P, where=P > 0, out=logP)
-    trajectory: list[float] = []
-    last = -np.inf
-    converged = False
-    iterations = 0
-    capacity = 0.0
-    for iterations in range(1, max_iterations + 1):
-        q = p @ P
-        logq = np.zeros_like(q)
-        np.log2(q, where=q > 0, out=logq)
-        # D[x] = KL(P(.|x) || q) in bits
-        D = np.where(P > 0, P * (logP - logq[None, :]), 0.0).sum(axis=1)
-        capacity = float(p @ D)
-        trajectory.append(capacity)
-        gap = float(D.max() - capacity)
-        if abs(capacity - last) <= tol * max(1.0, abs(capacity)) and gap <= max(
-            tol * 100, 1e-12
-        ) * max(1.0, abs(capacity)):
-            converged = True
-            break
-        last = capacity
-        w = p * np.exp2(D)
-        p = w / w.sum()
-    result = CapacityResult(capacity, p.copy(), iterations, converged)
+    trajectory = [] if return_trajectory else None
+    capacity, p, iterations, converged = _blahut_arimoto(
+        P[None], tol, max_iterations, trajectory
+    )
+    result = CapacityResult(
+        float(capacity[0]), p[0].copy(), int(iterations[0]), bool(converged[0])
+    )
     if return_trajectory:
-        return result, trajectory
+        return result, [float(c[0]) for c in trajectory]
     return result
 
 
-def bootstrap_ci(
+# Resamples drawn and solved together; the block's arrays bound the memory
+# a bootstrap needs beyond one float per resample.
+BOOTSTRAP_BLOCK = 256
+
+
+def bootstrap_spread(
     counts, resamples: int = 1000, rng: np.random.Generator | None = None
-) -> float:
-    """Standard deviation of the capacity under row-wise multinomial
-    resampling of the count matrix.  Each resample redraws every row with
-    its observed total and empirical distribution."""
+) -> tuple[float, int]:
+    """Bootstrap standard deviation of the capacity, and the number of
+    resamples whose Blahut-Arimoto solve did not converge.
+
+    Each resample redraws every row of the count matrix with its observed
+    total and empirical distribution.  Resamples are drawn and solved
+    `BOOTSTRAP_BLOCK` at a time; one broadcast multinomial call draws a
+    block in the same order as drawing row by row, resample by resample.
+    """
     m = _as_matrix(counts)
     if resamples < 2:
         raise ConfigError("need at least 2 resamples")
@@ -143,12 +163,27 @@ def bootstrap_ci(
     P = estimate_conditionals(m)
     totals = m.sum(axis=1).astype(int)
     caps = np.empty(resamples)
-    for i in range(resamples):
-        rows = [rng.multinomial(totals[x], P[x]) for x in range(4)]
-        resampled = np.array(rows, dtype=float)
+    nonconverged = 0
+    for start in range(0, resamples, BOOTSTRAP_BLOCK):
+        k = min(BOOTSTRAP_BLOCK, resamples - start)
+        draws = rng.multinomial(
+            np.broadcast_to(totals, (k, 4)), np.broadcast_to(P, (k, 4, 4))
+        )
         # a verdict column can come back empty; row sums stay positive
-        caps[i] = channel_capacity(estimate_conditionals(resampled), tol=1e-7).capacity_bits
-    return float(np.std(caps, ddof=1))
+        resampled = draws / draws.sum(axis=2, keepdims=True)
+        caps[start : start + k], _, _, converged = _blahut_arimoto(
+            resampled, 1e-7, 100000
+        )
+        nonconverged += int(k - converged.sum())
+    return float(np.std(caps, ddof=1)), nonconverged
+
+
+def bootstrap_ci(
+    counts, resamples: int = 1000, rng: np.random.Generator | None = None
+) -> float:
+    """Standard deviation of the capacity under row-wise multinomial
+    resampling of the count matrix (see `bootstrap_spread`)."""
+    return bootstrap_spread(counts, resamples, rng)[0]
 
 
 def partial_bsm_channel() -> np.ndarray:

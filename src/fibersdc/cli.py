@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import (
-    bootstrap_ci,
+    bootstrap_spread,
     channel_capacity,
     estimate_conditionals,
     load_counts,
@@ -72,7 +72,9 @@ OUTDIR_ENV = "FIBERSDC_OUTDIR"
 
 _SOURCE_KEYS = {f.name for f in fields(SourceConfig)}
 _DRIFT_KEYS = {f.name for f in fields(DriftConfig)}
-_INTERF_KEYS = {f.name for f in fields(InterferometerConfig)}
+# Every workflow puts the analyzer at the walk's or the grid's loop phases,
+# so the static offsets on InterferometerConfig are not settings.
+_INTERF_KEYS = {f.name for f in fields(InterferometerConfig)} - {"phi0_rad", "phi1_rad"}
 _TIMING_KEYS = {f.name for f in fields(TimingConfig)}
 _EXTRA_KEYS = {"seconds_per_state"}
 _ALL_KEYS = _SOURCE_KEYS | _DRIFT_KEYS | _INTERF_KEYS | _TIMING_KEYS | _EXTRA_KEYS
@@ -155,7 +157,8 @@ def _resolved_settings(source, drift, interf, timing, extras: dict) -> dict[str,
     out: dict[str, str] = {}
     for cfg in (source, drift, interf, timing):
         for f in fields(cfg):
-            out[f.name] = repr(getattr(cfg, f.name))
+            if f.name in _ALL_KEYS:
+                out[f.name] = repr(getattr(cfg, f.name))
     for k, v in extras.items():
         out[k] = repr(v)
     return out
@@ -260,13 +263,16 @@ def cmd_capacity(args) -> int:
     P = estimate_conditionals(counts)
     result = channel_capacity(P)
     uniform = mutual_information(np.full(4, 0.25), P)
-    std = bootstrap_ci(counts, resamples=args.resamples, rng=substream(args.seed, "bootstrap"))
+    std, nonconverged = bootstrap_spread(
+        counts, resamples=args.resamples, rng=substream(args.seed, "bootstrap")
+    )
 
     lines = [
         f"counts={counts_name}",
         f"capacity_bits={result.capacity_bits:.9f}",
         f"uniform_input_bits={uniform:.9f}",
         f"bootstrap_std_bits={std:.9f}",
+        f"bootstrap_nonconverged={nonconverged}",
         f"ba_iterations={result.iterations}",
         f"ba_converged={result.converged}",
     ]

@@ -5,15 +5,17 @@ import pytest
 
 from conftest import grid_capacity_oracle, mi_many, random_channel
 
+from fibersdc import capacity
 from fibersdc.capacity import (
+    _blahut_arimoto,
     bootstrap_ci,
+    bootstrap_spread,
     channel_capacity,
     estimate_conditionals,
     load_counts,
     mutual_information,
     partial_bsm_channel,
     save_counts,
-    subtract_uniform_background,
 )
 from fibersdc.errors import ConfigError
 from fibersdc.seeds import substream
@@ -34,9 +36,40 @@ BENCH_COUNTS = np.array(
 # oracle in conftest (the same value the solver must reproduce).
 BENCH_UNIFORM_BITS = 1.6624704778756465
 
+# bootstrap_ci(BENCH_COUNTS, 1000, substream(1, "bootstrap")) as computed
+# by a resample-at-a-time loop of scalar Blahut-Arimoto solves.
+BENCH_BOOTSTRAP_STD = 0.02123325974966685
+
+
+def reference_blahut_arimoto(P, tol, max_iterations=100000):
+    """One channel at a time, plain loops: the update and stop rule the
+    batched solver must reproduce.  Returns (capacity, input, iterations,
+    converged)."""
+    n, m = P.shape
+    p = [1.0 / n] * n
+    last = -math.inf
+    capacity = 0.0
+    for iterations in range(1, max_iterations + 1):
+        q = [sum(p[x] * P[x, y] for x in range(n)) for y in range(m)]
+        D = [
+            sum(P[x, y] * math.log2(P[x, y] / q[y]) for y in range(m) if P[x, y] > 0)
+            for x in range(n)
+        ]
+        capacity = sum(p[x] * D[x] for x in range(n))
+        scale = max(1.0, abs(capacity))
+        if (
+            abs(capacity - last) <= tol * scale
+            and max(D) - capacity <= max(tol * 100, 1e-12) * scale
+        ):
+            return capacity, np.array(p), iterations, True
+        last = capacity
+        w = [p[x] * 2.0 ** D[x] for x in range(n)]
+        p = [v / sum(w) for v in w]
+    return capacity, np.array(p), max_iterations, False
+
 
 # ---------------------------------------------------------------------------
-# conditionals and background subtraction
+# conditionals
 # ---------------------------------------------------------------------------
 
 
@@ -58,19 +91,6 @@ def test_estimate_conditionals_normalizes_rows():
 def test_estimate_conditionals_rejects_bad_input(bad):
     with pytest.raises(ConfigError):
         estimate_conditionals(bad)
-
-
-def test_background_subtraction_zone_weights():
-    counts = np.full((4, 4), 25.0)
-    corrected = subtract_uniform_background(counts, 0.06)
-    removed = counts - corrected
-    # each row loses fraction*rowsum split (1,1,2,2)/6 over columns
-    assert np.allclose(removed[0], 6.0 * np.array([1, 1, 2, 2]) / 6.0)
-    assert np.allclose(subtract_uniform_background(counts, 0.0), counts)
-    floored = subtract_uniform_background(np.eye(4), 0.9)
-    assert floored.min() == 0.0
-    with pytest.raises(ConfigError):
-        subtract_uniform_background(counts, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +225,83 @@ def test_bootstrap_spread_is_sane():
 def test_bootstrap_rejects_too_few_resamples():
     with pytest.raises(ConfigError):
         bootstrap_ci(BENCH_COUNTS, resamples=1)
+
+
+def test_broadcast_multinomial_draws_like_the_row_loop():
+    P = estimate_conditionals(BENCH_COUNTS)
+    totals = BENCH_COUNTS.sum(axis=1)
+    k = 37
+    batched = substream(2, "bootstrap").multinomial(
+        np.broadcast_to(totals, (k, 4)), np.broadcast_to(P, (k, 4, 4))
+    )
+    loop_rng = substream(2, "bootstrap")
+    looped = np.array(
+        [[loop_rng.multinomial(totals[x], P[x]) for x in range(4)] for _ in range(k)]
+    )
+    assert np.array_equal(batched, looped)
+
+
+def _solver_cases(rng):
+    empty_column = BENCH_COUNTS * np.array([1, 0, 1, 1])
+    return [random_channel(rng, c) for c in (0.3, 1.0, 3.0) for _ in range(5)] + [
+        np.eye(4),
+        partial_bsm_channel(),
+        estimate_conditionals(empty_column),
+        estimate_conditionals(BENCH_COUNTS),
+    ]
+
+
+@pytest.mark.parametrize("tol, max_iterations", [(1e-9, 100000), (1e-7, 100000), (1e-9, 3)])
+def test_batched_solver_matches_per_matrix_reference(rng, tol, max_iterations):
+    channels = _solver_cases(rng)
+    caps, inputs, iterations, converged = _blahut_arimoto(
+        np.stack(channels), tol, max_iterations
+    )
+    assert len(set(iterations.tolist())) > 1  # channels stop at different steps
+    for i, P in enumerate(channels):
+        want_cap, want_p, want_it, want_conv = reference_blahut_arimoto(P, tol, max_iterations)
+        assert abs(caps[i] - want_cap) <= 1e-12
+        assert np.abs(inputs[i] - want_p).max() <= 1e-12
+        assert (iterations[i], converged[i]) == (want_it, want_conv)
+        one = channel_capacity(P, tol=tol, max_iterations=max_iterations)
+        assert abs(one.capacity_bits - want_cap) <= 1e-12
+        assert np.abs(one.input_distribution - want_p).max() <= 1e-12
+        assert (one.iterations, one.converged) == (want_it, want_conv)
+
+
+def test_batched_solver_closed_forms(rng):
+    rows = rng.dirichlet(np.ones(4), size=6)
+    symmetric = [np.stack([np.roll(row, s) for s in range(4)]) for row in rows]
+    channels = np.stack([np.eye(4), partial_bsm_channel()] + symmetric)
+    caps, _, _, converged = _blahut_arimoto(channels, 1e-9, 100000)
+    assert converged.all()
+    assert abs(caps[0] - 2.0) <= 1e-12
+    assert abs(caps[1] - math.log2(3.0)) <= 1e-9
+    entropy = -(rows * np.log2(rows)).sum(axis=1)
+    assert np.abs(caps[2:] - (2.0 - entropy)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("resamples", [2, 257])
+def test_bootstrap_does_not_depend_on_block_size(monkeypatch, resamples):
+    want = bootstrap_spread(BENCH_COUNTS, resamples, substream(6, "bootstrap"))
+    for block in (1, 7):
+        monkeypatch.setattr(capacity, "BOOTSTRAP_BLOCK", block)
+        got = bootstrap_spread(BENCH_COUNTS, resamples, substream(6, "bootstrap"))
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert got[1] == want[1] == 0
+
+
+def test_bootstrap_matches_the_resample_loop_value():
+    sd = bootstrap_ci(BENCH_COUNTS, 1000, substream(1, "bootstrap"))
+    assert abs(sd - BENCH_BOOTSTRAP_STD) <= 1e-12
+
+
+def test_bootstrap_counts_nonconverged_resamples(monkeypatch):
+    solve = capacity._blahut_arimoto
+    # one iteration can never meet the stop rule, which compares two steps
+    monkeypatch.setattr(capacity, "_blahut_arimoto", lambda P, tol, _: solve(P, tol, 1))
+    _, nonconverged = bootstrap_spread(BENCH_COUNTS, 300, substream(6, "bootstrap"))
+    assert nonconverged == 300
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,7 @@ def test_capacity_on_bundled_counts(tmp_path):
     assert report["ba_converged"] == "True"
     assert 1.65 < float(report["capacity_bits"]) < 1.68
     assert float(report["bootstrap_std_bits"]) > 0
+    assert report["bootstrap_nonconverged"] == "0"
     total = sum(
         float(report[f"optimal_input_{k}"])
         for k in ("phi_minus", "phi_plus", "psi_minus", "psi_plus")
@@ -265,6 +266,15 @@ def test_unknown_setting_is_rejected(tmp_path):
         "characterize", "--outdir", str(tmp_path), "--set", "warp_factor=9",
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("key", ["phi0_rad", "phi1_rad"])
+def test_static_phase_offsets_are_not_settings(tmp_path, capsys, key):
+    rc = main(["calibrate", "--outdir", str(tmp_path), "--grid", "2", "--set", f"{key}=1"])
+    assert rc == 2
+    assert f"unknown setting '{key}'" in capsys.readouterr().err
+    assert main(["calibrate", "--outdir", str(tmp_path), "--grid", "2"]) == 0
+    assert f"{key}=" not in (tmp_path / "manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
