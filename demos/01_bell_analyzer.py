@@ -25,7 +25,7 @@ print("calibrated analyzer, exact outcome tables")
 print("=" * 60)
 for which in BELL_ORDER:
     state = evolve_bsm(make_bell(which), cfg)
-    dist = measurement_distribution(state, cfg)
+    dist = measurement_distribution(state)
     print(f"\nsent {which.label}:")
     for outcome, p in sorted(dist.items()):
         pair = (

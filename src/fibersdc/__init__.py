@@ -47,9 +47,7 @@ from .interferometer import (
     InterferometerConfig,
     beamsplitter,
     classify,
-    delay_loop,
     evolve_bsm,
-    hadamard_waveplate,
     load_reference_outputs,
     measurement_distribution,
     verdict_distribution,
@@ -60,13 +58,10 @@ from .noise import (
     DriftConfig,
     PhaseWalk,
     SourceConfig,
-    apply_source_noise,
-    drift_phases,
     generate_event_stream,
     read_event_log,
     sample_detection,
     tally_verdicts,
-    write_event_log,
 )
 from .protocol import (
     Message,
@@ -96,4 +91,25 @@ from .states import (
     state_fidelity,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above, by module; the submodules are not part of the API.
+__all__ = [
+    "CapacityResult", "bootstrap_ci", "channel_capacity", "estimate_conditionals",
+    "load_counts", "load_reference_counts", "mutual_information", "partial_bsm_channel",
+    "save_counts",
+    "CHARACTERIZATION_DRIFT", "CHARACTERIZATION_SOURCE", "DEFAULT_INTERFEROMETER",
+    "DEFAULT_TIMING", "SECONDS_PER_STATE", "TRANSFER_DRIFT", "TRANSFER_SOURCE",
+    "ConfigError", "FiberSdcError", "ProtocolError", "StateError",
+    "ImageRaster", "dibits_to_raster", "image_fidelity", "make_demo_image",
+    "pack_dibits", "raster_to_dibits", "read_ppm", "unpack_dibits", "write_ppm",
+    "DetectionOutcome", "InterferometerConfig", "beamsplitter", "classify",
+    "evolve_bsm", "load_reference_outputs", "measurement_distribution",
+    "verdict_distribution", "verdict_label",
+    "DetectionEvent", "DriftConfig", "PhaseWalk", "SourceConfig",
+    "generate_event_stream", "read_event_log", "sample_detection", "tally_verdicts",
+    "Message", "MessageKind", "ReceiverMachine", "SenderMachine", "SessionResult",
+    "SessionStats", "TimingConfig", "decode_message", "encode_message", "run_session",
+    "substream",
+    "BELL_ORDER", "BellState", "PhotonMode", "TwoPhotonState", "align_global_phase",
+    "apply_pauli", "dump_state", "encode_dibit", "make_bell", "overlap", "parse_state",
+    "state_fidelity",
+]

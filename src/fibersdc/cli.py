@@ -10,10 +10,12 @@ Four subcommands cover the package's workflows:
 Every run writes a manifest (subcommand, resolved settings, their hash,
 seed, package version, random-stream version, no timestamps), so
 rerunning with the same seed and settings reproduces every output byte
-for byte.  Settings come from an optional key=value config file plus
-repeatable --set overrides; the output directory falls back to
-$FIBERSDC_OUTDIR, then the current directory.  Exit codes: 0 success, 2 configuration problem, 3 protocol
-violation, 1 anything else.
+for byte.  `characterize` and `transfer` take settings, the fields of
+their default configs in `COMMAND_SETTINGS`, from an optional key=value
+config file plus repeatable --set overrides; `calibrate` and `capacity`
+depend on no setting and take neither option.  The output directory
+falls back to $FIBERSDC_OUTDIR, then the current directory.  Exit codes:
+0 success, 2 configuration problem, 3 protocol violation, 1 anything else.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,7 @@ from .configs import (
     DEFAULT_TIMING,
     SECONDS_PER_STATE,
     TRANSFER_DRIFT,
+    TRANSFER_SOURCE,
 )
 from .errors import ConfigError, ProtocolError
 from .imagecodec import (
@@ -56,111 +59,65 @@ from .imagecodec import (
     read_ppm,
     write_ppm,
 )
-from .interferometer import InterferometerConfig, kernel_verdicts
-from .noise import (
-    DriftConfig,
-    SourceConfig,
-    append_events,
-    iter_event_chunks,
-    open_event_log,
-)
-from .protocol import TimingConfig, run_session
+from .interferometer import kernel_verdicts
+from .noise import append_events, iter_event_chunks, open_event_log
+from .protocol import run_session
 from .seeds import STREAM_VERSION, substream
 from .states import BELL_ORDER
 
 OUTDIR_ENV = "FIBERSDC_OUTDIR"
 
-_SOURCE_KEYS = {f.name for f in fields(SourceConfig)}
-_DRIFT_KEYS = {f.name for f in fields(DriftConfig)}
-# Every workflow puts the analyzer at the walk's or the grid's loop phases,
-# so the static offsets on InterferometerConfig are not settings.
-_INTERF_KEYS = {f.name for f in fields(InterferometerConfig)} - {"phi0_rad", "phi1_rad"}
-_TIMING_KEYS = {f.name for f in fields(TimingConfig)}
-_EXTRA_KEYS = {"seconds_per_state"}
-_ALL_KEYS = _SOURCE_KEYS | _DRIFT_KEYS | _INTERF_KEYS | _TIMING_KEYS | _EXTRA_KEYS
+COMMAND_SETTINGS = {
+    "characterize": (CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT),
+    "transfer": (TRANSFER_SOURCE, TRANSFER_DRIFT, DEFAULT_TIMING),
+}
+"""Default configs of each command that takes settings; their fields are
+the keys it accepts."""
 
 
-def parse_config_file(path) -> dict[str, float]:
-    """Read key=value lines; `#` comments and blank lines are skipped."""
-    values: dict[str, float] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
+    """`defaults` with the key=value lines of `config_file` (if not None)
+    applied, then the `overrides` (KEY=VALUE strings, as given to --set).
+
+    A key that no default config has is rejected.  Each config is rebuilt
+    with `dataclasses.replace`, so its own checks run on the merged values.
+    """
+    owner = {f.name: i for i, cfg in enumerate(defaults) for f in fields(cfg)}
+    changes: list[dict[str, float]] = [{} for _ in defaults]
+
+    def put(where: str, text: str) -> None:
+        if "=" not in text:
+            raise ConfigError(f"{where}expected key=value, got {text!r}")
+        key, val = (part.strip() for part in text.split("=", 1))
+        if key not in owner:
+            raise ConfigError(f"{where}unknown setting {key!r}")
         try:
-            values[key] = float(val)
+            changes[owner[key]][key] = float(val)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad number {val!r}") from exc
-    return values
+            raise ConfigError(f"{where}bad number for {key}: {val!r}") from exc
 
-
-def _apply_overrides(values: dict[str, float], pairs: list[str]) -> dict[str, float]:
-    out = dict(values)
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set needs key=value, got {pair!r}")
-        key, val = (part.strip() for part in pair.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown setting {key!r}")
+    if config_file is not None:
         try:
-            out[key] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad number for {key}: {val!r}") from exc
-    return out
+            text = Path(config_file).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {config_file}: {exc}") from exc
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                put(f"{config_file}:{lineno}: ", line)
+    for pair in overrides:
+        put("--set: ", pair)
+    return tuple(replace(cfg, **kw) for cfg, kw in zip(defaults, changes))
 
 
-def build_configs(values: dict[str, float], transfer: bool = False):
-    """Materialize the dataclass configs from a flat settings map."""
-    src_base = TRANSFER_DRIFT if transfer else CHARACTERIZATION_DRIFT
-    source_kwargs = {k: v for k, v in values.items() if k in _SOURCE_KEYS}
-    drift_kwargs = {k: v for k, v in values.items() if k in _DRIFT_KEYS}
-    interf_kwargs = {k: v for k, v in values.items() if k in _INTERF_KEYS}
-    timing_kwargs = {k: v for k, v in values.items() if k in _TIMING_KEYS}
-    base_source = CHARACTERIZATION_SOURCE
-    source = SourceConfig(
-        **{
-            f.name: source_kwargs.get(f.name, getattr(base_source, f.name))
-            for f in fields(SourceConfig)
-        }
-    )
-    drift = DriftConfig(
-        **{
-            f.name: drift_kwargs.get(f.name, getattr(src_base, f.name))
-            for f in fields(DriftConfig)
-        }
-    )
-    interf = InterferometerConfig(
-        **{
-            f.name: interf_kwargs.get(f.name, getattr(DEFAULT_INTERFEROMETER, f.name))
-            for f in fields(InterferometerConfig)
-        }
-    )
-    timing = TimingConfig(
-        **{
-            f.name: timing_kwargs.get(f.name, getattr(DEFAULT_TIMING, f.name))
-            for f in fields(TimingConfig)
-        }
-    )
-    return source, drift, interf, timing
+def _settings(args) -> tuple:
+    return merge_settings(COMMAND_SETTINGS[args.command], args.config, args.set or ())
 
 
-def _resolved_settings(source, drift, interf, timing, extras: dict) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for cfg in (source, drift, interf, timing):
-        for f in fields(cfg):
-            if f.name in _ALL_KEYS:
-                out[f.name] = repr(getattr(cfg, f.name))
-    for k, v in extras.items():
-        out[k] = repr(v)
+def _resolved_settings(configs: tuple, **extras) -> dict[str, str]:
+    """Every field of the merged configs and each extra input, as repr."""
+    out = {f.name: repr(getattr(cfg, f.name)) for cfg in configs for f in fields(cfg)}
+    out.update((k, repr(v)) for k, v in extras.items())
     return out
 
 
@@ -189,18 +146,12 @@ def _write_manifest(
 
 
 def _outdir(args) -> Path:
-    raw = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc}") from exc
     return path
-
-
-def _gather_settings(args, transfer: bool = False):
-    values = parse_config_file(args.config) if args.config else {}
-    values = _apply_overrides(values, args.set or [])
-    extras = {k: values.pop(k) for k in list(values) if k in _EXTRA_KEYS}
-    source, drift, interf, timing = build_configs(values, transfer=transfer)
-    return source, drift, interf, timing, extras
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +161,12 @@ def _gather_settings(args, transfer: bool = False):
 
 def cmd_characterize(args) -> int:
     outdir = _outdir(args)
-    source, drift, interf, timing, extras = _gather_settings(args)
-    seconds = float(extras.get("seconds_per_state", args.seconds_per_state))
+    source, drift = _settings(args)
+    seconds = args.seconds_per_state
     if not (math.isfinite(seconds) and seconds > 0):
         raise ConfigError(f"seconds_per_state must be finite and positive, got {seconds!r}")
     schedule = [(b, seconds) for b in BELL_ORDER]
-    settings = _resolved_settings(
-        source, drift, interf, timing, {"seconds_per_state": seconds}
-    )
+    settings = _resolved_settings((source, drift), seconds_per_state=seconds)
     digest = settings_digest(settings)
 
     # Each chunk is tallied and logged, then dropped: memory stays bounded.
@@ -287,7 +236,6 @@ def cmd_capacity(args) -> int:
 
 def cmd_calibrate(args) -> int:
     outdir = _outdir(args)
-    source, drift, interf, timing, extras = _gather_settings(args)
     n = args.grid
     if n < 2:
         raise ConfigError("--grid must be at least 2")
@@ -302,7 +250,7 @@ def cmd_calibrate(args) -> int:
     top = int(np.argmax(score))  # the first point scanned wins a tie
     best = (float(score[top]), float(phi0[top]), float(phi1[top]))
     (outdir / "calibration_grid.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    settings = _resolved_settings(source, drift, interf, timing, {"grid": n})
+    settings = {"grid": repr(n)}
     _write_manifest(outdir, "calibrate", settings, args.seed, settings_digest(settings))
     summary = (
         f"best_score={best[0]:.9f}\nbest_phi0_rad={best[1]:.9f}\nbest_phi1_rad={best[2]:.9f}"
@@ -314,7 +262,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_transfer(args) -> int:
     outdir = _outdir(args)
-    source, drift, interf, timing, extras = _gather_settings(args, transfer=True)
+    source, drift, timing = _settings(args)
     if args.image:
         image = read_ppm(args.image)
         image_name = str(args.image)
@@ -322,7 +270,7 @@ def cmd_transfer(args) -> int:
         image = make_demo_image()
         image_name = "bundled:demo"
     dibits = raster_to_dibits(image)
-    result = run_session(dibits, source, drift, interf, timing, args.seed)
+    result = run_session(dibits, source, drift, DEFAULT_INTERFEROMETER, timing, args.seed)
     received = dibits_to_raster(result.dibits, image.width, image.height)
     fidelity = image_fidelity(image, received)
 
@@ -345,7 +293,7 @@ def cmd_transfer(args) -> int:
     for label in sorted(stats.verdict_counts):
         lines.append(f"verdicts_{label}={stats.verdict_counts[label]}")
     (outdir / "transfer_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    settings = _resolved_settings(source, drift, interf, timing, {"image": image_name})
+    settings = _resolved_settings((source, drift, timing), image=image_name)
     _write_manifest(outdir, "transfer", settings, args.seed, settings_digest(settings))
     print("\n".join(lines))
     return 0
@@ -364,42 +312,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value settings file")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override one setting (repeatable)",
-        )
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if name in COMMAND_SETTINGS:
+            keys = ", ".join(f.name for cfg in COMMAND_SETTINGS[name] for f in fields(cfg))
+            p.add_argument("--config", help="key=value settings file")
+            p.add_argument(
+                "--set",
+                action="append",
+                metavar="KEY=VALUE",
+                help=f"override one setting (repeatable); keys: {keys}",
+            )
         p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or .)")
         p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
+        return p
 
-    p = sub.add_parser("characterize", help="measure the verdict channel")
-    common(p)
+    p = command("characterize", cmd_characterize, "measure the verdict channel")
     p.add_argument(
         "--seconds-per-state",
         type=float,
         default=SECONDS_PER_STATE,
         help="timed run length per sent class",
     )
-    p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("capacity", help="capacity of a count matrix")
-    common(p)
+    p = command("capacity", cmd_capacity, "capacity of a count matrix")
     p.add_argument("--counts", help="count matrix file (default: bundled reference)")
     p.add_argument("--resamples", type=int, default=1000, help="bootstrap resamples")
-    p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("calibrate", help="sweep static phase offsets")
-    common(p)
+    p = command("calibrate", cmd_calibrate, "sweep static phase offsets")
     p.add_argument("--grid", type=int, default=25, help="grid points per phase axis")
-    p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("transfer", help="send a four-gray image")
-    common(p)
+    p = command("transfer", cmd_transfer, "send a four-gray image")
     p.add_argument("--image", help="P3 PPM in the four-gray palette (default: bundled demo)")
-    p.set_defaults(func=cmd_transfer)
 
     return parser
 

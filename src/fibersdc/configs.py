@@ -19,7 +19,6 @@ from .noise import DriftConfig, SourceConfig
 from .protocol import TimingConfig
 
 CHARACTERIZATION_SOURCE = SourceConfig(
-    pair_rate_hz=2.27e5,
     coincidence_rate_hz=200.0,
     source_fidelity=0.97,
     accidental_rate_hz=1.359,

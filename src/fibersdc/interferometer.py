@@ -4,16 +4,17 @@ The physical device routes both photons of an entangled pair through a
 polarization-splitting interferometer with two fiber delay loops (a short
 one and a long one of exactly twice the length), then recombines them so
 that each Bell class maps to a disjoint signature in which detectors fire
-and with what arrival-time difference.  Two pieces of the device are
-modeled structurally because they are cheap and exactly linear:
-
-* `beamsplitter` and `hadamard_waveplate` are single-photon unitaries
-  applied to both photons of a pair state;
-* `delay_loop` shifts time bins and attaches one phase per traversal.
+and with what arrival-time difference.  Detection works in time bins of
+one short delay, and the two-to-one loop ratio is what makes a single
+long traversal and a double short one land in the same bin and
+interfere; both facts are fixed, built into the signatures and into
+`LOOP_TRAVERSALS`, so no delay or resolution is a setting.  One fiber
+coupler stage, `beamsplitter`, is modeled structurally as a single-photon
+unitary applied to both photons of a pair state.
 
 The full analyzer is modeled as a canonical unitary map (`evolve_bsm`)
 from the Bell basis to four fixed, mutually orthogonal target signatures,
-rather than as a literal composition of those elements.  Each Bell class
+rather than as a literal composition of optical elements.  Each Bell class
 interferes along two path families whose relative phase is a monomial in
 the per-traversal loop phases, so detuning the loops away from the
 calibration point moves amplitude from a class's target signature into a
@@ -46,7 +47,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, StateError, require_finite
+from .errors import StateError, require_finite
 from .states import (
     BELL_ORDER,
     BELL_BY_LABEL,
@@ -70,34 +71,20 @@ _R8 = 1.0 / math.sqrt(8.0)
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Analyzer settings.
+    """Loop phases of the reference analyzer `evolve_bsm`.
 
     phi0_rad and phi1_rad are the phase offsets picked up per traversal of
-    the short and long delay loop; at calibration both are zero.  delay1_ns
-    must be twice delay0_ns, which is what lets a single long traversal and
-    a double short traversal land in the same time bin and interfere.  The
-    detector resolution must be finer than one short delay or the time-bin
-    signatures cannot be told apart.
+    the short and long delay loop; at calibration both are zero.  The
+    simulated workflows put the analyzer at a phase walk's or a grid's
+    phases through the closed-form kernel instead, so these are not CLI
+    settings.
     """
 
     phi0_rad: float = 0.0
     phi1_rad: float = 0.0
-    delay0_ns: float = 5.0
-    delay1_ns: float = 10.0
-    detector_resolution_ns: float = 4.0
 
     def __post_init__(self):
         require_finite(self)
-        if self.delay0_ns <= 0 or self.delay1_ns <= 0:
-            raise ConfigError("delays must be positive")
-        if abs(self.delay1_ns - 2.0 * self.delay0_ns) > 1e-9 * self.delay0_ns:
-            raise ConfigError(
-                f"delay1_ns must equal 2*delay0_ns, got {self.delay1_ns} vs {self.delay0_ns}"
-            )
-        if not (0 < self.detector_resolution_ns < self.delay0_ns):
-            raise ConfigError(
-                "detector_resolution_ns must lie strictly between 0 and delay0_ns"
-            )
 
     def with_phases(self, phi0_rad: float, phi1_rad: float) -> "InterferometerConfig":
         return replace(self, phi0_rad=phi0_rad, phi1_rad=phi1_rad)
@@ -178,38 +165,6 @@ def beamsplitter(
             (PhotonMode(o0, V, t), _R2),
             (PhotonMode(o1, V, t), -1j * _R2),
         ]
-    return _apply_single_photon_map(state, mapping)
-
-
-def hadamard_waveplate(state: TwoPhotonState, port: str) -> TwoPhotonState:
-    """Waveplate at 22.5 degrees: H -> (H+V)/sqrt2, V -> (H-V)/sqrt2."""
-    mapping = {}
-    for m in state.modes():
-        if m.port != port:
-            continue
-        hmode = PhotonMode(port, H, m.t)
-        vmode = PhotonMode(port, V, m.t)
-        mapping[hmode] = [(hmode, _R2), (vmode, _R2)]
-        mapping[vmode] = [(hmode, _R2), (vmode, -_R2)]
-    return _apply_single_photon_map(state, mapping)
-
-
-def delay_loop(
-    state: TwoPhotonState, port: str, pol: str, quanta: int, phase_rad: float = 0.0
-) -> TwoPhotonState:
-    """Send the (port, pol) component through a delay loop.
-
-    `quanta` counts short-delay units (1 for the short loop, 2 for the
-    long one).  The delayed amplitude picks up exp(i*phase_rad) once per
-    traversal, which is how loop miscalibration enters the model.
-    """
-    if quanta not in (1, 2):
-        raise ConfigError(f"quanta must be 1 or 2, got {quanta!r}")
-    phase = cmath.exp(1j * phase_rad)
-    mapping = {}
-    for m in state.modes():
-        if m.port == port and m.pol == pol:
-            mapping[m] = [(PhotonMode(m.port, m.pol, m.t + quanta), phase)]
     return _apply_single_photon_map(state, mapping)
 
 
@@ -448,9 +403,7 @@ def evolve_bsm(state: TwoPhotonState, config: InterferometerConfig) -> TwoPhoton
     return out
 
 
-def measurement_distribution(
-    state: TwoPhotonState, config: InterferometerConfig
-) -> dict[DetectionOutcome, float]:
+def measurement_distribution(state: TwoPhotonState) -> dict[DetectionOutcome, float]:
     """Detector statistics of a two-photon state.
 
     Detectors see arrival-time differences, not absolute emission time, so
@@ -485,7 +438,7 @@ def verdict_distribution(
     """Probability of each verdict when a given Bell class enters the
     analyzer at the configured phase offsets.  Pure device model, no
     source noise or accidentals."""
-    dist = measurement_distribution(evolve_bsm(make_bell(which), config), config)
+    dist = measurement_distribution(evolve_bsm(make_bell(which), config))
     out: dict[BellState | None, float] = {}
     for outcome, p in dist.items():
         v = classify(outcome)
@@ -543,7 +496,7 @@ UNCORRELATED_DIST = np.array(
 
 
 def _branch(state: TwoPhotonState) -> list[float]:
-    dist = measurement_distribution(state, InterferometerConfig())
+    dist = measurement_distribution(state)
     return _tabulate(((OUTCOME_INDEX[o], p) for o, p in dist.items()), len(OUTCOMES))
 
 

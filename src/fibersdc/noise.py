@@ -43,7 +43,7 @@ from .interferometer import (
     leak_weight,
     verdict_label,
 )
-from .states import BELL_ORDER, BELL_BY_LABEL, BellState, TwoPhotonState, make_bell
+from .states import BELL_ORDER, BELL_BY_LABEL, BellState
 
 EVENT_CHUNK = 2048
 """Arrival gaps drawn per sampling step of `iter_event_chunks`."""
@@ -53,20 +53,20 @@ EVENT_CHUNK = 2048
 class SourceConfig:
     """Entangled-pair source and detection-rate settings.
 
-    pair_rate_hz is the raw emission rate; coincidence_rate_hz is the rate
-    of pairs that survive transmission and produce two detector clicks,
-    and is what sets event spacing in simulated streams.
+    coincidence_rate_hz is the rate of pairs that survive transmission and
+    produce two detector clicks, and is what sets event spacing in
+    simulated streams; source_fidelity is the probability that the emitted
+    pair is the intended class.
     """
 
-    pair_rate_hz: float = 2.27e5
     coincidence_rate_hz: float = 200.0
     source_fidelity: float = 0.97
     accidental_rate_hz: float = 1.359
 
     def __post_init__(self):
         require_finite(self)
-        if not (0.0 < self.coincidence_rate_hz <= self.pair_rate_hz):
-            raise ConfigError("need 0 < coincidence_rate_hz <= pair_rate_hz")
+        if self.coincidence_rate_hz <= 0.0:
+            raise ConfigError("coincidence_rate_hz must be positive")
         if not (0.0 <= self.source_fidelity <= 1.0):
             raise ConfigError("source_fidelity must be in [0, 1]")
         if self.accidental_rate_hz < 0:
@@ -102,23 +102,6 @@ class DriftConfig:
             raise ConfigError("sigma_rad_per_sqrt_s must be >= 0")
         if self.recalibration_period_s <= 0:
             raise ConfigError("recalibration_period_s must be positive")
-
-
-def drift_phases(
-    t_since_recal_s: float, config: DriftConfig, rng: np.random.Generator
-) -> tuple[float, float]:
-    """One marginal sample of both loop phases at a given time offset.
-
-    Draws fresh walk endpoints; use PhaseWalk when consecutive samples
-    must share a trajectory.  With sigma == 0 this returns the residual
-    values exactly.
-    """
-    if t_since_recal_s < 0:
-        raise ConfigError("time since recalibration must be >= 0")
-    spread = config.sigma_rad_per_sqrt_s * math.sqrt(t_since_recal_s)
-    base = config.recalibration_residual_rad
-    z0, z1 = rng.standard_normal(2)
-    return base + spread * z0, base + spread * z1
 
 
 class PhaseWalk:
@@ -188,14 +171,6 @@ def _emitted(sent, u_keep, u_pick, fidelity):
     return (sent + shift) % len(BELL_ORDER)
 
 
-def apply_source_noise(
-    ideal: BellState, config: SourceConfig, rng: np.random.Generator
-) -> TwoPhotonState:
-    """Emit the ideal Bell pair, or a uniformly random wrong one."""
-    u = rng.random(2)
-    return make_bell(BELL_ORDER[int(_emitted(ideal.index, u[0], u[1], config.source_fidelity))])
-
-
 def _sampling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The outcome distributions a detection draws from, as one inverse-CDF
     table: group g holds g + its CDF over its support, so one search finds
@@ -240,7 +215,6 @@ def sample_detection(
     sent: BellState,
     phases: tuple[float, float],
     source_cfg: SourceConfig,
-    interf_cfg: InterferometerConfig,
     rng: np.random.Generator,
 ) -> tuple[DetectionOutcome, BellState | None]:
     """Sample one detected signature for a sent class at given phases.
@@ -248,7 +222,7 @@ def sample_detection(
     Returns the outcome together with its verdict.  With probability
     accidental_rate / (coincidence_rate + accidental_rate) the event is an
     uncorrelated accidental instead of a real pair.  The analyzer sits at
-    `phases`, whatever offsets `interf_cfg` holds.
+    `phases`.
     """
     u = rng.random(_DRAWS_PER_EVENT)
     outcome = OUTCOMES[_sample_outcomes(sent.index, np.asarray(phases), source_cfg, u)]
@@ -401,12 +375,6 @@ def append_events(fh: TextIO, chunk: EventChunk) -> None:
             chunk.outcome.tolist(), chunk.verdict.tolist(),
         )
     )
-
-
-def write_event_log(path, events: list[DetectionEvent], header: dict[str, str]) -> None:
-    """Write events as CSV with `# key: value` header lines."""
-    with open_event_log(path, header) as fh:
-        append_events(fh, EventChunk.of(events))
 
 
 def read_event_log(path) -> tuple[list[DetectionEvent], dict[str, str]]:

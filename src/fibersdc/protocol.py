@@ -71,12 +71,15 @@ def decode_message(buffer: bytes, offset: int = 0) -> tuple[Message, int] | None
 
 @dataclass(frozen=True)
 class TimingConfig:
-    """Wall-clock model of the classical and quantum steps."""
+    """Wall-clock model of the classical and quantum steps.
+
+    The loopback link never loses a message, so a session charges no
+    retransmission timeout.
+    """
 
     message_latency_s: float = 0.3
     encoder_settle_s: float = 0.005
     frame_window_s: float = 0.5
-    ack_timeout_s: float = 2.0
     recalibration_pause_s: float = 2.0
 
     def __post_init__(self):
@@ -85,7 +88,6 @@ class TimingConfig:
             "message_latency_s",
             "encoder_settle_s",
             "frame_window_s",
-            "ack_timeout_s",
             "recalibration_pause_s",
         ):
             if getattr(self, name) < 0:
@@ -291,7 +293,8 @@ def run_session(
     transport; the quantum step samples one detection inside the frame
     window (later arrivals in the same window are ignored, and an empty
     window times out into an erasure).  Phase drift advances on operating
-    time and each recalibration inserts a fixed pause.  Everything is
+    time and each recalibration inserts a fixed pause; the analyzer sits at
+    the walk's phases, whatever offsets `interf_cfg` holds.  Everything is
     reproducible from the master seed.
     """
     for d in dibits:
@@ -358,7 +361,7 @@ def run_session(
             op_time += gap
             phases = walk.phases_at(op_time)
             sent = DIBIT_TO_BELL[dibits[transmit_frame]]
-            _, verdict = sample_detection(sent, phases, source_cfg, interf_cfg, rng_q)
+            _, verdict = sample_detection(sent, phases, source_cfg, rng_q)
         verdict_counts[verdict_label(verdict)] = (
             verdict_counts.get(verdict_label(verdict), 0) + 1
         )

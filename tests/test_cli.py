@@ -1,22 +1,34 @@
+import re
+import types
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fibersdc
 from fibersdc import noise
 from fibersdc.capacity import load_counts
-from fibersdc.cli import main
+from fibersdc.cli import COMMAND_SETTINGS, main
 from fibersdc.imagecodec import ImageRaster, read_ppm, write_ppm
 from fibersdc.interferometer import InterferometerConfig, verdict_distribution
-from fibersdc.noise import DriftConfig, SourceConfig, read_event_log
-from fibersdc.protocol import TimingConfig
+from fibersdc.noise import read_event_log
 from fibersdc.states import BELL_ORDER
 
-SETTING_KEYS = [
-    f.name
-    for cfg in (SourceConfig, DriftConfig, InterferometerConfig, TimingConfig)
-    for f in fields(cfg)
-] + ["seconds_per_state"]
+ACCEPTED_KEYS = {
+    command: {f.name for cfg in defaults for f in fields(cfg)}
+    for command, defaults in COMMAND_SETTINGS.items()
+}
+
+# Not settings: the static loop phases, pair rate, delays, detector resolution
+# and retransmission timeout change no output; the run length is an option.
+NOT_SETTINGS = [
+    "phi0_rad", "phi1_rad", "pair_rate_hz", "delay0_ns", "delay1_ns",
+    "detector_resolution_ns", "ack_timeout_s", "seconds_per_state",
+]
+
+# Arguments that keep a run short, should it get past its settings.
+QUICK_RUN = {"characterize": ["--seconds-per-state", "0.01"], "transfer": []}
 
 
 def _read_report(path):
@@ -26,6 +38,11 @@ def _read_report(path):
             key, val = line.split("=", 1)
             out[key] = val
     return out
+
+
+def _manifest_settings(path):
+    """The settings lines of a manifest, after its blank line."""
+    return path.read_text().split("\n\n", 1)[1].splitlines()
 
 
 def _tiny_image(path):
@@ -60,6 +77,9 @@ def test_characterize_writes_all_outputs(tmp_path):
     events, header = read_event_log(tmp_path / "events.csv")
     assert len(events) == int(report["events_total"])
     assert f"settings_sha256={header['settings_sha256']}\n" in manifest
+    keys = [line.split("=", 1)[0] for line in _manifest_settings(tmp_path / "manifest.txt")]
+    assert keys == sorted(ACCEPTED_KEYS["characterize"] | {"seconds_per_state"})
+    assert "seconds_per_state=0.5\n" in manifest
 
 
 def test_characterize_clean_settings_give_diagonal_counts(tmp_path):
@@ -160,6 +180,9 @@ def test_capacity_on_bundled_counts(tmp_path):
         for k in ("phi_minus", "phi_plus", "psi_minus", "psi_plus")
     )
     assert total == pytest.approx(1.0, abs=1e-6)
+    assert _manifest_settings(tmp_path / "manifest.txt") == [
+        "counts=bundled:characterization_counts.txt", "resamples=50",
+    ]
 
 
 def test_capacity_missing_counts_file(tmp_path):
@@ -185,6 +208,7 @@ def test_calibrate_small_grid_finds_origin(tmp_path):
     assert float(report["best_phi0_rad"]) == 0.0
     assert float(report["best_phi1_rad"]) == 0.0
     assert float(report["best_score"]) == pytest.approx(1.0, abs=1e-9)
+    assert _manifest_settings(tmp_path / "manifest.txt") == ["grid=5"]
 
 
 def test_calibrate_grid_matches_a_state_algebra_sweep(tmp_path):
@@ -270,22 +294,65 @@ def test_unknown_setting_is_rejected(tmp_path):
 
 @pytest.mark.parametrize("key", ["phi0_rad", "phi1_rad"])
 def test_static_phase_offsets_are_not_settings(tmp_path, capsys, key):
-    rc = main(["calibrate", "--outdir", str(tmp_path), "--grid", "2", "--set", f"{key}=1"])
-    assert rc == 2
-    assert f"unknown setting '{key}'" in capsys.readouterr().err
-    assert main(["calibrate", "--outdir", str(tmp_path), "--grid", "2"]) == 0
-    assert f"{key}=" not in (tmp_path / "manifest.txt").read_text()
+    _tiny_image(tmp_path / "tiny.ppm")
+    runs = {
+        "characterize": ["--seconds-per-state", "0.1"],
+        "transfer": ["--image", str(tmp_path / "tiny.ppm")],
+    }
+    for command, args in runs.items():
+        outdir = str(tmp_path / command)
+        assert main([command, "--outdir", outdir, *args, "--set", f"{key}=1"]) == 2
+        assert f"unknown setting '{key}'" in capsys.readouterr().err
+        assert main([command, "--outdir", outdir, *args]) == 0
+        assert f"{key}=" not in (tmp_path / command / "manifest.txt").read_text()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", SETTING_KEYS)
+@pytest.mark.parametrize("key", sorted(set().union(*ACCEPTED_KEYS.values())) + NOT_SETTINGS)
 def test_non_finite_setting_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    # A key goes through a command that accepts it, so its own finiteness
+    # check runs; a name no command accepts is refused as unknown.
+    command = "characterize" if key in ACCEPTED_KEYS["characterize"] else "transfer"
     rc = main([
-        "characterize", "--outdir", str(tmp_path), "--seconds-per-state", "0.01",
+        command, "--outdir", str(tmp_path), *QUICK_RUN[command],
         "--set", f"{key}={value}",
     ])
     assert rc == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if key in ACCEPTED_KEYS[command]:
+        assert f"{key} must be finite" in err
+    else:
+        assert f"unknown setting '{key}'" in err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("characterize", "message_latency_s"),
+    ("characterize", "seconds_per_state"),
+    ("transfer", "seconds_per_state"),
+])
+def test_setting_the_command_does_not_take_exits_2(tmp_path, capsys, command, key):
+    rc = main([
+        command, "--outdir", str(tmp_path), *QUICK_RUN[command], "--set", f"{key}=1",
+    ])
+    assert rc == 2
+    assert f"unknown setting '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--set", "grid=3"], ["--config", "settings.cfg"]])
+@pytest.mark.parametrize("command", ["calibrate", "capacity"])
+def test_commands_without_settings_refuse_settings_options(tmp_path, command, option):
+    (tmp_path / "settings.cfg").write_text("grid = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--outdir", str(tmp_path), *option])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("target", ["blocker", "blocker/sub"])
+def test_unusable_outdir_exits_2_naming_it(tmp_path, capsys, target):
+    (tmp_path / "blocker").write_text("")  # a file where a directory should be
+    outdir = tmp_path / target
+    assert main(["capacity", "--resamples", "10", "--outdir", str(outdir)]) == 2
+    assert f"output directory {outdir}" in capsys.readouterr().err
 
 
 def test_bad_config_file_line(tmp_path):
@@ -305,3 +372,26 @@ def test_manifest_has_no_timestamps(tmp_path):
             "settings_sha256"} <= keys
     assert "timestamp" not in manifest.lower()
     assert "date" not in manifest.lower()
+
+
+# ---------------------------------------------------------------------------
+# documentation and package surface
+# ---------------------------------------------------------------------------
+
+
+def test_readme_settings_table_lists_each_key_with_its_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Settings\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| [^|]* \| ([^|]*) \|", section, re.M)
+    table = {key: set(commands.replace(" ", "").split(",")) for key, commands in rows}
+    want = {
+        key: {command for command, keys in ACCEPTED_KEYS.items() if key in keys}
+        for key in set().union(*ACCEPTED_KEYS.values())
+    }
+    assert table == want
+
+
+def test_public_names_resolve_and_are_not_modules():
+    assert len(set(fibersdc.__all__)) == len(fibersdc.__all__)
+    for name in fibersdc.__all__:
+        assert not isinstance(getattr(fibersdc, name), types.ModuleType), name

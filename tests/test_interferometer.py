@@ -12,9 +12,7 @@ from fibersdc.interferometer import (
     InterferometerConfig,
     beamsplitter,
     classify,
-    delay_loop,
     evolve_bsm,
-    hadamard_waveplate,
     kernel_distribution,
     kernel_verdicts,
     load_reference_outputs,
@@ -54,22 +52,15 @@ def _random_bell_mix(rng):
 
 def test_config_defaults_valid():
     cfg = InterferometerConfig()
-    assert cfg.delay1_ns == pytest.approx(2 * cfg.delay0_ns)
+    assert (cfg.phi0_rad, cfg.phi1_rad) == (0.0, 0.0)  # the calibration point
+    assert cfg.with_phases(0.5, 1.5) == InterferometerConfig(0.5, 1.5)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"delay0_ns": 5.0, "delay1_ns": 9.0},
-        {"delay0_ns": -1.0, "delay1_ns": -2.0},
-        {"detector_resolution_ns": 5.0},
-        {"detector_resolution_ns": 0.0},
-        {"detector_resolution_ns": 7.0},
-    ],
-)
-def test_config_rejects_bad_geometry(kwargs):
-    with pytest.raises(ConfigError):
-        InterferometerConfig(**kwargs)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["phi0_rad", "phi1_rad"])
+def test_config_rejects_non_finite_phases(key, value):
+    with pytest.raises(ConfigError, match=key):
+        InterferometerConfig(**{key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -141,35 +132,6 @@ def test_beamsplitter_preserves_inner_products(rng):
         assert beamsplitter(a).norm() == pytest.approx(a.norm(), abs=1e-10)
 
 
-def test_hadamard_waveplate_rotates_and_involutes(rng):
-    state = TwoPhotonState(
-        {(PhotonMode("A", "H", 0), PhotonMode("B", "H", 0)): 1.0}
-    )
-    rotated = hadamard_waveplate(state, "A")
-    assert rotated.amplitude(
-        PhotonMode("A", "H", 0), PhotonMode("B", "H", 0)
-    ) == pytest.approx(R2)
-    assert rotated.amplitude(
-        PhotonMode("A", "V", 0), PhotonMode("B", "H", 0)
-    ) == pytest.approx(R2)
-    for _ in range(5):
-        mixed = _random_bell_mix(rng)
-        twice = hadamard_waveplate(hadamard_waveplate(mixed, "0"), "0")
-        assert abs(overlap(mixed, twice) - mixed.norm() ** 2) < 1e-10
-
-
-def test_delay_loop_shifts_and_phases():
-    state = TwoPhotonState(
-        {(PhotonMode("A", "V", 0), PhotonMode("B", "H", 0)): 1.0}
-    )
-    delayed = delay_loop(state, "A", "V", 2, phase_rad=0.25)
-    amp = delayed.amplitude(PhotonMode("A", "V", 2), PhotonMode("B", "H", 0))
-    assert amp == pytest.approx(np.exp(0.25j), abs=1e-12)
-    assert delayed.norm() == pytest.approx(1.0)
-    with pytest.raises(ConfigError):
-        delay_loop(state, "A", "V", 3)
-
-
 # ---------------------------------------------------------------------------
 # the analyzer map
 # ---------------------------------------------------------------------------
@@ -238,7 +200,7 @@ def test_evolve_is_linear(rng):
 
 def test_distribution_phi_plus_two_outcomes():
     cfg = InterferometerConfig()
-    dist = measurement_distribution(evolve_bsm(make_bell(BellState.PHI_PLUS), cfg), cfg)
+    dist = measurement_distribution(evolve_bsm(make_bell(BellState.PHI_PLUS), cfg))
     want = {
         DetectionOutcome("A", "H", "A", "V", 0): 0.5,
         DetectionOutcome("B", "H", "B", "V", 0): 0.5,
@@ -250,7 +212,7 @@ def test_distribution_phi_plus_two_outcomes():
 
 def test_distribution_psi_plus_eight_outcomes():
     cfg = InterferometerConfig()
-    dist = measurement_distribution(evolve_bsm(make_bell(BellState.PSI_PLUS), cfg), cfg)
+    dist = measurement_distribution(evolve_bsm(make_bell(BellState.PSI_PLUS), cfg))
     assert len(dist) == 8
     for outcome, p in dist.items():
         assert p == pytest.approx(0.125, abs=1e-12)
@@ -260,7 +222,7 @@ def test_distribution_psi_plus_eight_outcomes():
 
 def test_distribution_psi_minus_two_bin_separation():
     cfg = InterferometerConfig()
-    dist = measurement_distribution(evolve_bsm(make_bell(BellState.PSI_MINUS), cfg), cfg)
+    dist = measurement_distribution(evolve_bsm(make_bell(BellState.PSI_MINUS), cfg))
     assert len(dist) == 8
     for outcome, p in dist.items():
         assert p == pytest.approx(0.125, abs=1e-12)
@@ -269,9 +231,8 @@ def test_distribution_psi_minus_two_bin_separation():
 
 
 def test_distribution_requires_normalized_input():
-    cfg = InterferometerConfig()
     with pytest.raises(StateError):
-        measurement_distribution(make_bell(BellState.PHI_PLUS).scaled(2.0), cfg)
+        measurement_distribution(make_bell(BellState.PHI_PLUS).scaled(2.0))
 
 
 def test_distribution_sums_to_one_at_random_phases(rng):
@@ -279,19 +240,19 @@ def test_distribution_sums_to_one_at_random_phases(rng):
     for _ in range(30):
         c = cfg.with_phases(*(rng.uniform(0, 2 * np.pi, 2)))
         state = evolve_bsm(_random_bell_mix(rng), c)
-        total = sum(measurement_distribution(state, c).values())
+        total = sum(measurement_distribution(state).values())
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_distribution_ignores_global_time_translation():
     cfg = InterferometerConfig()
     state = evolve_bsm(make_bell(BellState.PSI_PLUS), cfg)
-    shifted = state
-    for port in ("A", "B"):
-        for pol in ("H", "V"):
-            shifted = delay_loop(shifted, port, pol, 1, phase_rad=0.0)
-    a = measurement_distribution(state, cfg)
-    b = measurement_distribution(shifted, cfg)
+    shifted = TwoPhotonState({
+        (PhotonMode(m1.port, m1.pol, m1.t + 1), PhotonMode(m2.port, m2.pol, m2.t + 1)): amp
+        for (m1, m2), amp in state.items()
+    })
+    a = measurement_distribution(state)
+    b = measurement_distribution(shifted)
     assert set(a) == set(b)
     for k in a:
         assert a[k] == pytest.approx(b[k], abs=1e-12)
@@ -348,7 +309,7 @@ def test_kernel_matches_state_algebra_at_random_phases():
         verdicts = kernel_verdicts(which.index, phases[:, 0], phases[:, 1])
         for (p0, p1), got, got_verdicts in zip(phases.tolist(), outcomes, verdicts):
             c = cfg.with_phases(p0, p1)
-            dist = measurement_distribution(evolve_bsm(make_bell(which), c), c)
+            dist = measurement_distribution(evolve_bsm(make_bell(which), c))
             assert set(dist) <= set(OUTCOMES)
             want = np.array([dist.get(o, 0.0) for o in OUTCOMES])
             vd = verdict_distribution(which, c)

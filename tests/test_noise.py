@@ -15,21 +15,19 @@ from fibersdc.interferometer import (
     kernel_distribution,
 )
 from fibersdc.noise import (
-    DetectionEvent,
     DriftConfig,
     PhaseWalk,
     SourceConfig,
-    apply_source_noise,
-    drift_phases,
+    append_events,
     generate_event_stream,
     iter_event_chunks,
+    open_event_log,
     read_event_log,
     sample_detection,
     tally_verdicts,
-    write_event_log,
 )
 from fibersdc.seeds import substream
-from fibersdc.states import BELL_ORDER, make_bell, state_fidelity
+from fibersdc.states import BELL_ORDER
 
 
 def _default_schedule(seconds=SECONDS_PER_STATE):
@@ -45,7 +43,6 @@ def _default_schedule(seconds=SECONDS_PER_STATE):
     "kwargs",
     [
         {"coincidence_rate_hz": 0.0},
-        {"coincidence_rate_hz": 3e5},
         {"source_fidelity": 1.2},
         {"source_fidelity": -0.1},
         {"accidental_rate_hz": -1.0},
@@ -75,57 +72,8 @@ def test_rate_properties():
 
 
 # ---------------------------------------------------------------------------
-# source infidelity
-# ---------------------------------------------------------------------------
-
-
-def test_source_noise_emits_bell_states_at_expected_rate():
-    cfg = SourceConfig(source_fidelity=0.97)
-    rng = substream(11, "test.source")
-    n = 10_000
-    wrong = 0
-    target = make_bell(BELL_ORDER[2])
-    for _ in range(n):
-        emitted = apply_source_noise(BELL_ORDER[2], cfg, rng)
-        fids = [state_fidelity(emitted, make_bell(b)) for b in BELL_ORDER]
-        assert max(fids) == pytest.approx(1.0, abs=1e-12)
-        if state_fidelity(emitted, target) < 0.5:
-            wrong += 1
-    assert 0.02 < wrong / n < 0.04
-
-
-def test_perfect_source_never_substitutes():
-    cfg = SourceConfig(source_fidelity=1.0)
-    rng = substream(3, "test.source.perfect")
-    for which in BELL_ORDER:
-        for _ in range(50):
-            emitted = apply_source_noise(which, cfg, rng)
-            assert state_fidelity(emitted, make_bell(which)) == pytest.approx(1.0)
-
-
-# ---------------------------------------------------------------------------
 # phase drift
 # ---------------------------------------------------------------------------
-
-
-def test_drift_phases_zero_sigma_returns_residual():
-    cfg = DriftConfig(sigma_rad_per_sqrt_s=0.0, recalibration_residual_rad=0.125)
-    rng = substream(5, "test.drift")
-    assert drift_phases(42.0, cfg, rng) == (0.125, 0.125)
-
-
-def test_drift_phases_rejects_negative_time():
-    with pytest.raises(ConfigError):
-        drift_phases(-1.0, DriftConfig(), substream(5, "x"))
-
-
-def test_drift_variance_scales_with_time():
-    sigma = 0.5
-    cfg = DriftConfig(sigma_rad_per_sqrt_s=sigma)
-    rng = substream(17, "test.drift.var")
-    samples = np.array([drift_phases(100.0, cfg, rng) for _ in range(5_000)])
-    var = samples.ravel().var()
-    assert var == pytest.approx(sigma**2 * 100.0, rel=0.05)
 
 
 def test_phase_walk_recalibrates_on_period():
@@ -193,14 +141,12 @@ def test_phase_walk_rejects_backwards_queries():
 
 
 def test_accidentals_cover_the_signature_space():
-    cfg = SourceConfig(pair_rate_hz=1.0, coincidence_rate_hz=1e-9,
-                       accidental_rate_hz=1e6)
-    interf = InterferometerConfig()
+    cfg = SourceConfig(coincidence_rate_hz=1e-9, accidental_rate_hz=1e6)
     rng = substream(23, "test.accidental")
     seen_dt = set()
     seen_ports = set()
     for _ in range(2_000):
-        outcome, _ = sample_detection(BELL_ORDER[0], (0.0, 0.0), cfg, interf, rng)
+        outcome, _ = sample_detection(BELL_ORDER[0], (0.0, 0.0), cfg, rng)
         seen_dt.add(outcome.dt_bins)
         seen_ports.add(outcome.first_port)
         seen_ports.add(outcome.second_port)
@@ -214,11 +160,10 @@ def test_accidentals_cover_the_signature_space():
 
 def test_noiseless_detection_is_always_correct():
     cfg = SourceConfig(source_fidelity=1.0, accidental_rate_hz=0.0)
-    interf = InterferometerConfig()
     rng = substream(31, "test.clean")
     for which in BELL_ORDER:
         for _ in range(40):
-            _, verdict = sample_detection(which, (0.0, 0.0), cfg, interf, rng)
+            _, verdict = sample_detection(which, (0.0, 0.0), cfg, rng)
             assert verdict is which
 
 
@@ -349,17 +294,19 @@ def test_characterization_accuracies_near_reference():
 # ---------------------------------------------------------------------------
 
 
-def test_event_log_roundtrip(tmp_path):
-    rng = substream(55, "test.log")
-    events = generate_event_stream(
+def test_event_log_roundtrip(tmp_path, monkeypatch):
+    monkeypatch.setattr(noise, "EVENT_CHUNK", 64)  # several appended chunks
+    chunks = list(iter_event_chunks(
         [(BELL_ORDER[0], 0.5), (BELL_ORDER[3], 0.5)],
-        CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT,
-        InterferometerConfig(), rng,
-    )
-    assert events
+        CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT, substream(55, "test.log"),
+    ))
+    assert len(chunks) > 1
+    events = [ev for chunk in chunks for ev in chunk.events()]
     path = tmp_path / "events.csv"
     header = {"master_seed": "55", "settings_sha256": "abc123"}
-    write_event_log(path, events, header)
+    with open_event_log(path, header) as log:
+        for chunk in chunks:
+            append_events(log, chunk)
     back, got_header = read_event_log(path)
     assert got_header == header
     assert len(back) == len(events)

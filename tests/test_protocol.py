@@ -230,7 +230,7 @@ def test_heavy_drift_produces_flagged_erasures():
 
 def test_empty_window_times_out_into_erasure():
     slow = SourceConfig(
-        pair_rate_hz=10.0, coincidence_rate_hz=0.01,
+        coincidence_rate_hz=0.01,
         source_fidelity=1.0, accidental_rate_hz=0.0,
     )
     result = run_session(
