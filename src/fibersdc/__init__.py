@@ -54,7 +54,6 @@ from .interferometer import (
     verdict_label,
 )
 from .noise import (
-    DetectionEvent,
     DriftConfig,
     PhaseWalk,
     SourceConfig,
@@ -104,8 +103,8 @@ __all__ = [
     "DetectionOutcome", "InterferometerConfig", "beamsplitter", "classify",
     "evolve_bsm", "load_reference_outputs", "measurement_distribution",
     "verdict_distribution", "verdict_label",
-    "DetectionEvent", "DriftConfig", "PhaseWalk", "SourceConfig",
-    "generate_event_stream", "read_event_log", "sample_detection", "tally_verdicts",
+    "DriftConfig", "PhaseWalk", "SourceConfig", "generate_event_stream",
+    "read_event_log", "sample_detection", "tally_verdicts",
     "Message", "MessageKind", "ReceiverMachine", "SenderMachine", "SessionResult",
     "SessionStats", "TimingConfig", "decode_message", "encode_message", "run_session",
     "substream",

@@ -144,9 +144,7 @@ def channel_capacity(
 BOOTSTRAP_BLOCK = 256
 
 
-def bootstrap_spread(
-    counts, resamples: int = 1000, rng: np.random.Generator | None = None
-) -> tuple[float, int]:
+def bootstrap_spread(counts, resamples: int, rng: np.random.Generator) -> tuple[float, int]:
     """Bootstrap standard deviation of the capacity, and the number of
     resamples whose Blahut-Arimoto solve did not converge.
 
@@ -158,8 +156,6 @@ def bootstrap_spread(
     m = _as_matrix(counts)
     if resamples < 2:
         raise ConfigError("need at least 2 resamples")
-    if rng is None:
-        rng = np.random.default_rng(0)
     P = estimate_conditionals(m)
     totals = m.sum(axis=1).astype(int)
     caps = np.empty(resamples)
@@ -178,9 +174,7 @@ def bootstrap_spread(
     return float(np.std(caps, ddof=1)), nonconverged
 
 
-def bootstrap_ci(
-    counts, resamples: int = 1000, rng: np.random.Generator | None = None
-) -> float:
+def bootstrap_ci(counts, resamples: int, rng: np.random.Generator) -> float:
     """Standard deviation of the capacity under row-wise multinomial
     resampling of the count matrix (see `bootstrap_spread`)."""
     return bootstrap_spread(counts, resamples, rng)[0]

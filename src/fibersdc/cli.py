@@ -130,19 +130,24 @@ def settings_digest(settings: dict[str, str]) -> str:
     return hashlib.sha256(_settings_body(settings).encode("utf-8")).hexdigest()
 
 
-def _write_manifest(
-    outdir: Path, command: str, settings: dict[str, str], seed: int, digest: str
+def _write_report(
+    args, outdir: Path, name: str, lines: list[str], settings: dict[str, str]
 ) -> None:
-    lines = [
-        f"command={command}",
+    """Write the report `name` and the run's manifest to `outdir`, then
+    echo the report to stdout."""
+    report = "".join(f"{line}\n" for line in lines)
+    (outdir / name).write_text(report, encoding="utf-8")
+    manifest = [
+        f"command={args.command}",
         f"package_version={__version__}",
         f"stream_version={STREAM_VERSION}",
-        f"master_seed={seed}",
-        f"settings_sha256={digest}",
+        f"master_seed={args.seed}",
+        f"settings_sha256={settings_digest(settings)}",
         "",
-        _settings_body(settings).rstrip("\n"),
     ]
-    (outdir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    body = "".join(f"{line}\n" for line in manifest) + _settings_body(settings)
+    (outdir / "manifest.txt").write_text(body, encoding="utf-8")
+    print(report, end="")
 
 
 def _outdir(args) -> Path:
@@ -167,11 +172,10 @@ def cmd_characterize(args) -> int:
         raise ConfigError(f"seconds_per_state must be finite and positive, got {seconds!r}")
     schedule = [(b, seconds) for b in BELL_ORDER]
     settings = _resolved_settings((source, drift), seconds_per_state=seconds)
-    digest = settings_digest(settings)
 
     # Each chunk is tallied and logged, then dropped: memory stays bounded.
     table = np.zeros((len(BELL_ORDER), len(BELL_ORDER) + 1), dtype=np.int64)
-    header = {"settings_sha256": digest, "master_seed": str(args.seed)}
+    header = {"settings_sha256": settings_digest(settings), "master_seed": str(args.seed)}
     with open_event_log(outdir / "events.csv", header) as log:
         rng = substream(args.seed, "characterize")
         for chunk in iter_event_chunks(schedule, source, drift, rng):
@@ -193,11 +197,7 @@ def cmd_characterize(args) -> int:
     for i, b in enumerate(BELL_ORDER):
         row = " ".join(f"{v:.6f}" for v in P[i])
         lines.append(f"conditionals_{b.label}={row}")
-    (outdir / "characterization_report.txt").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
-    _write_manifest(outdir, "characterize", settings, args.seed, digest)
-    print("\n".join(lines))
+    _write_report(args, outdir, "characterization_report.txt", lines, settings)
     return 0
 
 
@@ -227,10 +227,8 @@ def cmd_capacity(args) -> int:
     ]
     for b, p in zip(BELL_ORDER, result.input_distribution):
         lines.append(f"optimal_input_{b.label}={p:.9f}")
-    (outdir / "capacity_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     settings = {"counts": counts_name, "resamples": repr(args.resamples)}
-    _write_manifest(outdir, "capacity", settings, args.seed, settings_digest(settings))
-    print("\n".join(lines))
+    _write_report(args, outdir, "capacity_report.txt", lines, settings)
     return 0
 
 
@@ -247,16 +245,14 @@ def cmd_calibrate(args) -> int:
         f"{p0:.9f}\t{p1:.9f}\t{s:.9f}"
         for p0, p1, s in zip(phi0.tolist(), phi1.tolist(), score.tolist())
     )
-    top = int(np.argmax(score))  # the first point scanned wins a tie
-    best = (float(score[top]), float(phi0[top]), float(phi1[top]))
     (outdir / "calibration_grid.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    settings = {"grid": repr(n)}
-    _write_manifest(outdir, "calibrate", settings, args.seed, settings_digest(settings))
-    summary = (
-        f"best_score={best[0]:.9f}\nbest_phi0_rad={best[1]:.9f}\nbest_phi1_rad={best[2]:.9f}"
-    )
-    print(summary)
-    (outdir / "calibration_report.txt").write_text(summary + "\n", encoding="utf-8")
+    top = int(np.argmax(score))  # the first point scanned wins a tie
+    lines = [
+        f"best_score={score[top]:.9f}",
+        f"best_phi0_rad={phi0[top]:.9f}",
+        f"best_phi1_rad={phi1[top]:.9f}",
+    ]
+    _write_report(args, outdir, "calibration_report.txt", lines, {"grid": repr(n)})
     return 0
 
 
@@ -292,10 +288,8 @@ def cmd_transfer(args) -> int:
     ]
     for label in sorted(stats.verdict_counts):
         lines.append(f"verdicts_{label}={stats.verdict_counts[label]}")
-    (outdir / "transfer_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     settings = _resolved_settings((source, drift, timing), image=image_name)
-    _write_manifest(outdir, "transfer", settings, args.seed, settings_digest(settings))
-    print("\n".join(lines))
+    _write_report(args, outdir, "transfer_report.txt", lines, settings)
     return 0
 
 

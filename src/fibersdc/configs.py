@@ -14,29 +14,19 @@ Two operating points are bundled:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .interferometer import InterferometerConfig
 from .noise import DriftConfig, SourceConfig
 from .protocol import TimingConfig
 
-CHARACTERIZATION_SOURCE = SourceConfig(
-    coincidence_rate_hz=200.0,
-    source_fidelity=0.97,
-    accidental_rate_hz=1.359,
-)
+CHARACTERIZATION_SOURCE = SourceConfig()
 
-CHARACTERIZATION_DRIFT = DriftConfig(
-    sigma_rad_per_sqrt_s=3.0,
-    recalibration_period_s=100.0,
-    recalibration_residual_rad=0.0,
-)
+CHARACTERIZATION_DRIFT = DriftConfig()
 
 TRANSFER_SOURCE = CHARACTERIZATION_SOURCE
 
-TRANSFER_DRIFT = DriftConfig(
-    sigma_rad_per_sqrt_s=0.129,
-    recalibration_period_s=100.0,
-    recalibration_residual_rad=0.0,
-)
+TRANSFER_DRIFT = replace(CHARACTERIZATION_DRIFT, sigma_rad_per_sqrt_s=0.129)
 
 DEFAULT_INTERFEROMETER = InterferometerConfig()
 

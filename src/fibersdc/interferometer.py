@@ -122,12 +122,9 @@ def _apply_single_photon_map(state, mapping):
     return TwoPhotonState(fixed)
 
 
-def beamsplitter(
-    state: TwoPhotonState,
-    in_ports: tuple[str, str] = ("0", "1"),
-    out_ports: tuple[str, str] = ("2", "3"),
-) -> TwoPhotonState:
-    """50/50 fiber coupler acting on both polarizations.
+def beamsplitter(state: TwoPhotonState) -> TwoPhotonState:
+    """50/50 fiber coupler acting on both polarizations, from input ports
+    0 and 1 (in0, in1) to output ports 2 and 3 (out0, out1).
 
     The H coupler is the usual symmetric one,
 
@@ -144,8 +141,7 @@ def beamsplitter(
     classes bunch with identical output statistics, which is exactly the
     partial distinguishability a polarization-blind coupler provides.
     """
-    i0, i1 = in_ports
-    o0, o1 = out_ports
+    i0, i1, o0, o1 = "0", "1", "2", "3"
     mapping = {}
     tbins = {m.t for m in state.modes() if m.port in (i0, i1)}
     for t in tbins:

@@ -25,14 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, NamedTuple, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, require_finite
 from .interferometer import (
     BRANCH_OUTCOMES,
-    OUTCOME_INDEX,
     OUTCOME_VERDICT,
     OUTCOMES,
     UNCORRELATED_DIST,
@@ -43,7 +42,7 @@ from .interferometer import (
     leak_weight,
     verdict_label,
 )
-from .states import BELL_ORDER, BELL_BY_LABEL, BellState
+from .states import BELL_ORDER, BellState
 
 EVENT_CHUNK = 2048
 """Arrival gaps drawn per sampling step of `iter_event_chunks`."""
@@ -229,41 +228,19 @@ def sample_detection(
     return outcome, classify(outcome)
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
-    wall_time_s: float
-    truth: BellState
-    outcome: DetectionOutcome
-    verdict: BellState | None
-
-
-class EventChunk(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class EventChunk:
     """Detection events as parallel arrays: wall time, sent class (index
     into BELL_ORDER), outcome (index into OUTCOMES) and verdict (index into
-    VERDICTS, the last one ambiguous)."""
+    VERDICTS, the last one ambiguous).  `len` counts the events."""
 
     wall_time_s: np.ndarray
     truth: np.ndarray
     outcome: np.ndarray
     verdict: np.ndarray
 
-    @classmethod
-    def of(cls, events: list[DetectionEvent]) -> "EventChunk":
-        return cls(
-            np.array([ev.wall_time_s for ev in events], dtype=float),
-            np.array([ev.truth.index for ev in events], dtype=np.intp),
-            np.array([OUTCOME_INDEX[ev.outcome] for ev in events], dtype=np.intp),
-            np.array([VERDICTS.index(ev.verdict) for ev in events], dtype=np.intp),
-        )
-
-    def events(self) -> list[DetectionEvent]:
-        return [
-            DetectionEvent(t, BELL_ORDER[k], OUTCOMES[o], VERDICTS[v])
-            for t, k, o, v in zip(
-                self.wall_time_s.tolist(), self.truth.tolist(),
-                self.outcome.tolist(), self.verdict.tolist(),
-            )
-        ]
+    def __len__(self) -> int:
+        return len(self.wall_time_s)
 
     def tally(self) -> np.ndarray:
         """Counts over (truth, verdict), shape (4, 5); the last column
@@ -325,20 +302,25 @@ def generate_event_stream(
     drift_cfg: DriftConfig,
     interf_cfg: InterferometerConfig,
     rng: np.random.Generator,
-) -> list[DetectionEvent]:
-    """Every event of `iter_event_chunks` in one list; the analyzer sits
+) -> EventChunk:
+    """Every event of `iter_event_chunks` in one chunk; the analyzer sits
     at the walk's phases, whatever offsets `interf_cfg` holds."""
-    chunks = iter_event_chunks(schedule, source_cfg, drift_cfg, rng)
-    return [ev for chunk in chunks for ev in chunk.events()]
+    columns = [
+        (c.wall_time_s, c.truth, c.outcome, c.verdict)
+        for c in iter_event_chunks(schedule, source_cfg, drift_cfg, rng)
+    ]
+    if not columns:
+        return EventChunk(np.empty(0), *np.empty((3, 0), dtype=np.intp))
+    return EventChunk(*(np.concatenate(column) for column in zip(*columns)))
 
 
-def tally_verdicts(events: list[DetectionEvent]) -> tuple[np.ndarray, np.ndarray]:
+def tally_verdicts(events: EventChunk) -> tuple[np.ndarray, np.ndarray]:
     """Count matrix over (truth, verdict) plus per-truth ambiguous counts.
 
     The matrix rows and columns follow canonical Bell order; ambiguous
     verdicts are tallied separately, mirroring how a bench discards them.
     """
-    table = EventChunk.of(events).tally()
+    table = events.tally()
     return table[:, :-1], table[:, -1]
 
 
@@ -347,11 +329,14 @@ def tally_verdicts(events: list[DetectionEvent]) -> tuple[np.ndarray, np.ndarray
 # --------------------------------------------------------------------------
 
 _LOG_COLUMNS = "wall_time_s,truth,port1,pol1,port2,pol2,dt_bins,verdict"
+_LOG_WIDTH = len(_LOG_COLUMNS.split(","))
 _TRUTH_FIELDS = tuple(b.label for b in BELL_ORDER)
 _OUTCOME_FIELDS = tuple(
     f"{o.first_port},{o.first_pol},{o.second_port},{o.second_pol},{o.dt_bins}" for o in OUTCOMES
 )
 _VERDICT_FIELDS = tuple(verdict_label(v) for v in VERDICTS)
+_TRUTH_CODE = {field: i for i, field in enumerate(_TRUTH_FIELDS)}
+_OUTCOME_CODE = {field: i for i, field in enumerate(_OUTCOME_FIELDS)}
 
 
 def open_event_log(path, header: dict[str, str]) -> TextIO:
@@ -377,13 +362,17 @@ def append_events(fh: TextIO, chunk: EventChunk) -> None:
     )
 
 
-def read_event_log(path) -> tuple[list[DetectionEvent], dict[str, str]]:
+def read_event_log(path) -> tuple[EventChunk, dict[str, str]]:
+    """The events and the header of a log written by `open_event_log` and
+    `append_events`.  A row the writer could not have produced raises
+    ConfigError naming its line."""
     header: dict[str, str] = {}
-    events: list[DetectionEvent] = []
+    times: list[float] = []
+    codes: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line:
+            if not line or line == _LOG_COLUMNS:
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
@@ -391,14 +380,32 @@ def read_event_log(path) -> tuple[list[DetectionEvent], dict[str, str]]:
                     key, val = body.split(":", 1)
                     header[key.strip()] = val.strip()
                 continue
-            if line == _LOG_COLUMNS:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise ConfigError(f"bad event log line: {raw!r}")
-            outcome = DetectionOutcome(parts[2], parts[3], parts[4], parts[5], int(parts[6]))
-            verdict = None if parts[7] == "ambiguous" else BELL_BY_LABEL[parts[7]]
-            events.append(
-                DetectionEvent(float(parts[0]), BELL_BY_LABEL[parts[1]], outcome, verdict)
-            )
-    return events, header
+            try:
+                t, k, o = _decode_row(line)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}: {line!r}") from None
+            times.append(t)
+            codes.append((k, o))
+    truth, outcome = np.array(codes, dtype=np.intp).reshape(-1, 2).T
+    return EventChunk(np.array(times), truth, outcome, OUTCOME_VERDICT[outcome]), header
+
+
+def _decode_row(line: str) -> tuple[float, int, int]:
+    """Wall time, class index and outcome index of one event-log row."""
+    parts = line.split(",")
+    if len(parts) != _LOG_WIDTH:
+        raise ConfigError(f"expected {_LOG_WIDTH} fields, got {len(parts)}")
+    try:
+        t = float(parts[0])
+    except ValueError:
+        t = math.nan
+    if not math.isfinite(t):
+        raise ConfigError(f"bad wall time {parts[0]!r}")
+    if parts[1] not in _TRUTH_CODE:
+        raise ConfigError(f"unknown class {parts[1]!r}")
+    o = _OUTCOME_CODE.get(",".join(parts[2:7]))
+    if o is None:
+        raise ConfigError("impossible outcome")
+    if parts[7] != _VERDICT_FIELDS[OUTCOME_VERDICT[o]]:
+        raise ConfigError(f"verdict {parts[7]!r} disagrees with the outcome's")
+    return t, _TRUTH_CODE[parts[1]], o

@@ -224,7 +224,7 @@ def test_bootstrap_spread_is_sane():
 
 def test_bootstrap_rejects_too_few_resamples():
     with pytest.raises(ConfigError):
-        bootstrap_ci(BENCH_COUNTS, resamples=1)
+        bootstrap_ci(BENCH_COUNTS, resamples=1, rng=substream(2, "bootstrap"))
 
 
 def test_broadcast_multinomial_draws_like_the_row_loop():

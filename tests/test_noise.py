@@ -197,11 +197,9 @@ def test_event_stream_rate_and_ordering():
         InterferometerConfig(), rng,
     )
     assert 3800 < len(events) < 4250
-    times = [ev.wall_time_s for ev in events]
-    assert times == sorted(times)
-    for ev in events:
-        slot = min(int(ev.wall_time_s // SECONDS_PER_STATE), 3)
-        assert ev.truth is BELL_ORDER[slot]
+    assert np.all(np.diff(events.wall_time_s) > 0)
+    slots = np.minimum(events.wall_time_s // SECONDS_PER_STATE, 3).astype(int)
+    assert events.truth.tolist() == [BELL_ORDER[slot].index for slot in slots]
 
 
 @pytest.mark.parametrize("chunk", [3, 2048])
@@ -226,7 +224,8 @@ def test_arrivals_match_a_one_at_a_time_reference(monkeypatch, chunk):
                 break
             want.append((t, sent))
     assert len(want) > 30
-    assert [(ev.wall_time_s, ev.truth) for ev in events] == want
+    got = zip(events.wall_time_s.tolist(), events.truth.tolist())
+    assert [(t, BELL_ORDER[k]) for t, k in got] == want
 
 
 def test_event_stream_is_deterministic_per_seed():
@@ -236,7 +235,10 @@ def test_event_stream_is_deterministic_per_seed():
             [(BELL_ORDER[1], 2.0)], CHARACTERIZATION_SOURCE,
             CHARACTERIZATION_DRIFT, InterferometerConfig(), rng,
         )
-    assert run() == run()
+    first, second = run(), run()
+    assert len(first) > 0
+    for name in ("wall_time_s", "truth", "outcome", "verdict"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
 
 def test_event_stream_rejects_negative_duration():
@@ -274,6 +276,17 @@ def test_tally_shape_and_totals():
     assert counts.min() >= 0
 
 
+def test_empty_schedule_gives_no_events():
+    events = generate_event_stream(
+        [], CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT,
+        InterferometerConfig(), substream(43, "test.empty"),
+    )
+    assert len(events) == 0
+    counts, ambiguous = tally_verdicts(events)
+    assert counts.shape == (4, 4) and ambiguous.shape == (4,)
+    assert not counts.any() and not ambiguous.any()
+
+
 def test_characterization_accuracies_near_reference():
     targets = np.array([710 / 730, 715 / 744, 748 / 780, 840 / 912])
     interf = InterferometerConfig()
@@ -301,7 +314,6 @@ def test_event_log_roundtrip(tmp_path, monkeypatch):
         CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT, substream(55, "test.log"),
     ))
     assert len(chunks) > 1
-    events = [ev for chunk in chunks for ev in chunk.events()]
     path = tmp_path / "events.csv"
     header = {"master_seed": "55", "settings_sha256": "abc123"}
     with open_event_log(path, header) as log:
@@ -309,12 +321,12 @@ def test_event_log_roundtrip(tmp_path, monkeypatch):
             append_events(log, chunk)
     back, got_header = read_event_log(path)
     assert got_header == header
-    assert len(back) == len(events)
-    for orig, parsed in zip(events, back):
-        assert parsed.wall_time_s == pytest.approx(orig.wall_time_s, abs=1e-6)
-        assert parsed.truth is orig.truth
-        assert parsed.outcome == orig.outcome
-        assert parsed.verdict is orig.verdict
+    assert len(back) == sum(len(chunk) for chunk in chunks)
+    times = np.concatenate([chunk.wall_time_s for chunk in chunks])
+    assert np.abs(back.wall_time_s - times).max() <= 1e-6
+    for name in ("truth", "outcome", "verdict"):
+        want = np.concatenate([getattr(chunk, name) for chunk in chunks])
+        assert np.array_equal(getattr(back, name), want), name
 
 
 def test_event_log_rejects_malformed_rows(tmp_path):
@@ -322,3 +334,27 @@ def test_event_log_rejects_malformed_rows(tmp_path):
     path.write_text("# a: b\nwall_time_s,truth\n1.0,phi_plus,A\n")
     with pytest.raises(ConfigError):
         read_event_log(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1.0,phi_pluss,A,H,A,V,0,phi_plus",  # unknown class label
+        "1.0,phi_plus,C,Q,B,V,9,phi_plus",  # no such outcome
+        "1.0,phi_plus,A,V,A,H,0,phi_plus",  # simultaneous clicks out of order
+        "1.0,phi_plus,A,H,A,V,0,psi_minus",  # verdict is not the outcome's
+        "1.0,phi_plus,A,H,A,V,0,ambiguous",
+        "soon,phi_plus,A,H,A,V,0,phi_plus",  # time is not a number
+        "nan,phi_plus,A,H,A,V,0,phi_plus",
+        "1.0,phi_plus,A,H,A,V,0,phi_plus,extra",  # wrong field count
+        "1.0,phi_plus,A,H,A,V,phi_plus",
+    ],
+)
+def test_event_log_rejects_rows_the_writer_cannot_produce(tmp_path, row):
+    path = tmp_path / "events.csv"
+    good = "0.5,phi_plus,A,H,A,V,0,phi_plus"
+    path.write_text(f"# a: b\n{noise._LOG_COLUMNS}\n{good}\n{row}\n{good}\n")
+    with pytest.raises(ConfigError, match=":4: "):
+        read_event_log(path)
+    path.write_text(f"# a: b\n{noise._LOG_COLUMNS}\n{good}\n")
+    assert len(read_event_log(path)[0]) == 1
