@@ -30,7 +30,7 @@ image = make_demo_image()
 dibits = raster_to_dibits(image)
 print(f"payload: {image.width}x{image.height} pixels, "
       f"{len(dibits)} frames, {len(pack_dibits(dibits))} packed bytes")
-print("running the session (a few seconds)...")
+print("running the session...")
 
 result = run_session(
     dibits,

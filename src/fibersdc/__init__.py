@@ -59,7 +59,6 @@ from .noise import (
     SourceConfig,
     generate_event_stream,
     read_event_log,
-    sample_detection,
     tally_verdicts,
 )
 from .protocol import (
@@ -104,7 +103,7 @@ __all__ = [
     "evolve_bsm", "load_reference_outputs", "measurement_distribution",
     "verdict_distribution", "verdict_label",
     "DriftConfig", "PhaseWalk", "SourceConfig", "generate_event_stream",
-    "read_event_log", "sample_detection", "tally_verdicts",
+    "read_event_log", "tally_verdicts",
     "Message", "MessageKind", "ReceiverMachine", "SenderMachine", "SessionResult",
     "SessionStats", "TimingConfig", "decode_message", "encode_message", "run_session",
     "substream",

@@ -12,12 +12,14 @@ stream:
 
 Detections are drawn from the closed-form kernel of
 `fibersdc.interferometer`, never from the state algebra, which stays its
-reference oracle.  `iter_event_chunks` samples a timed run with numpy,
+reference oracle.  `sample_detections` draws a batch of detections at
+known times.  `iter_event_chunks` calls it to sample a timed run
 `EVENT_CHUNK` arrivals at a time, so memory stays bounded whatever the
-run length.  Arrival gaps, walk increments and the per-event uniforms
-each come from their own generator, spawned from the caller's, and are
-consumed in a fixed amount per arrival or event; the events therefore do
-not depend on the chunk size.
+run length; the transfer protocol calls it once per session.  Arrival
+gaps, walk increments and the per-event uniforms each come from their
+own generator, spawned from the caller's, and are consumed in a fixed
+amount per arrival or event; the events therefore do not depend on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -36,9 +38,7 @@ from .interferometer import (
     OUTCOMES,
     UNCORRELATED_DIST,
     VERDICTS,
-    DetectionOutcome,
     InterferometerConfig,
-    classify,
     leak_weight,
     verdict_label,
 )
@@ -112,7 +112,7 @@ class PhaseWalk:
     more recalibration boundaries first resets both phases to the
     residual at the last boundary.  `advance` answers a whole array of
     times and carries the walk to the next call, so splitting the times
-    over several calls gives identical phases; `phases_at` asks for one.
+    over several calls gives identical phases.
     """
 
     def __init__(self, config: DriftConfig, rng: np.random.Generator):
@@ -125,10 +125,6 @@ class PhaseWalk:
     @property
     def recalibrations(self) -> int:
         return self._resets
-
-    def phases_at(self, t_s: float) -> tuple[float, float]:
-        phi0, phi1 = self.advance(np.array([t_s]))[0].tolist()
-        return phi0, phi1
 
     def advance(self, times: np.ndarray) -> np.ndarray:
         """Both phases at each query time, shape (len(times), 2)."""
@@ -210,22 +206,23 @@ def _sample_outcomes(sent, phases: np.ndarray, config: SourceConfig, u: np.ndarr
     return _GROUP_OUTCOME[np.minimum(at, _GROUP_LAST[group])]
 
 
-def sample_detection(
-    sent: BellState,
-    phases: tuple[float, float],
+def sample_detections(
+    truth: np.ndarray,
+    times: np.ndarray,
+    walk: PhaseWalk,
     source_cfg: SourceConfig,
     rng: np.random.Generator,
-) -> tuple[DetectionOutcome, BellState | None]:
-    """Sample one detected signature for a sent class at given phases.
+) -> np.ndarray:
+    """Outcome index (into OUTCOMES) of each detection of a sent class
+    (index into BELL_ORDER) at non-decreasing times.
 
-    Returns the outcome together with its verdict.  With probability
-    accidental_rate / (coincidence_rate + accidental_rate) the event is an
-    uncorrelated accidental instead of a real pair.  The analyzer sits at
-    `phases`.
+    The walk advances to the times and the analyzer sits at its phases;
+    `rng` gives each detection its uniforms.  With probability
+    accidental_rate / (coincidence_rate + accidental_rate) a detection is
+    an uncorrelated accidental instead of a real pair.
     """
-    u = rng.random(_DRAWS_PER_EVENT)
-    outcome = OUTCOMES[_sample_outcomes(sent.index, np.asarray(phases), source_cfg, u)]
-    return outcome, classify(outcome)
+    u = rng.random((len(times), _DRAWS_PER_EVENT))
+    return _sample_outcomes(truth, walk.advance(times), source_cfg, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +288,7 @@ def iter_event_chunks(
                 end = t + schedule[entry][1]
         times, truth = np.concatenate(times), np.concatenate(truth)
         if len(times):
-            u = draws.random((len(times), _DRAWS_PER_EVENT))
-            outcome = _sample_outcomes(truth, walk.advance(times), source_cfg, u)
+            outcome = sample_detections(truth, times, walk, source_cfg, draws)
             yield EventChunk(times, truth, outcome, OUTCOME_VERDICT[outcome])
 
 
@@ -364,28 +360,35 @@ def append_events(fh: TextIO, chunk: EventChunk) -> None:
 
 def read_event_log(path) -> tuple[EventChunk, dict[str, str]]:
     """The events and the header of a log written by `open_event_log` and
-    `append_events`.  A row the writer could not have produced raises
-    ConfigError naming its line."""
+    `append_events`: `#` header lines, then the column line, then rows
+    whose wall times do not decrease.  A line out of that layout, or a row
+    the writer could not have produced, raises ConfigError naming it."""
     header: dict[str, str] = {}
     times: list[float] = []
     codes: list[tuple[int, int]] = []
+    in_rows = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line or line == _LOG_COLUMNS:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, val = body.split(":", 1)
-                    header[key.strip()] = val.strip()
-                continue
             try:
-                t, k, o = _decode_row(line)
+                if in_rows:
+                    t, k, o = _decode_row(line)
+                    if times and t < times[-1]:
+                        raise ConfigError(f"wall time goes back from {times[-1]!r}")
+                    times.append(t)
+                    codes.append((k, o))
+                elif line == _LOG_COLUMNS:
+                    in_rows = True
+                elif line.startswith("#"):
+                    key, colon, val = line[1:].partition(":")
+                    if colon:
+                        header[key.strip()] = val.strip()
+                else:
+                    raise ConfigError("expected a '#' header line or the column line")
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}: {line!r}") from None
-            times.append(t)
-            codes.append((k, o))
+    if not in_rows:
+        raise ConfigError(f"{path}: no column line")
     truth, outcome = np.array(codes, dtype=np.intp).reshape(-1, 2).T
     return EventChunk(np.array(times), truth, outcome, OUTCOME_VERDICT[outcome]), header
 

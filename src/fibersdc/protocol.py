@@ -6,7 +6,7 @@ strict five-step exchange per frame:
     sender -> SEND_REQUEST(i)      announce frame i
     receiver -> ACKNOWLEDGE(i)     arm the detection window
     sender emits the encoded pair  (quantum link, no bytes)
-    receiver decodes the verdict   and records a dibit or an erasure
+    receiver closes the window     at the first detection or a timeout
     receiver -> RECEIPT(i)         release the sender for frame i+1
 
 Messages are framed as MAGIC "SDC1", a one-byte kind, a little-endian
@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, require_finite
-from .interferometer import InterferometerConfig, verdict_label
-from .noise import DriftConfig, PhaseWalk, SourceConfig, sample_detection
+from .interferometer import OUTCOME_VERDICT, VERDICTS, InterferometerConfig, verdict_label
+from .noise import DriftConfig, PhaseWalk, SourceConfig, sample_detections
 from .seeds import substream
-from .states import BELL_TO_DIBIT, DIBIT_TO_BELL, BellState
+from .states import BELL_TO_DIBIT, DIBIT_TO_BELL
 
 MAGIC = b"SDC1"
 _HEADER = struct.Struct("<4sBII")
@@ -164,12 +164,8 @@ class SenderMachine:
 
 
 class ReceiverMachine:
-    """Accepts frames in order and records decoded dibits.
-
-    An ambiguous verdict or an empty detection window becomes an erasure:
-    the frame still completes, the dibit defaults to 0 and the erasure
-    flag is set so the consumer can see which symbols were filled in.
-    """
+    """Accepts frames in order: a SEND_REQUEST arms the frame's detection
+    window, and closing the window issues its RECEIPT."""
 
     def __init__(self, n_frames: int):
         if n_frames < 0:
@@ -177,8 +173,6 @@ class ReceiverMachine:
         self.n_frames = n_frames
         self.expected = 0
         self.armed = False
-        self.dibits: list[int] = []
-        self.erasures: list[bool] = []
         self._last_receipt: Message | None = None
 
     @property
@@ -201,15 +195,9 @@ class ReceiverMachine:
             f"unexpected SEND_REQUEST({msg.frame_index}), expected {self.expected}"
         )
 
-    def deliver_verdict(self, frame_index: int, verdict: BellState | None) -> list:
+    def close_window(self, frame_index: int) -> list:
         if not self.armed or frame_index != self.expected:
             raise ProtocolError(f"no armed window for frame {frame_index}")
-        if verdict is None:
-            self.dibits.append(0)
-            self.erasures.append(True)
-        else:
-            self.dibits.append(BELL_TO_DIBIT[verdict])
-            self.erasures.append(False)
         self.armed = False
         self.expected += 1
         self._last_receipt = Message(MessageKind.RECEIPT, frame_index)
@@ -276,7 +264,13 @@ class SessionResult:
     dibits: list[int]
     erasures: list[bool]
     stats: SessionStats
-    transcript: list[tuple[str, Message]]
+
+
+_AMBIGUOUS = len(VERDICTS) - 1
+_DIBIT_CLASS = np.array([DIBIT_TO_BELL[d].index for d in sorted(DIBIT_TO_BELL)])
+# The received dibit of each verdict; an erasure (an ambiguous verdict or
+# an empty window) is filled with 0.
+_VERDICT_DIBIT = np.array([BELL_TO_DIBIT.get(v, 0) for v in VERDICTS])
 
 
 def run_session(
@@ -289,13 +283,14 @@ def run_session(
 ) -> SessionResult:
     """Transfer a dibit sequence over the simulated link.
 
-    The classical messages go through the byte codec and a loopback
-    transport; the quantum step samples one detection inside the frame
-    window (later arrivals in the same window are ignored, and an empty
-    window times out into an erasure).  Phase drift advances on operating
-    time and each recalibration inserts a fixed pause; the analyzer sits at
-    the walk's phases, whatever offsets `interf_cfg` holds.  Everything is
-    reproducible from the master seed.
+    The classical pass runs the messages through the byte codec and a
+    loopback transport and times each frame's window: it closes at the
+    first detection (later arrivals in the same window are ignored), or
+    times out empty into an erasure.  No verdict changes the message flow,
+    so the quantum pass then draws every detection in one batch.  Phase
+    drift advances on operating time and each recalibration inserts a
+    fixed pause; the analyzer sits at the walk's phases, whatever offsets
+    `interf_cfg` holds.  Everything is reproducible from the master seed.
     """
     for d in dibits:
         if d not in DIBIT_TO_BELL:
@@ -307,21 +302,11 @@ def run_session(
     rng_q = substream(master_seed, "protocol.quantum")
     rng_arr = substream(master_seed, "protocol.arrivals")
 
-    transcript: list[tuple[str, Message]] = []
+    detected_at = np.full(len(dibits), np.nan)  # NaN: the window stayed empty
     op_time = 0.0
     timeouts = 0
-    verdict_counts: dict[str, int] = {}
-
-    def sender_actions(actions):
-        nonlocal op_time
-        for kind, arg in actions:
-            if kind == "wire":
-                transcript.append(("sender", arg))
-                transport.sender_push(encode_message(arg))
-            else:
-                raise AssertionError(f"unhandled sender action {kind}")
-
-    sender_actions(sender.start())
+    for _, msg in sender.start():
+        transport.sender_push(encode_message(msg))
     guard = 0
     while not (sender.done and receiver.done):
         guard += 1
@@ -334,7 +319,6 @@ def run_session(
         for msg in drain_messages(data):
             for kind, arg in receiver.handle_message(msg):
                 assert kind == "wire"
-                transcript.append(("receiver", arg))
                 transport.receiver_push(encode_message(arg))
         # classical hop: receiver -> sender
         data = transport.sender_pull()
@@ -344,41 +328,42 @@ def run_session(
         for msg in drain_messages(data):
             for kind, arg in sender.handle_message(msg):
                 if kind == "wire":
-                    transcript.append(("sender", arg))
                     transport.sender_push(encode_message(arg))
                 elif kind == "transmit":
                     transmit_frame = arg
         if transmit_frame is None:
             continue
-        # quantum step: settle, then first detection in the window
+        # quantum step: settle, then the first arrival in the window
         op_time += timing.encoder_settle_s
         gap = rng_arr.exponential(1.0 / source_cfg.total_rate_hz)
         if gap >= timing.frame_window_s:
             op_time += timing.frame_window_s
             timeouts += 1
-            verdict = None
         else:
             op_time += gap
-            phases = walk.phases_at(op_time)
-            sent = DIBIT_TO_BELL[dibits[transmit_frame]]
-            _, verdict = sample_detection(sent, phases, source_cfg, rng_q)
-        verdict_counts[verdict_label(verdict)] = (
-            verdict_counts.get(verdict_label(verdict), 0) + 1
-        )
-        for kind, arg in receiver.deliver_verdict(transmit_frame, verdict):
+            detected_at[transmit_frame] = op_time
+        for kind, arg in receiver.close_window(transmit_frame):
             assert kind == "wire"
-            transcript.append(("receiver", arg))
             transport.receiver_push(encode_message(arg))
+
+    # quantum pass: every detection in one draw, in frame order
+    detected = ~np.isnan(detected_at)
+    sent = _DIBIT_CLASS[np.array(dibits, dtype=np.intp)[detected]]
+    outcome = sample_detections(sent, detected_at[detected], walk, source_cfg, rng_q)
+    verdict = np.full(len(dibits), _AMBIGUOUS)
+    verdict[detected] = OUTCOME_VERDICT[outcome]
+    erasures = verdict == _AMBIGUOUS
+    counts = np.bincount(verdict, minlength=len(VERDICTS)).tolist()
 
     elapsed = op_time + walk.recalibrations * timing.recalibration_pause_s
     throughput = (2.0 * len(dibits) / elapsed) if elapsed > 0 else 0.0
     stats = SessionStats(
         frames=len(dibits),
-        erasure_count=sum(receiver.erasures),
+        erasure_count=int(erasures.sum()),
         timeout_count=timeouts,
         elapsed_s=elapsed,
         throughput_bits_per_s=throughput,
         recalibrations=walk.recalibrations,
-        verdict_counts=verdict_counts,
+        verdict_counts={verdict_label(v): c for v, c in zip(VERDICTS, counts) if c},
     )
-    return SessionResult(receiver.dibits, receiver.erasures, stats, transcript)
+    return SessionResult(_VERDICT_DIBIT[verdict].tolist(), erasures.tolist(), stats)

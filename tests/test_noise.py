@@ -9,8 +9,10 @@ from fibersdc.configs import (
 )
 from fibersdc.errors import ConfigError
 from fibersdc.interferometer import (
+    OUTCOME_VERDICT,
     OUTCOMES,
     UNCORRELATED_DIST,
+    VERDICTS,
     InterferometerConfig,
     kernel_distribution,
 )
@@ -23,7 +25,7 @@ from fibersdc.noise import (
     iter_event_chunks,
     open_event_log,
     read_event_log,
-    sample_detection,
+    sample_detections,
     tally_verdicts,
 )
 from fibersdc.seeds import substream
@@ -80,11 +82,11 @@ def test_phase_walk_recalibrates_on_period():
     cfg = DriftConfig(sigma_rad_per_sqrt_s=0.0, recalibration_period_s=100.0,
                       recalibration_residual_rad=0.2)
     walk = PhaseWalk(cfg, substream(1, "test.walk"))
-    assert walk.phases_at(50.0) == (0.2, 0.2)
+    assert walk.advance(np.array([50.0])).tolist() == [[0.2, 0.2]]
     assert walk.recalibrations == 0
-    walk.phases_at(150.0)
+    walk.advance(np.array([150.0]))
     assert walk.recalibrations == 1
-    walk.phases_at(450.0)
+    walk.advance(np.array([450.0]))
     assert walk.recalibrations == 4
 
 
@@ -94,8 +96,8 @@ def test_phase_walk_reset_shrinks_excursion():
     fresh = []
     for seed in range(40):
         walk = PhaseWalk(cfg, substream(seed, "test.walk.reset"))
-        drifted.append(abs(walk.phases_at(99.0)[0]))
-        fresh.append(abs(walk.phases_at(100.5)[0]))
+        drifted.append(abs(walk.advance(np.array([99.0]))[0, 0]))
+        fresh.append(abs(walk.advance(np.array([100.5]))[0, 0]))
     assert np.mean(fresh) < 0.25 * np.mean(drifted)
 
 
@@ -125,14 +127,14 @@ def test_batch_walk_resets_at_boundaries_however_the_times_are_split():
         assert np.array_equal(split, whole), cut
         assert walk.recalibrations == 4
     walk = PhaseWalk(cfg, substream(4, "test.walk.split"))
-    assert [walk.phases_at(t) for t in times] == [tuple(row) for row in whole.tolist()]
+    assert np.array_equal(np.vstack([walk.advance(np.array([t])) for t in times]), whole)
 
 
 def test_phase_walk_rejects_backwards_queries():
     walk = PhaseWalk(DriftConfig(), substream(9, "test.walk.back"))
-    walk.phases_at(10.0)
+    walk.advance(np.array([10.0]))
     with pytest.raises(ConfigError):
-        walk.phases_at(5.0)
+        walk.advance(np.array([5.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +142,20 @@ def test_phase_walk_rejects_backwards_queries():
 # ---------------------------------------------------------------------------
 
 
+def _detections_at_zero_phase(sent, source, seed):
+    """Outcome indices of detections of the classes in `sent`, all at time
+    0 with both loop phases 0."""
+    walk = PhaseWalk(DriftConfig(sigma_rad_per_sqrt_s=0.0), substream(seed, "test.walk.still"))
+    sent = np.asarray(sent)
+    return sample_detections(sent, np.zeros(len(sent)), walk, source, substream(seed, "test.u"))
+
+
 def test_accidentals_cover_the_signature_space():
     cfg = SourceConfig(coincidence_rate_hz=1e-9, accidental_rate_hz=1e6)
-    rng = substream(23, "test.accidental")
     seen_dt = set()
     seen_ports = set()
-    for _ in range(2_000):
-        outcome, _ = sample_detection(BELL_ORDER[0], (0.0, 0.0), cfg, rng)
+    for o in _detections_at_zero_phase([BELL_ORDER[0].index] * 2_000, cfg, 23).tolist():
+        outcome = OUTCOMES[o]
         seen_dt.add(outcome.dt_bins)
         seen_ports.add(outcome.first_port)
         seen_ports.add(outcome.second_port)
@@ -160,11 +169,10 @@ def test_accidentals_cover_the_signature_space():
 
 def test_noiseless_detection_is_always_correct():
     cfg = SourceConfig(source_fidelity=1.0, accidental_rate_hz=0.0)
-    rng = substream(31, "test.clean")
-    for which in BELL_ORDER:
-        for _ in range(40):
-            _, verdict = sample_detection(which, (0.0, 0.0), cfg, rng)
-            assert verdict is which
+    sent = np.repeat([which.index for which in BELL_ORDER], 40)
+    outcome = _detections_at_zero_phase(sent, cfg, 31)
+    verdicts = [VERDICTS[v] for v in OUTCOME_VERDICT[outcome].tolist()]
+    assert verdicts == [BELL_ORDER[k] for k in sent.tolist()]
 
 
 def test_sampled_outcomes_follow_the_kernel_mixture():
@@ -356,5 +364,30 @@ def test_event_log_rejects_rows_the_writer_cannot_produce(tmp_path, row):
     path.write_text(f"# a: b\n{noise._LOG_COLUMNS}\n{good}\n{row}\n{good}\n")
     with pytest.raises(ConfigError, match=":4: "):
         read_event_log(path)
-    path.write_text(f"# a: b\n{noise._LOG_COLUMNS}\n{good}\n")
-    assert len(read_event_log(path)[0]) == 1
+    path.write_text(f"# a: b\n{noise._LOG_COLUMNS}\n{good}\n{good}\n")
+    assert len(read_event_log(path)[0]) == 2  # equal times are allowed
+
+
+_ROW = "{},phi_plus,A,H,A,V,0,phi_plus"
+
+
+@pytest.mark.parametrize(
+    "lines, where",
+    [
+        ([_ROW.format(0.5), "# master_seed: 7", noise._LOG_COLUMNS, _ROW.format(0.1)], ":1: "),
+        (["# a: b", _ROW.format(0.5)], ":2: "),  # no column line
+        (["# a: b", noise._LOG_COLUMNS, _ROW.format(0.5), "# c: d"], ":4: "),
+        (["# a: b", noise._LOG_COLUMNS, noise._LOG_COLUMNS, _ROW.format(0.5)], ":3: "),
+        (["# a: b", noise._LOG_COLUMNS, _ROW.format(0.5), _ROW.format(0.1)], ":4: "),
+        (["# a: b", noise._LOG_COLUMNS, "", _ROW.format(0.5)], ":3: "),
+        (["# a: b"], "no column line"),
+        ([], "no column line"),
+    ],
+    ids=["row-first", "no-columns", "header-after-rows", "columns-twice",
+         "time-goes-back", "blank-line", "header-only", "empty"],
+)
+def test_event_log_requires_the_writer_layout(tmp_path, lines, where):
+    path = tmp_path / "events.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ConfigError, match=where):
+        read_event_log(path)
