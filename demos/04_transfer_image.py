@@ -3,8 +3,10 @@
 Each pixel is one dibit, each dibit one frame: the sender announces the
 frame, the receiver arms its window, one entangled pair carries the two
 bits, and the receiver's verdict (or an erasure) becomes the received
-pixel.  Writes sent.ppm and received.ppm next to this script so the two
-can be compared in any image viewer.
+pixel.  It first prints frame 0's three wire messages as the protocol's
+sender and receiver machines exchange them.  Writes sent.ppm and
+received.ppm next to this script so the two can be compared in any image
+viewer.
 """
 
 from pathlib import Path
@@ -14,7 +16,11 @@ from fibersdc import (
     DEFAULT_TIMING,
     TRANSFER_DRIFT,
     TRANSFER_SOURCE,
+    ReceiverMachine,
+    SenderMachine,
+    decode_message,
     dibits_to_raster,
+    encode_message,
     image_fidelity,
     make_demo_image,
     pack_dibits,
@@ -30,6 +36,16 @@ image = make_demo_image()
 dibits = raster_to_dibits(image)
 print(f"payload: {image.width}x{image.height} pixels, "
       f"{len(dibits)} frames, {len(pack_dibits(dibits))} packed bytes")
+
+# Frame 0 on the wire: the sans-io machines exchange encoded messages.
+sender, receiver = SenderMachine(len(dibits)), ReceiverMachine(len(dibits))
+((_, request),) = sender.start()
+((_, ack),) = receiver.handle_message(decode_message(encode_message(request))[0])
+assert sender.handle_message(decode_message(encode_message(ack))[0]) == [("transmit", 0)]
+((_, receipt),) = receiver.close_window(0)  # the first detection closes the window
+sender.handle_message(decode_message(encode_message(receipt))[0])
+for msg in (request, ack, receipt):
+    print(f"wire: {msg.kind.name:<12} frame={msg.frame_index} {encode_message(msg).hex()}")
 print("running the session...")
 
 result = run_session(

@@ -11,10 +11,14 @@ strict five-step exchange per frame:
 
 Messages are framed as MAGIC "SDC1", a one-byte kind, a little-endian
 u32 frame index and a length-prefixed payload (empty for all current
-kinds).  The state machines are sans-io: they consume decoded messages
-and return actions, so they can be driven by the in-process loopback used
-here or by a real socket.  Retransmissions after a timeout are idempotent;
-anything out of order raises ProtocolError.
+kinds).  The state machines are the sans-io protocol a real link would
+run: they consume decoded messages and return actions.  Retransmissions
+after a timeout and stale copies of the previous frame's messages are
+idempotent; anything else out of order raises ProtocolError.
+
+`run_session` models a lossless link, on which the exchange never varies:
+three one-way hops per frame.  It computes the session's timeline in
+closed form rather than replaying the messages.
 """
 
 from __future__ import annotations
@@ -73,8 +77,8 @@ def decode_message(buffer: bytes, offset: int = 0) -> tuple[Message, int] | None
 class TimingConfig:
     """Wall-clock model of the classical and quantum steps.
 
-    The loopback link never loses a message, so a session charges no
-    retransmission timeout.
+    The link never loses a message, so a session charges three one-way
+    latencies per frame and no retransmission timeout.
     """
 
     message_latency_s: float = 0.3
@@ -137,6 +141,8 @@ class SenderMachine:
                 return [("transmit", self.frame)]
             if self.awaiting == "receipt" and msg.frame_index == self.frame:
                 return []  # duplicate ack after a retransmitted request
+            if msg.frame_index == self.frame - 1:
+                return []  # stale ack replayed with the previous receipt
             raise ProtocolError(
                 f"unexpected ACKNOWLEDGE({msg.frame_index}) while at frame "
                 f"{self.frame} awaiting {self.awaiting}"
@@ -185,7 +191,9 @@ class ReceiverMachine:
         if msg.frame_index == self.expected and self.expected < self.n_frames:
             self.armed = True
             return [("wire", Message(MessageKind.ACKNOWLEDGE, msg.frame_index))]
-        if msg.frame_index == self.expected - 1 and not self.armed:
+        if msg.frame_index == self.expected - 1:
+            if self.armed:
+                return []  # late duplicate: the sender has moved on
             # the receipt must have been lost: re-ack and re-issue it
             actions = [("wire", Message(MessageKind.ACKNOWLEDGE, msg.frame_index))]
             if self._last_receipt is not None:
@@ -202,45 +210,6 @@ class ReceiverMachine:
         self.expected += 1
         self._last_receipt = Message(MessageKind.RECEIPT, frame_index)
         return [("wire", self._last_receipt)]
-
-
-class LoopbackTransport:
-    """Two in-memory byte pipes with whole-buffer pulls."""
-
-    def __init__(self):
-        self._to_receiver = bytearray()
-        self._to_sender = bytearray()
-
-    def sender_push(self, data: bytes) -> None:
-        self._to_receiver.extend(data)
-
-    def receiver_push(self, data: bytes) -> None:
-        self._to_sender.extend(data)
-
-    def receiver_pull(self) -> bytes:
-        out = bytes(self._to_receiver)
-        self._to_receiver.clear()
-        return out
-
-
-    def sender_pull(self) -> bytes:
-        out = bytes(self._to_sender)
-        self._to_sender.clear()
-        return out
-
-
-def drain_messages(buffer: bytes) -> list[Message]:
-    """Decode every complete message in a buffer; partial tails are an
-    error here because the loopback always delivers whole writes."""
-    out = []
-    offset = 0
-    while offset < len(buffer):
-        decoded = decode_message(buffer, offset)
-        if decoded is None:
-            raise ProtocolError("truncated message in transport buffer")
-        msg, offset = decoded
-        out.append(msg)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +242,24 @@ _DIBIT_CLASS = np.array([DIBIT_TO_BELL[d].index for d in sorted(DIBIT_TO_BELL)])
 _VERDICT_DIBIT = np.array([BELL_TO_DIBIT.get(v, 0) for v in VERDICTS])
 
 
+def _window_closes(gap: np.ndarray, timing: TimingConfig) -> np.ndarray:
+    """Operating time at which each frame's window closes, given the first
+    arrival after each frame's settle.
+
+    A frame is five steps: hop, hop, hop, settle, then the window or the
+    first arrival in it; frame 0 has no RECEIPT hop before it.  A
+    sequential cumsum, in place, gives the same floats as adding the steps
+    one by one.
+    """
+    clock = np.empty((len(gap), 5))
+    clock[:, :3] = timing.message_latency_s
+    clock[:, 3] = timing.encoder_settle_s
+    clock[:, 4] = np.minimum(gap, timing.frame_window_s)
+    clock[:1, 0] = 0.0
+    np.cumsum(clock, out=clock.reshape(-1))
+    return clock[:, 4].copy()
+
+
 def run_session(
     dibits: list[int],
     source_cfg: SourceConfig,
@@ -283,84 +270,43 @@ def run_session(
 ) -> SessionResult:
     """Transfer a dibit sequence over the simulated link.
 
-    The classical pass runs the messages through the byte codec and a
-    loopback transport and times each frame's window: it closes at the
-    first detection (later arrivals in the same window are ignored), or
-    times out empty into an erasure.  No verdict changes the message flow,
-    so the quantum pass then draws every detection in one batch.  Phase
-    drift advances on operating time and each recalibration inserts a
-    fixed pause; the analyzer sits at the walk's phases, whatever offsets
-    `interf_cfg` holds.  Everything is reproducible from the master seed.
+    Each frame's window closes at its first detection (later arrivals in
+    the same window are ignored) or times out empty into an erasure.  On
+    the lossless link no verdict changes the message flow, so the windows
+    close at times known in closed form, the final RECEIPT adds one hop,
+    and every detection is drawn in one batch.  Phase drift advances on
+    operating time and each recalibration inserts a fixed pause; the
+    analyzer sits at the walk's phases, whatever offsets `interf_cfg`
+    holds.  Everything is reproducible from the master seed.
     """
     for d in dibits:
         if d not in DIBIT_TO_BELL:
             raise ConfigError(f"dibit out of range: {d!r}")
-    sender = SenderMachine(len(dibits))
-    receiver = ReceiverMachine(len(dibits))
-    transport = LoopbackTransport()
+    n = len(dibits)
     walk = PhaseWalk(drift_cfg, substream(master_seed, "protocol.drift"))
     rng_q = substream(master_seed, "protocol.quantum")
     rng_arr = substream(master_seed, "protocol.arrivals")
 
-    detected_at = np.full(len(dibits), np.nan)  # NaN: the window stayed empty
-    op_time = 0.0
-    timeouts = 0
-    for _, msg in sender.start():
-        transport.sender_push(encode_message(msg))
-    guard = 0
-    while not (sender.done and receiver.done):
-        guard += 1
-        if guard > 10 * max(1, len(dibits)) + 10:
-            raise ProtocolError("session failed to make progress")
-        # classical hop: sender -> receiver
-        data = transport.receiver_pull()
-        if data:
-            op_time += timing.message_latency_s
-        for msg in drain_messages(data):
-            for kind, arg in receiver.handle_message(msg):
-                assert kind == "wire"
-                transport.receiver_push(encode_message(arg))
-        # classical hop: receiver -> sender
-        data = transport.sender_pull()
-        if data:
-            op_time += timing.message_latency_s
-        transmit_frame = None
-        for msg in drain_messages(data):
-            for kind, arg in sender.handle_message(msg):
-                if kind == "wire":
-                    transport.sender_push(encode_message(arg))
-                elif kind == "transmit":
-                    transmit_frame = arg
-        if transmit_frame is None:
-            continue
-        # quantum step: settle, then the first arrival in the window
-        op_time += timing.encoder_settle_s
-        gap = rng_arr.exponential(1.0 / source_cfg.total_rate_hz)
-        if gap >= timing.frame_window_s:
-            op_time += timing.frame_window_s
-            timeouts += 1
-        else:
-            op_time += gap
-            detected_at[transmit_frame] = op_time
-        for kind, arg in receiver.close_window(transmit_frame):
-            assert kind == "wire"
-            transport.receiver_push(encode_message(arg))
+    gap = rng_arr.exponential(1.0 / source_cfg.total_rate_hz, n)
+    timed_out = gap >= timing.frame_window_s
+    closes = _window_closes(gap, timing)
 
     # quantum pass: every detection in one draw, in frame order
-    detected = ~np.isnan(detected_at)
+    detected = ~timed_out
     sent = _DIBIT_CLASS[np.array(dibits, dtype=np.intp)[detected]]
-    outcome = sample_detections(sent, detected_at[detected], walk, source_cfg, rng_q)
-    verdict = np.full(len(dibits), _AMBIGUOUS)
+    outcome = sample_detections(sent, closes[detected], walk, source_cfg, rng_q)
+    verdict = np.full(n, _AMBIGUOUS)
     verdict[detected] = OUTCOME_VERDICT[outcome]
     erasures = verdict == _AMBIGUOUS
     counts = np.bincount(verdict, minlength=len(VERDICTS)).tolist()
 
-    elapsed = op_time + walk.recalibrations * timing.recalibration_pause_s
-    throughput = (2.0 * len(dibits) / elapsed) if elapsed > 0 else 0.0
+    op_time = closes[-1] + timing.message_latency_s if n else 0.0
+    elapsed = float(op_time + walk.recalibrations * timing.recalibration_pause_s)
+    throughput = (2.0 * n / elapsed) if elapsed > 0 else 0.0
     stats = SessionStats(
-        frames=len(dibits),
+        frames=n,
         erasure_count=int(erasures.sum()),
-        timeout_count=timeouts,
+        timeout_count=int(timed_out.sum()),
         elapsed_s=elapsed,
         throughput_bits_per_s=throughput,
         recalibrations=walk.recalibrations,

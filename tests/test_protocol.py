@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fibersdc import noise, protocol
+from fibersdc import noise
 from fibersdc.configs import (
     DEFAULT_INTERFEROMETER,
     DEFAULT_TIMING,
@@ -20,7 +20,6 @@ from fibersdc.protocol import (
     SenderMachine,
     TimingConfig,
     decode_message,
-    drain_messages,
     encode_message,
     run_session,
 )
@@ -45,14 +44,19 @@ def test_message_roundtrip():
     assert end == len(wire)
 
 
-def test_drain_splits_concatenated_messages():
+def test_decode_splits_concatenated_messages():
     msgs = [
         Message(MessageKind.SEND_REQUEST, 0),
         Message(MessageKind.ACKNOWLEDGE, 0),
         Message(MessageKind.RECEIPT, 0, b"x"),
     ]
     buffer = b"".join(encode_message(m) for m in msgs)
-    assert drain_messages(buffer) == msgs
+    decoded, offset = [], 0
+    while offset < len(buffer):
+        msg, offset = decode_message(buffer, offset)
+        decoded.append(msg)
+    assert decoded == msgs
+    assert offset == len(buffer)
 
 
 def test_decode_incomplete_returns_none():
@@ -69,12 +73,6 @@ def test_decode_rejects_bad_magic_and_kind():
     wire[4] = 200
     with pytest.raises(ProtocolError):
         decode_message(bytes(wire))
-
-
-def test_drain_rejects_truncated_tail():
-    wire = encode_message(Message(MessageKind.ACKNOWLEDGE, 2))
-    with pytest.raises(ProtocolError):
-        drain_messages(wire + wire[:5])
 
 
 def test_timing_config_validation():
@@ -130,6 +128,28 @@ def test_sender_ignores_duplicate_ack_and_stale_receipt():
     assert sender.handle_message(Message(MessageKind.RECEIPT, 0)) == []
 
 
+def test_sender_ignores_ack_replayed_after_a_delayed_receipt():
+    # The sender retransmits REQUEST(0) while RECEIPT(0) is in flight; the
+    # receiver answers the retry with ACK(0) and RECEIPT(0) again, which
+    # reach the sender after the delayed receipt has moved it to frame 1.
+    sender, receiver = SenderMachine(2), ReceiverMachine(2)
+    (request,) = _wire_only(sender.start())
+    (ack,) = _wire_only(receiver.handle_message(request))
+    assert sender.handle_message(ack) == [("transmit", 0)]
+    (receipt,) = _wire_only(receiver.close_window(0))
+    (retry,) = _wire_only(sender.handle_timeout())
+    replay = _wire_only(receiver.handle_message(retry))
+    assert replay == [ack, receipt]
+    (request,) = _wire_only(sender.handle_message(receipt))
+    assert request == Message(MessageKind.SEND_REQUEST, 1)
+    for msg in replay:
+        assert sender.handle_message(msg) == []
+    (ack,) = _wire_only(receiver.handle_message(request))
+    assert sender.handle_message(ack) == [("transmit", 1)]
+    assert sender.handle_message(*_wire_only(receiver.close_window(1))) == []
+    assert sender.done and receiver.done
+
+
 def test_sender_rejects_out_of_order_messages():
     sender = SenderMachine(2)
     sender.start()
@@ -158,6 +178,22 @@ def test_receiver_replays_ack_and_receipt_after_lost_receipt():
     assert receiver.expected == 1 and not receiver.armed
 
 
+def test_receiver_ignores_late_duplicate_request_while_armed():
+    # A retransmitted REQUEST(0) arrives after the receiver has armed frame 1.
+    sender, receiver = SenderMachine(2), ReceiverMachine(2)
+    (request,) = _wire_only(sender.start())
+    (late,) = _wire_only(sender.handle_timeout())
+    (ack,) = _wire_only(receiver.handle_message(request))
+    assert sender.handle_message(ack) == [("transmit", 0)]
+    (request,) = _wire_only(sender.handle_message(*_wire_only(receiver.close_window(0))))
+    (ack,) = _wire_only(receiver.handle_message(request))
+    assert receiver.handle_message(late) == []
+    assert receiver.armed and receiver.expected == 1
+    assert sender.handle_message(ack) == [("transmit", 1)]
+    assert sender.handle_message(*_wire_only(receiver.close_window(1))) == []
+    assert sender.done and receiver.done
+
+
 def test_receiver_rejects_unexpected_traffic():
     receiver = ReceiverMachine(2)
     with pytest.raises(ProtocolError):
@@ -173,20 +209,7 @@ def test_receiver_rejects_unexpected_traffic():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def wire_log(monkeypatch):
-    """Every message the sessions of a test encode, in order."""
-    log = []
-
-    def recording(msg):
-        log.append(msg)
-        return encode_message(msg)
-
-    monkeypatch.setattr(protocol, "encode_message", recording)
-    return log
-
-
-def test_noiseless_session_delivers_exactly(wire_log):
+def test_noiseless_session_delivers_exactly():
     dibits = [0, 1, 2, 3, 3, 2, 1, 0, 2, 2]
     result = run_session(
         dibits, CLEAN_SOURCE, NO_DRIFT, DEFAULT_INTERFEROMETER,
@@ -196,16 +219,9 @@ def test_noiseless_session_delivers_exactly(wire_log):
     assert not any(result.erasures)
     assert result.stats.erasure_count == 0
     assert result.stats.frames == len(dibits)
-    kinds = [msg.kind for msg in wire_log]
-    want = [
-        MessageKind.SEND_REQUEST,
-        MessageKind.ACKNOWLEDGE,
-        MessageKind.RECEIPT,
-    ] * len(dibits)
-    assert kinds == want
 
 
-def test_session_is_deterministic_per_seed(wire_log):
+def test_session_is_deterministic_per_seed():
     dibits = [3, 1, 0, 2] * 5
     def run():
         return run_session(
@@ -213,12 +229,10 @@ def test_session_is_deterministic_per_seed(wire_log):
             DEFAULT_TIMING, master_seed=42,
         )
     a = run()
-    first = wire_log[:]
     b = run()
     assert a.dibits == b.dibits
     assert a.erasures == b.erasures
     assert a.stats.elapsed_s == b.stats.elapsed_s
-    assert wire_log == first * 2
 
 
 def test_session_throughput_in_expected_band():
@@ -279,13 +293,12 @@ def test_session_counts_recalibration_pauses():
     )
 
 
-def test_empty_session(wire_log):
+def test_empty_session():
     result = run_session(
         [], CLEAN_SOURCE, NO_DRIFT, DEFAULT_INTERFEROMETER, DEFAULT_TIMING,
         master_seed=1,
     )
     assert result.dibits == []
-    assert wire_log == []
     assert result.stats.throughput_bits_per_s == 0.0
 
 
@@ -299,7 +312,7 @@ def test_session_rejects_bad_dibits():
 
 def _frame_by_frame(dibits, source, drift, timing, seed):
     """A session replayed one frame at a time, each detection drawn on its
-    own from the streams `run_session` uses.  Over the lossless loopback
+    own from the streams `run_session` uses.  Over the lossless link
     every frame costs three message hops (the previous RECEIPT, then
     SEND_REQUEST and ACKNOWLEDGE), the first frame two, and the last
     RECEIPT one more."""
@@ -335,17 +348,28 @@ def _frame_by_frame(dibits, source, drift, timing, seed):
 def test_session_matches_a_frame_by_frame_reference():
     # A slow source empties about one window in five, and a short period
     # recalibrates every few frames.
-    source = dataclasses.replace(TRANSFER_SOURCE, coincidence_rate_hz=2.0)
+    slow = dataclasses.replace(TRANSFER_SOURCE, coincidence_rate_hz=2.0)
     drift = dataclasses.replace(TRANSFER_DRIFT, recalibration_period_s=7.0)
-    dibits = np.random.default_rng(6).integers(0, 4, 300).tolist()
-    result = run_session(dibits, source, drift, DEFAULT_INTERFEROMETER, DEFAULT_TIMING, 17)
-    received, erasures, elapsed, timeouts, recalibrations, counts = _frame_by_frame(
-        dibits, source, drift, DEFAULT_TIMING, 17
+    # A near-silent source times out every window, so no detection is drawn.
+    silent = dataclasses.replace(
+        TRANSFER_SOURCE, coincidence_rate_hz=1e-3, accidental_rate_hz=0.0
     )
-    assert timeouts > 20 and recalibrations > 20
-    assert result.dibits == received
-    assert result.erasures == erasures
-    assert result.stats.elapsed_s == elapsed
-    assert result.stats.timeout_count == timeouts
-    assert result.stats.recalibrations == recalibrations
-    assert result.stats.verdict_counts == counts
+    instant = dataclasses.replace(DEFAULT_TIMING, message_latency_s=0.0)
+    dibits = np.random.default_rng(6).integers(0, 4, 300).tolist()
+    cases = [
+        (dibits, slow, drift, DEFAULT_TIMING),
+        (dibits[:1], TRANSFER_SOURCE, TRANSFER_DRIFT, DEFAULT_TIMING),
+        (dibits, slow, drift, instant),
+        (dibits[:40], silent, drift, DEFAULT_TIMING),
+    ]
+    checked = []
+    for frames, source, walk_cfg, timing in cases:
+        result = run_session(frames, source, walk_cfg, DEFAULT_INTERFEROMETER, timing, 17)
+        stats = result.stats
+        assert (
+            result.dibits, result.erasures, stats.elapsed_s, stats.timeout_count,
+            stats.recalibrations, stats.verdict_counts,
+        ) == _frame_by_frame(frames, source, walk_cfg, timing, 17)
+        checked.append(stats)
+    assert checked[0].timeout_count > 20 and checked[0].recalibrations > 20
+    assert checked[-1].timeout_count == 40
