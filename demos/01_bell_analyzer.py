@@ -4,8 +4,8 @@ one looks like at the detectors.
 The analyzer turns every class into a distinct signature built from three
 observables per coincidence: which output ports clicked, whether the two
 polarizations matched, and how many time bins separated the clicks.  Run
-this to see the full signature tables and to watch them blur when the
-loop phases are detuned.
+this to see which class each dibit encodes, the full signature tables,
+and how they blur when the loop phases are detuned.
 """
 
 import numpy as np
@@ -13,13 +13,27 @@ import numpy as np
 from fibersdc import (
     BELL_ORDER,
     InterferometerConfig,
+    encode_dibit,
     evolve_bsm,
     make_bell,
     measurement_distribution,
+    state_fidelity,
     verdict_distribution,
 )
 
 cfg = InterferometerConfig()
+
+# Local gates on one photon of PHI_PLUS select the class: each dibit lands
+# on exactly one Bell state, up to a global phase.
+print("dense coding: fidelity of each encoded dibit to each Bell class")
+print("=" * 60)
+print("dibit".ljust(12) + "".join(b.label.ljust(12) for b in BELL_ORDER))
+for dibit in range(4):
+    encoded = encode_dibit(dibit)
+    row = f"{dibit:02b}".ljust(12)
+    row += "".join(f"{state_fidelity(encoded, make_bell(b)):<12.4f}" for b in BELL_ORDER)
+    print(row)
+print()
 
 print("calibrated analyzer, exact outcome tables")
 print("=" * 60)

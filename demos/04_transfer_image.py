@@ -4,9 +4,10 @@ Each pixel is one dibit, each dibit one frame: the sender announces the
 frame, the receiver arms its window, one entangled pair carries the two
 bits, and the receiver's verdict (or an erasure) becomes the received
 pixel.  It first prints frame 0's three wire messages as the protocol's
-sender and receiver machines exchange them.  Writes sent.ppm and
-received.ppm next to this script so the two can be compared in any image
-viewer.
+sender and receiver machines exchange them.  Writes sent.ppm, received.ppm
+and erasures.bin (one flag per frame, packed four per byte, as
+`fibersdc transfer` writes it) into demo_out/ next to this script, so the
+two images can be compared in any image viewer, and reads the flags back.
 """
 
 from pathlib import Path
@@ -26,6 +27,7 @@ from fibersdc import (
     pack_dibits,
     raster_to_dibits,
     run_session,
+    unpack_dibits,
     write_ppm,
 )
 
@@ -60,6 +62,9 @@ received = dibits_to_raster(result.dibits, image.width, image.height)
 
 write_ppm(outdir / "sent.ppm", image)
 write_ppm(outdir / "received.ppm", received)
+(outdir / "erasures.bin").write_bytes(pack_dibits([int(e) for e in result.erasures]))
+flags = unpack_dibits((outdir / "erasures.bin").read_bytes(), len(dibits))
+assert flags == [int(e) for e in result.erasures]
 
 s = result.stats
 print(f"\nimage fidelity:  {image_fidelity(image, received):.4f}")
@@ -70,3 +75,4 @@ print(f"link time:       {s.elapsed_s:.1f} s simulated, "
 print(f"throughput:      {s.throughput_bits_per_s:.3f} bits/s")
 print(f"\nwrote {outdir / 'sent.ppm'}")
 print(f"wrote {outdir / 'received.ppm'}")
+print(f"wrote {outdir / 'erasures.bin'}, read back {sum(flags)} erased frames")

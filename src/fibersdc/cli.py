@@ -16,12 +16,17 @@ config file plus repeatable --set overrides; `calibrate` and `capacity`
 depend on no setting and take neither option.  The output directory
 falls back to $FIBERSDC_OUTDIR, then the current directory.  Exit codes:
 0 success, 2 configuration problem, 3 protocol violation, 1 anything else.
+
+The parser, the settings merge and the manifest need only `configs`,
+`errors` and `seeds`.  Each command imports the layers it runs when it
+runs: `calibrate` the interferometer, `capacity` the capacity layer,
+`characterize` the sampler and the capacity layer, `transfer` the
+protocol and the image codec.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
@@ -31,15 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capacity import (
-    bootstrap_spread,
-    channel_capacity,
-    estimate_conditionals,
-    load_counts,
-    load_reference_counts,
-    mutual_information,
-    save_counts,
-)
 from .configs import (
     CHARACTERIZATION_DRIFT,
     CHARACTERIZATION_SOURCE,
@@ -50,20 +46,7 @@ from .configs import (
     TRANSFER_SOURCE,
 )
 from .errors import ConfigError, ProtocolError
-from .imagecodec import (
-    dibits_to_raster,
-    image_fidelity,
-    make_demo_image,
-    pack_dibits,
-    raster_to_dibits,
-    read_ppm,
-    write_ppm,
-)
-from .interferometer import kernel_verdicts
-from .noise import append_events, iter_event_chunks, open_event_log
-from .protocol import run_session
-from .seeds import STREAM_VERSION, substream
-from .states import BELL_ORDER
+from .seeds import STREAM_VERSION, sha256, substream
 
 OUTDIR_ENV = "FIBERSDC_OUTDIR"
 
@@ -127,7 +110,7 @@ def _settings_body(settings: dict[str, str]) -> str:
 
 def settings_digest(settings: dict[str, str]) -> str:
     """SHA-256 of the resolved settings, one `key=value` line per key."""
-    return hashlib.sha256(_settings_body(settings).encode("utf-8")).hexdigest()
+    return sha256(_settings_body(settings).encode("utf-8")).hexdigest()
 
 
 def _write_report(
@@ -165,6 +148,10 @@ def _outdir(args) -> Path:
 
 
 def cmd_characterize(args) -> int:
+    from .capacity import estimate_conditionals, save_counts
+    from .noise import append_events, iter_event_chunks, open_event_log
+    from .states import BELL_ORDER
+
     outdir = _outdir(args)
     source, drift = _settings(args)
     seconds = args.seconds_per_state
@@ -202,6 +189,16 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    from .capacity import (
+        bootstrap_spread,
+        channel_capacity,
+        estimate_conditionals,
+        load_counts,
+        load_reference_counts,
+        mutual_information,
+    )
+    from .states import BELL_ORDER
+
     outdir = _outdir(args)
     if args.counts:
         counts = load_counts(args.counts)
@@ -233,6 +230,9 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .interferometer import kernel_verdicts
+    from .states import BELL_ORDER
+
     outdir = _outdir(args)
     n = args.grid
     if n < 2:
@@ -257,6 +257,17 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .imagecodec import (
+        dibits_to_raster,
+        image_fidelity,
+        make_demo_image,
+        pack_dibits,
+        raster_to_dibits,
+        read_ppm,
+        write_ppm,
+    )
+    from .protocol import run_session
+
     outdir = _outdir(args)
     source, drift, timing = _settings(args)
     if args.image:

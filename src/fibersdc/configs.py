@@ -1,4 +1,19 @@
-"""Named default configurations.
+"""Settings dataclasses and named default configurations.
+
+The four settings classes live here, not in the layers that read them:
+
+* `SourceConfig` and `DriftConfig`: the pair source and the loop-phase
+  drift, read by `fibersdc.noise`;
+* `TimingConfig`: the classical and quantum step durations, read by
+  `fibersdc.protocol`;
+* `InterferometerConfig`: the loop phases of the reference analyzer,
+  read by `fibersdc.interferometer`.
+
+Each layer re-exports the classes it reads, so
+`from fibersdc.noise import SourceConfig` still works.  This module
+imports nothing but `dataclasses` and `fibersdc.errors`, so the command
+line can build its parser and merge settings without loading the
+simulator.
 
 Two operating points are bundled:
 
@@ -14,11 +29,113 @@ Two operating points are bundled:
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
-from .interferometer import InterferometerConfig
-from .noise import DriftConfig, SourceConfig
-from .protocol import TimingConfig
+from .errors import ConfigError, require_finite
+
+
+@dataclass(frozen=True)
+class SourceConfig:
+    """Entangled-pair source and detection-rate settings.
+
+    coincidence_rate_hz is the rate of pairs that survive transmission and
+    produce two detector clicks, and is what sets event spacing in
+    simulated streams; source_fidelity is the probability that the emitted
+    pair is the intended class.
+    """
+
+    coincidence_rate_hz: float = 200.0
+    source_fidelity: float = 0.97
+    accidental_rate_hz: float = 1.359
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.coincidence_rate_hz <= 0.0:
+            raise ConfigError("coincidence_rate_hz must be positive")
+        if not (0.0 <= self.source_fidelity <= 1.0):
+            raise ConfigError("source_fidelity must be in [0, 1]")
+        if self.accidental_rate_hz < 0:
+            raise ConfigError("accidental_rate_hz must be >= 0")
+
+    @property
+    def total_rate_hz(self) -> float:
+        return self.coincidence_rate_hz + self.accidental_rate_hz
+
+    @property
+    def accidental_fraction(self) -> float:
+        return self.accidental_rate_hz / self.total_rate_hz
+
+
+@dataclass(frozen=True)
+class DriftConfig:
+    """Loop-phase drift between recalibrations.
+
+    Each loop phase performs an independent Gaussian random walk with
+    standard deviation sigma_rad_per_sqrt_s * sqrt(elapsed).  Every
+    recalibration_period_s of operating time the servo pulls both phases
+    back to recalibration_residual_rad, the small static error the servo
+    cannot remove.
+    """
+
+    sigma_rad_per_sqrt_s: float = 3.0
+    recalibration_period_s: float = 100.0
+    recalibration_residual_rad: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.sigma_rad_per_sqrt_s < 0:
+            raise ConfigError("sigma_rad_per_sqrt_s must be >= 0")
+        if self.recalibration_period_s <= 0:
+            raise ConfigError("recalibration_period_s must be positive")
+
+
+@dataclass(frozen=True)
+class TimingConfig:
+    """Wall-clock model of the classical and quantum steps.
+
+    The link never loses a message, so a session charges three one-way
+    latencies per frame and no retransmission timeout.
+    """
+
+    message_latency_s: float = 0.3
+    encoder_settle_s: float = 0.005
+    frame_window_s: float = 0.5
+    recalibration_pause_s: float = 2.0
+
+    def __post_init__(self):
+        require_finite(self)
+        for name in (
+            "message_latency_s",
+            "encoder_settle_s",
+            "frame_window_s",
+            "recalibration_pause_s",
+        ):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if self.frame_window_s <= 0:
+            raise ConfigError("frame_window_s must be positive")
+
+
+@dataclass(frozen=True)
+class InterferometerConfig:
+    """Loop phases of the reference analyzer `evolve_bsm`.
+
+    phi0_rad and phi1_rad are the phase offsets picked up per traversal of
+    the short and long delay loop; at calibration both are zero.  The
+    simulated workflows put the analyzer at a phase walk's or a grid's
+    phases through the closed-form kernel instead, so these are not CLI
+    settings.
+    """
+
+    phi0_rad: float = 0.0
+    phi1_rad: float = 0.0
+
+    def __post_init__(self):
+        require_finite(self)
+
+    def with_phases(self, phi0_rad: float, phi1_rad: float) -> "InterferometerConfig":
+        return replace(self, phi0_rad=phi0_rad, phi1_rad=phi1_rad)
+
 
 CHARACTERIZATION_SOURCE = SourceConfig()
 

@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import StateError, require_finite
+from .configs import InterferometerConfig
+from .errors import StateError
 from .states import (
     BELL_ORDER,
     BELL_BY_LABEL,
@@ -67,27 +68,6 @@ from .states import (
 _SQ2 = math.sqrt(2.0)
 _R2 = 1.0 / _SQ2
 _R8 = 1.0 / math.sqrt(8.0)
-
-
-@dataclass(frozen=True)
-class InterferometerConfig:
-    """Loop phases of the reference analyzer `evolve_bsm`.
-
-    phi0_rad and phi1_rad are the phase offsets picked up per traversal of
-    the short and long delay loop; at calibration both are zero.  The
-    simulated workflows put the analyzer at a phase walk's or a grid's
-    phases through the closed-form kernel instead, so these are not CLI
-    settings.
-    """
-
-    phi0_rad: float = 0.0
-    phi1_rad: float = 0.0
-
-    def __post_init__(self):
-        require_finite(self)
-
-    def with_phases(self, phi0_rad: float, phi1_rad: float) -> "InterferometerConfig":
-        return replace(self, phi0_rad=phi0_rad, phi1_rad=phi1_rad)
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,14 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .configs import DriftConfig, InterferometerConfig, SourceConfig
+from .errors import ConfigError
 from .interferometer import (
     BRANCH_OUTCOMES,
     OUTCOME_VERDICT,
     OUTCOMES,
     UNCORRELATED_DIST,
     VERDICTS,
-    InterferometerConfig,
     leak_weight,
     verdict_label,
 )
@@ -46,61 +46,6 @@ from .states import BELL_ORDER, BellState
 
 EVENT_CHUNK = 2048
 """Arrival gaps drawn per sampling step of `iter_event_chunks`."""
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    """Entangled-pair source and detection-rate settings.
-
-    coincidence_rate_hz is the rate of pairs that survive transmission and
-    produce two detector clicks, and is what sets event spacing in
-    simulated streams; source_fidelity is the probability that the emitted
-    pair is the intended class.
-    """
-
-    coincidence_rate_hz: float = 200.0
-    source_fidelity: float = 0.97
-    accidental_rate_hz: float = 1.359
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.coincidence_rate_hz <= 0.0:
-            raise ConfigError("coincidence_rate_hz must be positive")
-        if not (0.0 <= self.source_fidelity <= 1.0):
-            raise ConfigError("source_fidelity must be in [0, 1]")
-        if self.accidental_rate_hz < 0:
-            raise ConfigError("accidental_rate_hz must be >= 0")
-
-    @property
-    def total_rate_hz(self) -> float:
-        return self.coincidence_rate_hz + self.accidental_rate_hz
-
-    @property
-    def accidental_fraction(self) -> float:
-        return self.accidental_rate_hz / self.total_rate_hz
-
-
-@dataclass(frozen=True)
-class DriftConfig:
-    """Loop-phase drift between recalibrations.
-
-    Each loop phase performs an independent Gaussian random walk with
-    standard deviation sigma_rad_per_sqrt_s * sqrt(elapsed).  Every
-    recalibration_period_s of operating time the servo pulls both phases
-    back to recalibration_residual_rad, the small static error the servo
-    cannot remove.
-    """
-
-    sigma_rad_per_sqrt_s: float = 3.0
-    recalibration_period_s: float = 100.0
-    recalibration_residual_rad: float = 0.0
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.sigma_rad_per_sqrt_s < 0:
-            raise ConfigError("sigma_rad_per_sqrt_s must be >= 0")
-        if self.recalibration_period_s <= 0:
-            raise ConfigError("recalibration_period_s must be positive")
 
 
 class PhaseWalk:

@@ -24,14 +24,16 @@ closed form rather than replaying the messages.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, require_finite
-from .interferometer import OUTCOME_VERDICT, VERDICTS, InterferometerConfig, verdict_label
-from .noise import DriftConfig, PhaseWalk, SourceConfig, sample_detections
+from .configs import DriftConfig, InterferometerConfig, SourceConfig, TimingConfig
+from .errors import ConfigError, ProtocolError
+from .interferometer import OUTCOME_VERDICT, VERDICTS, verdict_label
+from .noise import PhaseWalk, sample_detections
 from .seeds import substream
 from .states import BELL_TO_DIBIT, DIBIT_TO_BELL
 
@@ -71,33 +73,6 @@ def decode_message(buffer: bytes, offset: int = 0) -> tuple[Message, int] | None
     if len(buffer) < end:
         return None
     return Message(mk, frame, bytes(buffer[offset + _HEADER.size : end])), end
-
-
-@dataclass(frozen=True)
-class TimingConfig:
-    """Wall-clock model of the classical and quantum steps.
-
-    The link never loses a message, so a session charges three one-way
-    latencies per frame and no retransmission timeout.
-    """
-
-    message_latency_s: float = 0.3
-    encoder_settle_s: float = 0.005
-    frame_window_s: float = 0.5
-    recalibration_pause_s: float = 2.0
-
-    def __post_init__(self):
-        require_finite(self)
-        for name in (
-            "message_latency_s",
-            "encoder_settle_s",
-            "frame_window_s",
-            "recalibration_pause_s",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.frame_window_s <= 0:
-            raise ConfigError("frame_window_s must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +250,10 @@ def run_session(
     the lossless link no verdict changes the message flow, so the windows
     close at times known in closed form, the final RECEIPT adds one hop,
     and every detection is drawn in one batch.  Phase drift advances on
-    operating time and each recalibration inserts a fixed pause; the
-    analyzer sits at the walk's phases, whatever offsets `interf_cfg`
-    holds.  Everything is reproducible from the master seed.
+    operating time, and each recalibration period that ends before the
+    last window closes inserts a fixed pause; the analyzer sits at the
+    walk's phases, whatever offsets `interf_cfg` holds.  Everything is
+    reproducible from the master seed.
     """
     for d in dibits:
         if d not in DIBIT_TO_BELL:
@@ -300,8 +276,11 @@ def run_session(
     erasures = verdict == _AMBIGUOUS
     counts = np.bincount(verdict, minlength=len(VERDICTS)).tolist()
 
+    # Every period boundary up to the last window close is a recalibration,
+    # by the walk's own floor rule, whether or not a detection follows it.
+    recalibrations = math.floor(closes[-1] / drift_cfg.recalibration_period_s) if n else 0
     op_time = closes[-1] + timing.message_latency_s if n else 0.0
-    elapsed = float(op_time + walk.recalibrations * timing.recalibration_pause_s)
+    elapsed = float(op_time + recalibrations * timing.recalibration_pause_s)
     throughput = (2.0 * n / elapsed) if elapsed > 0 else 0.0
     stats = SessionStats(
         frames=n,
@@ -309,7 +288,7 @@ def run_session(
         timeout_count=int(timed_out.sum()),
         elapsed_s=elapsed,
         throughput_bits_per_s=throughput,
-        recalibrations=walk.recalibrations,
+        recalibrations=recalibrations,
         verdict_counts={verdict_label(v): c for v, c in zip(VERDICTS, counts) if c},
     )
     return SessionResult(_VERDICT_DIBIT[verdict].tolist(), erasures.tolist(), stats)

@@ -8,9 +8,17 @@ statistically independent of each other.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
+
+# The interpreter's built-in SHA-256, as CPython's own random.py does for
+# SHA-512: hashlib would load OpenSSL for a few digests of short strings.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 STREAM_VERSION = 2
 """Version of how the workflows consume their random streams.
@@ -28,7 +36,7 @@ def substream_seed(master_seed: int, name: str) -> np.random.SeedSequence:
     perturbs existing ones, and the result does not depend on Python's
     per-process string hashing.
     """
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    digest = sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.SeedSequence(entropy=[int(master_seed) & (2**63 - 1)] + words)
 

@@ -395,3 +395,12 @@ def test_public_names_resolve_and_are_not_modules():
     assert len(set(fibersdc.__all__)) == len(fibersdc.__all__)
     for name in fibersdc.__all__:
         assert not isinstance(getattr(fibersdc, name), types.ModuleType), name
+    # The package resolves names on first access: a star import binds
+    # every public name, and an unknown one is an AttributeError.
+    namespace = {}
+    exec("from fibersdc import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(fibersdc.__all__)
+    assert namespace["SourceConfig"] is noise.SourceConfig
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(fibersdc, "no_such_name")

@@ -1,12 +1,16 @@
-"""Every import in the package's modules is used.
+"""What the package's modules import, and what each command loads.
 
-No linter is among the test dependencies, so this reads each module's
-syntax tree: a name an import binds must be read somewhere in the
-module.  `__init__.py` is skipped, since its imports are the re-exports
-that make up the public API.
+No linter is among the test dependencies, so the first check reads each
+module's syntax tree: a name an import binds must be read somewhere in
+the module.  `__init__.py` is skipped, since it resolves the public API
+by name.  The second runs each command in a fresh interpreter and reads
+`sys.modules` after it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,39 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Each command loads the layers it runs and no other; `calibrate` draws no
+# random numbers, so nothing it loads needs OpenSSL.
+FOOTPRINTS = [
+    (["calibrate", "--grid", "2"],
+     ["fibersdc.noise", "fibersdc.protocol", "fibersdc.imagecodec", "fibersdc.capacity",
+      "_hashlib"]),
+    (["capacity", "--resamples", "10"],
+     ["fibersdc.interferometer", "fibersdc.noise", "fibersdc.protocol",
+      "fibersdc.imagecodec"]),
+    (["characterize", "--seconds-per-state", "0.01"],
+     ["fibersdc.protocol", "fibersdc.imagecodec"]),
+]
+
+_RUN_AND_LIST_MODULES = """
+import sys
+from fibersdc.cli import main
+code = main(sys.argv[1:])
+print("modules:", " ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, unloaded", FOOTPRINTS, ids=[a[0] for a, _ in FOOTPRINTS])
+def test_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):
+    env = dict(os.environ)
+    paths = [str(PACKAGE.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv, "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = set(done.stdout.rsplit("modules: ", 1)[1].split())
+    assert "fibersdc.cli" in loaded
+    assert sorted(loaded.intersection(unloaded)) == []

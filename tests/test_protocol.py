@@ -315,7 +315,10 @@ def _frame_by_frame(dibits, source, drift, timing, seed):
     own from the streams `run_session` uses.  Over the lossless link
     every frame costs three message hops (the previous RECEIPT, then
     SEND_REQUEST and ACKNOWLEDGE), the first frame two, and the last
-    RECEIPT one more."""
+    RECEIPT one more.  Each recalibration period that has ended when the
+    last window closes adds a pause, counted here by stepping over the
+    period boundaries rather than read from the walk, which only sees
+    detections."""
     walk = PhaseWalk(drift, substream(seed, "protocol.drift"))
     rng_q = substream(seed, "protocol.quantum")
     rng_arr = substream(seed, "protocol.arrivals")
@@ -339,10 +342,13 @@ def _frame_by_frame(dibits, source, drift, timing, seed):
         counts[verdict_label(verdict)] = counts.get(verdict_label(verdict), 0) + 1
         received.append(0 if verdict is None else BELL_TO_DIBIT[verdict])
         erasures.append(verdict is None)
+    recalibrations = 0
+    while (recalibrations + 1) * drift.recalibration_period_s <= op_time:
+        recalibrations += 1
     if dibits:
         op_time += timing.message_latency_s
-    elapsed = op_time + walk.recalibrations * timing.recalibration_pause_s
-    return received, erasures, elapsed, timeouts, walk.recalibrations, counts
+    elapsed = op_time + recalibrations * timing.recalibration_pause_s
+    return received, erasures, elapsed, timeouts, recalibrations, counts
 
 
 def test_session_matches_a_frame_by_frame_reference():
@@ -372,4 +378,7 @@ def test_session_matches_a_frame_by_frame_reference():
         ) == _frame_by_frame(frames, source, walk_cfg, timing, 17)
         checked.append(stats)
     assert checked[0].timeout_count > 20 and checked[0].recalibrations > 20
-    assert checked[-1].timeout_count == 40
+    # The silent session never advances the walk, yet its last window
+    # closes at 55.9 s, after seven 7 s periods.
+    assert checked[-1].timeout_count == 40 and checked[-1].recalibrations == 7
+    assert checked[-1].elapsed_s == pytest.approx(55.9 + 0.3 + 7 * 2.0)
