@@ -64,7 +64,3 @@ def __getattr__(name: str):
     value = getattr(import_module(f"{__name__}.{module}"), name)
     globals()[name] = value  # later lookups skip this function
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))

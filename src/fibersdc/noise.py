@@ -65,11 +65,6 @@ class PhaseWalk:
         self._rng = rng
         self._t = 0.0
         self._phases = np.full(2, config.recalibration_residual_rad)
-        self._resets = 0
-
-    @property
-    def recalibrations(self) -> int:
-        return self._resets
 
     def advance(self, times: np.ndarray) -> np.ndarray:
         """Both phases at each query time, shape (len(times), 2)."""
@@ -99,7 +94,6 @@ class PhaseWalk:
             phases[a:b].cumsum(axis=0, out=phases[a:b])
             level = phases[b - 1]
         self._phases = level.copy()
-        self._resets += int(period[-1] - period[0])
         self._t = float(prev[-1])
         return phases
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,11 @@ def test_the_package_draws_from_named_substreams():
 def test_builtin_sha256_matches_hashlib_on_substream_names(name):
     data = name.encode("utf-8")
     assert sha256(data).digest() == hashlib.sha256(data).digest()
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's built-in module")
+def test_sha256_is_the_builtin_module_not_hashlib():
+    assert sha256.__module__ in ("_sha2", "_sha256")
 
 
 def test_builtin_sha256_matches_hashlib_on_a_settings_body():
