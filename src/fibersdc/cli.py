@@ -15,7 +15,7 @@ their default configs in `COMMAND_SETTINGS`, from an optional key=value
 config file plus repeatable --set overrides; `calibrate` and `capacity`
 depend on no setting and take neither option.  The output directory
 falls back to $FIBERSDC_OUTDIR, then the current directory.  Exit codes:
-0 success, 2 configuration problem, 3 protocol violation, 1 anything else.
+0 success, 2 configuration problem, 1 anything else.
 
 The parser, the settings merge and the manifest need only `configs`,
 `errors` and `seeds`.  Each command imports the layers it runs when it
@@ -45,7 +45,7 @@ from .configs import (
     TRANSFER_DRIFT,
     TRANSFER_SOURCE,
 )
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 from .seeds import STREAM_VERSION, sha256, substream
 
 OUTDIR_ENV = "FIBERSDC_OUTDIR"
@@ -148,8 +148,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_characterize(args) -> int:
-    from .capacity import estimate_conditionals, save_counts
-    from .noise import append_events, iter_event_chunks, open_event_log
+    from .capacity import save_counts
+    from .noise import append_events, iter_event_chunks, open_event_log, tally_verdicts
     from .states import BELL_ORDER
 
     outdir = _outdir(args)
@@ -161,24 +161,26 @@ def cmd_characterize(args) -> int:
     settings = _resolved_settings((source, drift), seconds_per_state=seconds)
 
     # Each chunk is tallied and logged, then dropped: memory stays bounded.
-    table = np.zeros((len(BELL_ORDER), len(BELL_ORDER) + 1), dtype=np.int64)
+    counts = np.zeros((len(BELL_ORDER), len(BELL_ORDER)), dtype=np.int64)
+    ambiguous = np.zeros(len(BELL_ORDER), dtype=np.int64)
     header = {"settings_sha256": settings_digest(settings), "master_seed": str(args.seed)}
     with open_event_log(outdir / "events.csv", header) as log:
         rng = substream(args.seed, "characterize")
         for chunk in iter_event_chunks(schedule, source, drift, rng):
-            table += chunk.tally()
+            kept_counts, ambiguous_counts = tally_verdicts(chunk)
+            counts += kept_counts
+            ambiguous += ambiguous_counts
             append_events(log, chunk)
-    counts, ambiguous = table[:, :-1], table[:, -1]
     save_counts(outdir / "counts.txt", counts)
 
-    lines = [f"events_total={table.sum()}"]
-    safe = counts.copy()
-    safe[safe.sum(axis=1) == 0] = 1  # uniform placeholder so tiny runs still report
-    P = estimate_conditionals(safe)
+    lines = [f"events_total={counts.sum() + ambiguous.sum()}"]
+    # P(verdict | sent) over the kept events; a class with none has no
+    # estimate, so its row is nan rather than a made-up distribution.
+    P = []
     for i, b in enumerate(BELL_ORDER):
         kept = counts[i].sum()
-        acc = counts[i, i] / kept if kept else float("nan")
-        lines.append(f"accuracy_{b.label}={acc:.6f}")
+        P.append(counts[i] / kept if kept else np.full(len(BELL_ORDER), np.nan))
+        lines.append(f"accuracy_{b.label}={P[i][i]:.6f}")
         lines.append(f"kept_{b.label}={kept}")
         lines.append(f"ambiguous_{b.label}={ambiguous[i]}")
     for i, b in enumerate(BELL_ORDER):
@@ -289,7 +291,7 @@ def cmd_transfer(args) -> int:
     lines = [
         f"image={image_name}",
         f"frames={stats.frames}",
-        f"payload_bytes={len(pack_dibits(dibits))}",
+        f"payload_bytes={(len(dibits) + 3) // 4}",
         f"image_fidelity={fidelity:.6f}",
         f"erasures={stats.erasure_count}",
         f"timeouts={stats.timeout_count}",
@@ -362,9 +364,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ProtocolError as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,8 @@ class StateError(FiberSdcError, ValueError):
 
 
 class ProtocolError(FiberSdcError, RuntimeError):
-    """Raised when a session transcript violates the framing protocol."""
+    """Raised when a wire message, or a message or window given to a state
+    machine, violates the framing protocol."""
 
 
 def require_finite(config) -> None:

@@ -166,24 +166,22 @@ def sample_detections(
 
 @dataclass(frozen=True, eq=False)
 class EventChunk:
-    """Detection events as parallel arrays: wall time, sent class (index
-    into BELL_ORDER), outcome (index into OUTCOMES) and verdict (index into
-    VERDICTS, the last one ambiguous).  `len` counts the events."""
+    """Detection events as parallel arrays of what the sampler draws: wall
+    time, sent class (index into BELL_ORDER) and outcome (index into
+    OUTCOMES).  `len` counts the events."""
 
     wall_time_s: np.ndarray
     truth: np.ndarray
     outcome: np.ndarray
-    verdict: np.ndarray
 
     def __len__(self) -> int:
         return len(self.wall_time_s)
 
-    def tally(self) -> np.ndarray:
-        """Counts over (truth, verdict), shape (4, 5); the last column
-        counts ambiguous verdicts."""
-        width = len(VERDICTS)
-        counts = np.bincount(self.truth * width + self.verdict, minlength=len(BELL_ORDER) * width)
-        return counts.reshape(len(BELL_ORDER), width)
+    @property
+    def verdict(self) -> np.ndarray:
+        """Each event's verdict, index into VERDICTS (the last one
+        ambiguous): a function of its outcome."""
+        return OUTCOME_VERDICT[self.outcome]
 
 
 def iter_event_chunks(
@@ -228,7 +226,7 @@ def iter_event_chunks(
         times, truth = np.concatenate(times), np.concatenate(truth)
         if len(times):
             outcome = sample_detections(truth, times, walk, source_cfg, draws)
-            yield EventChunk(times, truth, outcome, OUTCOME_VERDICT[outcome])
+            yield EventChunk(times, truth, outcome)
 
 
 def generate_event_stream(
@@ -241,11 +239,11 @@ def generate_event_stream(
     """Every event of `iter_event_chunks` in one chunk; the analyzer sits
     at the walk's phases, whatever offsets `interf_cfg` holds."""
     columns = [
-        (c.wall_time_s, c.truth, c.outcome, c.verdict)
+        (c.wall_time_s, c.truth, c.outcome)
         for c in iter_event_chunks(schedule, source_cfg, drift_cfg, rng)
     ]
     if not columns:
-        return EventChunk(np.empty(0), *np.empty((3, 0), dtype=np.intp))
+        return EventChunk(np.empty(0), *np.empty((2, 0), dtype=np.intp))
     return EventChunk(*(np.concatenate(column) for column in zip(*columns)))
 
 
@@ -255,7 +253,9 @@ def tally_verdicts(events: EventChunk) -> tuple[np.ndarray, np.ndarray]:
     The matrix rows and columns follow canonical Bell order; ambiguous
     verdicts are tallied separately, mirroring how a bench discards them.
     """
-    table = events.tally()
+    width = len(VERDICTS)
+    table = np.bincount(events.truth * width + events.verdict, minlength=len(BELL_ORDER) * width)
+    table = table.reshape(len(BELL_ORDER), width)
     return table[:, :-1], table[:, -1]
 
 
@@ -264,14 +264,17 @@ def tally_verdicts(events: EventChunk) -> tuple[np.ndarray, np.ndarray]:
 # --------------------------------------------------------------------------
 
 _LOG_COLUMNS = "wall_time_s,truth,port1,pol1,port2,pol2,dt_bins,verdict"
-_LOG_WIDTH = len(_LOG_COLUMNS.split(","))
-_TRUTH_FIELDS = tuple(b.label for b in BELL_ORDER)
-_OUTCOME_FIELDS = tuple(
-    f"{o.first_port},{o.first_pol},{o.second_port},{o.second_pol},{o.dt_bins}" for o in OUTCOMES
-)
-_VERDICT_FIELDS = tuple(verdict_label(v) for v in VERDICTS)
-_TRUTH_CODE = {field: i for i, field in enumerate(_TRUTH_FIELDS)}
-_OUTCOME_CODE = {field: i for i, field in enumerate(_OUTCOME_FIELDS)}
+# The text of a row after its wall time, by (truth, outcome); the verdict
+# follows from the outcome, so these are all the rows the writer produces.
+_ROW_TAILS = [
+    [
+        f",{b.label},{o.first_port},{o.first_pol},{o.second_port},{o.second_pol},"
+        f"{o.dt_bins},{verdict_label(VERDICTS[v])}"
+        for o, v in zip(OUTCOMES, OUTCOME_VERDICT.tolist())
+    ]
+    for b in BELL_ORDER
+]
+_ROW_CODE = {tail: (k, o) for k, tails in enumerate(_ROW_TAILS) for o, tail in enumerate(tails)}
 
 
 def open_event_log(path, header: dict[str, str]) -> TextIO:
@@ -289,11 +292,8 @@ def open_event_log(path, header: dict[str, str]) -> TextIO:
 
 def append_events(fh: TextIO, chunk: EventChunk) -> None:
     fh.writelines(
-        f"{t:.6f},{_TRUTH_FIELDS[k]},{_OUTCOME_FIELDS[o]},{_VERDICT_FIELDS[v]}\n"
-        for t, k, o, v in zip(
-            chunk.wall_time_s.tolist(), chunk.truth.tolist(),
-            chunk.outcome.tolist(), chunk.verdict.tolist(),
-        )
+        f"{t:.6f}{_ROW_TAILS[k][o]}\n"
+        for t, k, o in zip(chunk.wall_time_s.tolist(), chunk.truth.tolist(), chunk.outcome.tolist())
     )
 
 
@@ -329,25 +329,17 @@ def read_event_log(path) -> tuple[EventChunk, dict[str, str]]:
     if not in_rows:
         raise ConfigError(f"{path}: no column line")
     truth, outcome = np.array(codes, dtype=np.intp).reshape(-1, 2).T
-    return EventChunk(np.array(times), truth, outcome, OUTCOME_VERDICT[outcome]), header
+    return EventChunk(np.array(times), truth, outcome), header
 
 
 def _decode_row(line: str) -> tuple[float, int, int]:
     """Wall time, class index and outcome index of one event-log row."""
-    parts = line.split(",")
-    if len(parts) != _LOG_WIDTH:
-        raise ConfigError(f"expected {_LOG_WIDTH} fields, got {len(parts)}")
+    time, comma, tail = line.partition(",")
+    code = _ROW_CODE.get(comma + tail)
     try:
-        t = float(parts[0])
+        t = float(time)
     except ValueError:
         t = math.nan
-    if not math.isfinite(t):
-        raise ConfigError(f"bad wall time {parts[0]!r}")
-    if parts[1] not in _TRUTH_CODE:
-        raise ConfigError(f"unknown class {parts[1]!r}")
-    o = _OUTCOME_CODE.get(",".join(parts[2:7]))
-    if o is None:
-        raise ConfigError("impossible outcome")
-    if parts[7] != _VERDICT_FIELDS[OUTCOME_VERDICT[o]]:
-        raise ConfigError(f"verdict {parts[7]!r} disagrees with the outcome's")
-    return t, _TRUTH_CODE[parts[1]], o
+    if code is None or not math.isfinite(t):
+        raise ConfigError("not a row the event-log writer produces")
+    return (t, *code)

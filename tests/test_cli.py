@@ -147,6 +147,26 @@ def test_characterize_rejects_non_finite_duration(tmp_path, capsys, seconds):
     assert "seconds_per_state" in capsys.readouterr().err
 
 
+def test_characterize_reports_no_conditionals_for_a_class_without_events(tmp_path):
+    # So short a run keeps events of some classes and none of others.
+    rc = main([
+        "characterize", "--outdir", str(tmp_path), "--seed", "3",
+        "--seconds-per-state", "3e-3",
+    ])
+    assert rc == 0
+    counts = load_counts(tmp_path / "counts.txt")
+    report = _read_report(tmp_path / "characterization_report.txt")
+    kept = counts.sum(axis=1)
+    assert kept.all() != kept.any()
+    for i, b in enumerate(BELL_ORDER):
+        row = report[f"conditionals_{b.label}"]
+        if kept[i]:
+            assert row == " ".join(f"{c / kept[i]:.6f}" for c in counts[i])
+        else:
+            assert row == "nan nan nan nan"
+            assert report[f"accuracy_{b.label}"] == "nan"
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_characterize_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch, chunk):
     # Recalibration boundaries and schedule ends fall inside and across chunks.

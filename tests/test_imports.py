@@ -1,13 +1,17 @@
-"""What the package's modules import, and what each command loads.
+"""What the package's modules import, what each command loads, and who
+calls the public functions.
 
 No linter is among the test dependencies, so the first check reads each
 module's syntax tree: a name an import binds must be read somewhere in
 the module.  `__init__.py` is skipped, since it resolves the public API
 by name.  The second runs each command in a fresh interpreter and reads
-`sys.modules` after it.
+`sys.modules` after it.  The third reads the syntax trees of the
+package, the demos and the acceptance tests: each public function must
+be referred to there, outside its own definition.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -15,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fibersdc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fibersdc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -81,3 +86,45 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):
     # numpy < 2 imports it with numpy itself.
     if "numpy.random" not in loaded:
         assert "_hashlib" not in loaded
+
+
+# Public functions with no caller on purpose; the README says why.
+LIBRARY_ONLY = ["read_event_log"]
+CALLER_SOURCES = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted((ROOT / "demos").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+
+
+def references(tree: ast.AST, name: str) -> int:
+    """How many names and attributes in `tree` read `name`, not counting
+    those inside a definition of `name` itself."""
+    count, todo = 0, [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
+            continue
+        if isinstance(node, ast.Name) and node.id == name:
+            count += 1
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            count += 1
+        todo.extend(ast.iter_child_nodes(node))
+    return count
+
+
+def test_the_scan_skips_a_function_referring_to_itself():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n\ndef g():\n    pass\n\nx.g()\n")
+    assert references(tree, "f") == 0
+    assert references(tree, "g") == 1
+
+
+def test_every_public_function_has_a_caller():
+    import fibersdc
+
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in CALLER_SOURCES]
+    functions = [
+        name for name in fibersdc.__all__ if inspect.isfunction(getattr(fibersdc, name))
+    ]
+    uncalled = [name for name in functions if not any(references(t, name) for t in trees)]
+    assert uncalled == LIBRARY_ONLY

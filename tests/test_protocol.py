@@ -19,6 +19,7 @@ from fibersdc.protocol import (
     ReceiverMachine,
     SenderMachine,
     TimingConfig,
+    _window_closes,
     decode_message,
     encode_message,
     run_session,
@@ -109,6 +110,46 @@ def test_machines_run_three_frames_in_lockstep():
         actions = sender.handle_message(receipt)
     assert sender.done and receiver.done
     assert actions == []
+
+
+def _machine_window_closes(gap, timing):
+    """Each frame's window close, and the time the last RECEIPT lands, from
+    the state machines exchanging encoded messages over a lossless
+    loopback: each wire message costs one latency, each transmit the
+    encoder settle and then the window or the first arrival in it."""
+    n = len(gap)
+    sender, receiver = SenderMachine(n), ReceiverMachine(n)
+    peer = {sender: receiver, receiver: sender}
+    queue = [(sender, action) for action in sender.start()]
+    clock, closes = 0.0, []
+    while queue:
+        machine, (kind, value) = queue.pop(0)
+        if kind == "wire":
+            clock += timing.message_latency_s
+            wire = encode_message(value)
+            msg, end = decode_message(wire)
+            assert end == len(wire)
+            queue += [(peer[machine], action) for action in peer[machine].handle_message(msg)]
+        else:
+            assert (machine, kind) == (sender, "transmit")
+            clock += timing.encoder_settle_s
+            clock += min(gap[value], timing.frame_window_s)
+            closes.append(clock)
+            queue += [(receiver, action) for action in receiver.close_window(value)]
+    assert sender.done and receiver.done
+    return closes, clock
+
+
+def test_closed_form_timeline_equals_the_machine_exchange():
+    timing = TimingConfig(
+        message_latency_s=0.0137, encoder_settle_s=0.0031, frame_window_s=0.29,
+    )
+    gap = np.random.default_rng(8).exponential(0.2, 40)
+    timed_out = gap >= timing.frame_window_s
+    assert 0 < timed_out.sum() < len(gap)
+    closes, last_receipt = _machine_window_closes(gap.tolist(), timing)
+    assert closes == _window_closes(gap, timing).tolist()
+    assert last_receipt == closes[-1] + timing.message_latency_s
 
 
 def test_zero_frame_session_is_immediately_done():
