@@ -62,7 +62,7 @@ received = dibits_to_raster(result.dibits, image.width, image.height)
 
 write_ppm(outdir / "sent.ppm", image)
 write_ppm(outdir / "received.ppm", received)
-(outdir / "erasures.bin").write_bytes(pack_dibits([int(e) for e in result.erasures]))
+(outdir / "erasures.bin").write_bytes(pack_dibits(result.erasures))
 flags = unpack_dibits((outdir / "erasures.bin").read_bytes(), len(dibits))
 assert flags == [int(e) for e in result.erasures]
 

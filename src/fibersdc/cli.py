@@ -284,9 +284,7 @@ def cmd_transfer(args) -> int:
     fidelity = image_fidelity(image, received)
 
     write_ppm(outdir / "received.ppm", received)
-    (outdir / "erasures.bin").write_bytes(
-        pack_dibits([1 if e else 0 for e in result.erasures])
-    )
+    (outdir / "erasures.bin").write_bytes(pack_dibits(result.erasures))
     stats = result.stats
     lines = [
         f"image={image_name}",

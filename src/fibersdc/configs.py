@@ -74,7 +74,7 @@ class DriftConfig:
     standard deviation sigma_rad_per_sqrt_s * sqrt(elapsed).  Every
     recalibration_period_s of operating time the servo pulls both phases
     back to recalibration_residual_rad, the small static error the servo
-    cannot remove.
+    cannot remove.  The period is at least a microsecond.
     """
 
     sigma_rad_per_sqrt_s: float = 3.0
@@ -85,8 +85,10 @@ class DriftConfig:
         require_finite(self)
         if self.sigma_rad_per_sqrt_s < 0:
             raise ConfigError("sigma_rad_per_sqrt_s must be >= 0")
-        if self.recalibration_period_s <= 0:
-            raise ConfigError("recalibration_period_s must be positive")
+        # No servo runs faster, and a tiny period overflows the walk's
+        # period count.
+        if self.recalibration_period_s < 1e-6:
+            raise ConfigError("recalibration_period_s must be at least 1e-6 s")
 
 
 @dataclass(frozen=True)

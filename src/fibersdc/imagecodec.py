@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 
 PALETTE = (
@@ -51,18 +53,17 @@ def dibits_to_raster(dibits, width: int, height: int) -> ImageRaster:
 def pack_dibits(dibits) -> bytes:
     """Pack dibits four per byte, first dibit in the top two bits.
 
-    A trailing partial byte is zero-padded on the right.
+    The dibits are integers or booleans, 0..3.  A trailing partial byte is
+    zero-padded on the right.
     """
-    values = list(dibits)
-    out = bytearray()
-    for i in range(0, len(values), 4):
-        byte = 0
-        for j, v in enumerate(values[i : i + 4]):
-            if not (0 <= v <= 3):
-                raise ConfigError(f"dibit out of range: {v!r}")
-            byte |= v << (6 - 2 * j)
-        out.append(byte)
-    return bytes(out)
+    values = np.asarray(dibits)
+    if values.size and values.dtype.kind not in "biu":
+        raise ConfigError(f"dibits must be integers, got {values.dtype}")
+    bad = (values < 0) | (values > 3)
+    if bad.any():
+        raise ConfigError(f"dibit out of range: {values[bad][0].item()!r}")
+    bits = np.unpackbits(values.astype(np.uint8).reshape(-1, 1), axis=1)[:, 6:]
+    return np.packbits(bits).tobytes()
 
 
 def unpack_dibits(data: bytes, count: int) -> list[int]:

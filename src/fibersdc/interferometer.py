@@ -449,42 +449,36 @@ VERDICTS = (*BELL_ORDER, None)
 """Verdict order of the kernel tables: the four classes, then ambiguous."""
 
 
-# The tables are summed in plain Python and converted once: numpy routines
-# run here would page in library code that the capacity workflow never
-# uses and raise its peak memory.
-def _tabulate(pairs, size: int) -> list[float]:
-    """Sum (index, probability) pairs into `size` bins."""
-    bins = [0.0] * size
-    for i, p in pairs:
-        bins[i] += p
-    return bins
-
-
-_VERDICT_OF = [VERDICTS.index(classify(o)) for o in OUTCOMES]
-
-OUTCOME_VERDICT = np.array(_VERDICT_OF)
+OUTCOME_VERDICT = np.array([VERDICTS.index(classify(o)) for o in OUTCOMES])
 """Index into VERDICTS of each outcome's verdict."""
 
-UNCORRELATED_DIST = np.array(
-    _tabulate(((OUTCOME_INDEX[o], 1.0 / len(_CLICK_PAIRS)) for o in _CLICK_PAIRS), len(OUTCOMES))
+UNCORRELATED_DIST = np.bincount(
+    [OUTCOME_INDEX[o] for o in _CLICK_PAIRS],
+    weights=np.full(len(_CLICK_PAIRS), 1.0 / len(_CLICK_PAIRS)),
+    minlength=len(OUTCOMES),
 )
 """Outcome distribution of two uncorrelated clicks (an accidental)."""
 
 
-def _branch(state: TwoPhotonState) -> list[float]:
+def _branch(state: TwoPhotonState) -> np.ndarray:
     dist = measurement_distribution(state)
-    return _tabulate(((OUTCOME_INDEX[o], p) for o, p in dist.items()), len(OUTCOMES))
+    return np.bincount(
+        [OUTCOME_INDEX[o] for o in dist], weights=list(dist.values()), minlength=len(OUTCOMES)
+    )
 
 
-_BRANCHES = [[_branch(TARGET_STATES[b]), _branch(LEAK_STATES[b])] for b in BELL_ORDER]
-
-BRANCH_OUTCOMES = np.array(_BRANCHES)
+BRANCH_OUTCOMES = np.array(
+    [[_branch(TARGET_STATES[b]), _branch(LEAK_STATES[b])] for b in BELL_ORDER]
+)
 """Shape (4, 2, len(OUTCOMES)): T_k and L_k, the outcome distributions of
 class k's target (branch 0) and leak (branch 1) vectors.  Their supports
 are disjoint, so they mix without interference."""
 
 BRANCH_VERDICTS = np.array(
-    [[_tabulate(zip(_VERDICT_OF, dist), len(VERDICTS)) for dist in pair] for pair in _BRANCHES]
+    [
+        [np.bincount(OUTCOME_VERDICT, weights=dist, minlength=len(VERDICTS)) for dist in pair]
+        for pair in BRANCH_OUTCOMES
+    ]
 )
 """The same two distributions per class over VERDICTS."""
 

@@ -333,13 +333,16 @@ def read_event_log(path) -> tuple[EventChunk, dict[str, str]]:
 
 
 def _decode_row(line: str) -> tuple[float, int, int]:
-    """Wall time, class index and outcome index of one event-log row."""
+    """Wall time, class index and outcome index of one event-log row.
+
+    The time must read exactly as `append_events` writes a finite,
+    non-negative one: `f"{t:.6f}"`, with no sign."""
     time, comma, tail = line.partition(",")
     code = _ROW_CODE.get(comma + tail)
     try:
         t = float(time)
     except ValueError:
         t = math.nan
-    if code is None or not math.isfinite(t):
+    if code is None or not math.isfinite(t) or time != f"{t:.6f}" or time.startswith("-"):
         raise ConfigError("not a row the event-log writer produces")
     return (t, *code)

@@ -9,12 +9,12 @@ strict five-step exchange per frame:
     receiver closes the window     at the first detection or a timeout
     receiver -> RECEIPT(i)         release the sender for frame i+1
 
-Messages are framed as MAGIC "SDC1", a one-byte kind, a little-endian
-u32 frame index and a length-prefixed payload (empty for all current
-kinds).  The state machines are the sans-io protocol a real link would
-run: they consume decoded messages and return actions.  Retransmissions
-after a timeout and stale copies of the previous frame's messages are
-idempotent; anything else out of order raises ProtocolError.
+A message is nine bytes: MAGIC "SDC1", a one-byte kind and a
+little-endian u32 frame index; no kind carries anything more.  The state
+machines are the sans-io protocol a real link would run: they consume
+decoded messages and return actions.  Retransmissions after a timeout
+and stale copies of the previous frame's messages are idempotent;
+anything else out of order raises ProtocolError.
 
 `run_session` models a lossless link, on which the exchange never varies:
 three one-way hops per frame.  It computes the session's timeline in
@@ -38,7 +38,7 @@ from .seeds import substream
 from .states import BELL_TO_DIBIT, DIBIT_TO_BELL
 
 MAGIC = b"SDC1"
-_HEADER = struct.Struct("<4sBII")
+_HEADER = struct.Struct("<4sBI")
 
 
 class MessageKind(enum.IntEnum):
@@ -51,28 +51,24 @@ class MessageKind(enum.IntEnum):
 class Message:
     kind: MessageKind
     frame_index: int
-    payload: bytes = b""
 
 
 def encode_message(msg: Message) -> bytes:
-    return _HEADER.pack(MAGIC, int(msg.kind), msg.frame_index, len(msg.payload)) + msg.payload
+    return _HEADER.pack(MAGIC, int(msg.kind), msg.frame_index)
 
 
 def decode_message(buffer: bytes, offset: int = 0) -> tuple[Message, int] | None:
     """Decode one message starting at offset, or None if incomplete."""
     if len(buffer) - offset < _HEADER.size:
         return None
-    magic, kind, frame, length = _HEADER.unpack_from(buffer, offset)
+    magic, kind, frame = _HEADER.unpack_from(buffer, offset)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
     try:
         mk = MessageKind(kind)
     except ValueError as exc:
         raise ProtocolError(f"unknown message kind {kind}") from exc
-    end = offset + _HEADER.size + length
-    if len(buffer) < end:
-        return None
-    return Message(mk, frame, bytes(buffer[offset + _HEADER.size : end])), end
+    return Message(mk, frame), offset + _HEADER.size
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import StateError
 
@@ -25,7 +25,6 @@ H = "H"
 V = "V"
 POLARIZATIONS = (H, V)
 
-SOURCE_PORTS = ("0", "1")
 OUTPUT_PORTS = ("A", "B")
 
 _PRUNE_TOL = 1e-12
@@ -77,15 +76,15 @@ def pair_key(m1: PhotonMode, m2: PhotonMode) -> tuple[PhotonMode, PhotonMode]:
 
 
 class TwoPhotonState:
-    """Immutable-by-convention container of pair amplitudes."""
+    """Immutable-by-convention container of pair amplitudes, built from a
+    mapping of mode pairs to amplitudes (none for the empty state)."""
 
     __slots__ = ("_amp",)
 
-    def __init__(self, amplitudes=None):
+    def __init__(self, amplitudes: Mapping | None = None):
         amp: dict[tuple[PhotonMode, PhotonMode], complex] = {}
         if amplitudes:
-            items = amplitudes.items() if hasattr(amplitudes, "items") else amplitudes
-            for (m1, m2), a in items:
+            for (m1, m2), a in amplitudes.items():
                 k = pair_key(m1, m2)
                 amp[k] = amp.get(k, 0.0) + complex(a)
         self._amp = {k: a for k, a in amp.items() if abs(a) > _PRUNE_TOL}

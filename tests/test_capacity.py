@@ -163,9 +163,10 @@ def test_capacity_invariant_under_input_relabeling(rng):
 
 def test_capacity_trajectory_is_non_decreasing(rng):
     for _ in range(5):
-        _, traj = channel_capacity(random_channel(rng), return_trajectory=True)
-        diffs = np.diff(np.array(traj))
-        assert diffs.min() > -1e-12
+        res = channel_capacity(random_channel(rng))
+        assert len(res.lower_bounds) == res.iterations
+        assert res.lower_bounds[-1] == res.capacity_bits
+        assert np.diff(res.lower_bounds).min() > -1e-12
 
 
 def test_capacity_matches_grid_oracle(rng):
@@ -263,7 +264,9 @@ def test_batched_solver_matches_per_matrix_reference(rng, tol, max_iterations):
         assert abs(caps[i] - want_cap) <= 1e-12
         assert np.abs(inputs[i] - want_p).max() <= 1e-12
         assert (iterations[i], converged[i]) == (want_it, want_conv)
-        one = channel_capacity(P, tol=tol, max_iterations=max_iterations)
+        if (tol, max_iterations) != (1e-9, 100000):
+            continue  # channel_capacity solves with these only
+        one = channel_capacity(P)
         assert abs(one.capacity_bits - want_cap) <= 1e-12
         assert np.abs(one.input_distribution - want_p).max() <= 1e-12
         assert (one.iterations, one.converged) == (want_it, want_conv)

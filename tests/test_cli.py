@@ -345,6 +345,17 @@ def test_non_finite_setting_exits_2_naming_the_key(tmp_path, capsys, key, value)
         assert f"unknown setting '{key}'" in err
 
 
+def test_subnormal_recalibration_period_exits_2_naming_the_key(tmp_path, capsys):
+    # 5e-324 s passes a positivity check, then overflows the period count.
+    for command in ("characterize", "transfer"):
+        rc = main([
+            command, "--outdir", str(tmp_path), *QUICK_RUN[command],
+            "--set", "recalibration_period_s=5e-324",
+        ])
+        assert rc == 2, command
+        assert "recalibration_period_s must be at least 1e-6 s" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, key", [
     ("characterize", "message_latency_s"),
     ("characterize", "seconds_per_state"),

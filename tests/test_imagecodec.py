@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fibersdc.errors import ConfigError
@@ -31,6 +33,23 @@ def test_pack_unpack_roundtrip():
 def test_pack_rejects_out_of_range():
     with pytest.raises(ConfigError):
         pack_dibits([0, 4])
+
+
+def test_pack_matches_a_bytewise_loop():
+    rng = random.Random(3)
+    for n in range(41):
+        dibits = [rng.randrange(4) for _ in range(n)]
+        want = bytearray()
+        for i in range(0, n, 4):
+            want.append(sum(v << (6 - 2 * j) for j, v in enumerate(dibits[i : i + 4])))
+        assert pack_dibits(dibits) == bytes(want)
+
+
+def test_pack_takes_flags_and_rejects_non_integers():
+    assert pack_dibits([True, False, False, True, True]) == b"\x41\x40"
+    for bad in ([0, 1.5], [2.0], ["a"], [None]):
+        with pytest.raises(ConfigError):
+            pack_dibits(bad)
 
 
 def test_unpack_rejects_overflow():

@@ -1,5 +1,5 @@
 """What the package's modules import, what each command loads, and who
-calls the public functions.
+calls the public functions and reads the public names.
 
 No linter is among the test dependencies, so the first check reads each
 module's syntax tree: a name an import binds must be read somewhere in
@@ -7,7 +7,9 @@ the module.  `__init__.py` is skipped, since it resolves the public API
 by name.  The second runs each command in a fresh interpreter and reads
 `sys.modules` after it.  The third reads the syntax trees of the
 package, the demos and the acceptance tests: each public function must
-be referred to there, outside its own definition.
+be referred to there, outside its own definition.  The fourth widens the
+third to every public name a module defines at its top level, read by
+the package, the demos or any test.
 """
 
 import ast
@@ -57,6 +59,7 @@ FOOTPRINTS = [
       "fibersdc.imagecodec"]),
     (["characterize", "--seconds-per-state", "0.01"],
      ["fibersdc.protocol", "fibersdc.imagecodec"]),
+    (["transfer"], ["fibersdc.capacity"]),
 ]
 
 _RUN_AND_LIST_MODULES = """
@@ -97,26 +100,50 @@ CALLER_SOURCES = [
 ]
 
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def references(tree: ast.AST, name: str) -> int:
     """How many names and attributes in `tree` read `name`, not counting
     those inside a definition of `name` itself."""
     count, todo = 0, [tree]
     while todo:
         node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
+        if isinstance(node, _DEFINITIONS) and node.name == name:
             continue
-        if isinstance(node, ast.Name) and node.id == name:
-            count += 1
-        elif isinstance(node, ast.Attribute) and node.attr == name:
-            count += 1
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            count += (node.id if isinstance(node, ast.Name) else node.attr) == name
         todo.extend(ast.iter_child_nodes(node))
     return count
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """The functions, classes and constants a module defines at its top
+    level, but not those whose names start with `_`."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, _DEFINITIONS):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
 
 
 def test_the_scan_skips_a_function_referring_to_itself():
     tree = ast.parse("def f(n):\n    return f(n - 1)\n\ndef g():\n    pass\n\nx.g()\n")
     assert references(tree, "f") == 0
     assert references(tree, "g") == 1
+
+
+def test_the_scan_counts_reads_of_constants_and_classes_only():
+    source = (
+        "A, _B = 1, 2\nC: int = A\nD = 3\nD += 1\n__all__ = []\n"
+        "class K:\n    def new(self):\n        return K()\n"
+    )
+    tree = ast.parse(source)
+    assert public_definitions(tree) == ["A", "C", "D", "K"]
+    assert [references(tree, name) for name in ("A", "C", "D", "K")] == [1, 0, 0, 0]
 
 
 def test_every_public_function_has_a_caller():
@@ -128,3 +155,19 @@ def test_every_public_function_has_a_caller():
     ]
     uncalled = [name for name in functions if not any(references(t, name) for t in trees)]
     assert uncalled == LIBRARY_ONLY
+
+
+def test_every_public_name_is_read():
+    readers = [
+        *sorted(PACKAGE.glob("*.py")),
+        *sorted((ROOT / "demos").glob("*.py")),
+        *sorted((ROOT / "tests").glob("*.py")),
+    ]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in readers]
+    unread = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if not any(references(tree, name) for tree in trees)
+    ]
+    assert unread == []

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from fibersdc.errors import ConfigError, StateError
+from fibersdc import interferometer
 from fibersdc.interferometer import (
     BRANCH_OUTCOMES,
+    BRANCH_VERDICTS,
+    LEAK_STATES,
+    OUTCOME_INDEX,
+    OUTCOME_VERDICT,
     OUTCOMES,
+    TARGET_STATES,
+    UNCORRELATED_DIST,
     VERDICTS,
     DetectionOutcome,
     InterferometerConfig,
@@ -297,6 +304,28 @@ def test_kernel_branches_are_disjoint_distributions():
     assert BRANCH_OUTCOMES.shape == (4, 2, len(OUTCOMES))
     assert np.allclose(BRANCH_OUTCOMES.sum(axis=-1), 1.0, atol=1e-12)
     assert not np.any((BRANCH_OUTCOMES[:, 0] > 0) & (BRANCH_OUTCOMES[:, 1] > 0))
+
+
+def _tabulate(pairs, size):
+    bins = [0.0] * size
+    for i, p in pairs:
+        bins[i] += p
+    return bins
+
+
+def test_kernel_tables_equal_sums_in_order():
+    # Seeded outputs depend on the tables' last bits, through the sampler's
+    # inverse-CDF table: each bin must be the sum of its terms in order.
+    clicks = interferometer._CLICK_PAIRS
+    want = _tabulate(((OUTCOME_INDEX[o], 1.0 / len(clicks)) for o in clicks), len(OUTCOMES))
+    assert UNCORRELATED_DIST.tolist() == want
+    for k, b in enumerate(BELL_ORDER):
+        for branch, state in enumerate((TARGET_STATES[b], LEAK_STATES[b])):
+            dist = measurement_distribution(state)
+            want = _tabulate(((OUTCOME_INDEX[o], p) for o, p in dist.items()), len(OUTCOMES))
+            assert BRANCH_OUTCOMES[k, branch].tolist() == want
+            verdicts = _tabulate(zip(OUTCOME_VERDICT.tolist(), want), len(VERDICTS))
+            assert BRANCH_VERDICTS[k, branch].tolist() == verdicts
 
 
 def test_kernel_matches_state_algebra_at_random_phases():

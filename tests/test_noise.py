@@ -346,31 +346,51 @@ def test_event_log_rejects_malformed_rows(tmp_path):
         read_event_log(path)
 
 
+# Row texts after the wall time that the writer never produces.
+_BAD_TAILS = [
+    "phi_pluss,A,H,A,V,0,phi_plus",  # unknown class label
+    "phi_plus,C,Q,B,V,9,phi_plus",  # no such outcome
+    "phi_plus,A,V,A,H,0,phi_plus",  # simultaneous clicks out of order
+    "phi_plus,A,H,A,V,0,psi_minus",  # verdict is not the outcome's
+    "phi_plus,A,H,A,V,0,ambiguous",
+    "phi_plus,A,H,A,V,0,phi_plus,extra",  # wrong field count
+    "phi_plus,A,H,A,V,phi_plus",
+]
+
+
 @pytest.mark.parametrize(
     "row",
     [
-        "1.0,phi_pluss,A,H,A,V,0,phi_plus",  # unknown class label
-        "1.0,phi_plus,C,Q,B,V,9,phi_plus",  # no such outcome
-        "1.0,phi_plus,A,V,A,H,0,phi_plus",  # simultaneous clicks out of order
-        "1.0,phi_plus,A,H,A,V,0,psi_minus",  # verdict is not the outcome's
-        "1.0,phi_plus,A,H,A,V,0,ambiguous",
+        *(f"1.0,{tail}" for tail in _BAD_TAILS),
         "soon,phi_plus,A,H,A,V,0,phi_plus",  # time is not a number
         "nan,phi_plus,A,H,A,V,0,phi_plus",
-        "1.0,phi_plus,A,H,A,V,0,phi_plus,extra",  # wrong field count
-        "1.0,phi_plus,A,H,A,V,phi_plus",
+        # times the writer never writes: it writes f"{t:.6f}" of a t >= 0
+        "1_0.5,phi_plus,A,H,A,V,0,phi_plus",
+        "+0.500000,phi_plus,A,H,A,V,0,phi_plus",
+        "0.5e0,phi_plus,A,H,A,V,0,phi_plus",
+        "0.5000000001,phi_plus,A,H,A,V,0,phi_plus",
+        "0.5,phi_plus,A,H,A,V,0,phi_plus",
+        "-1.000000,phi_plus,A,H,A,V,0,phi_plus",
     ],
 )
 def test_event_log_rejects_rows_the_writer_cannot_produce(tmp_path, row):
     path = tmp_path / "events.csv"
-    good = "0.5,phi_plus,A,H,A,V,0,phi_plus"
-    path.write_text(f"# a: b\n{noise._LOG_COLUMNS}\n{good}\n{row}\n{good}\n")
-    with pytest.raises(ConfigError, match=":4: "):
+    good = "0.500000,phi_plus,A,H,A,V,0,phi_plus"
+    # the bad row first, so that no earlier time hides a negative one
+    path.write_text(f"# a: b\n{noise._LOG_COLUMNS}\n{row}\n{good}\n")
+    with pytest.raises(ConfigError, match=":3: "):
         read_event_log(path)
     path.write_text(f"# a: b\n{noise._LOG_COLUMNS}\n{good}\n{good}\n")
     assert len(read_event_log(path)[0]) == 2  # equal times are allowed
 
 
-_ROW = "{},phi_plus,A,H,A,V,0,phi_plus"
+@pytest.mark.parametrize("tail", _BAD_TAILS)
+def test_event_log_rejects_tails_the_writer_cannot_produce(tail):
+    with pytest.raises(ConfigError):
+        noise._decode_row(f"1.000000,{tail}")
+
+
+_ROW = "{:.6f},phi_plus,A,H,A,V,0,phi_plus"
 
 
 @pytest.mark.parametrize(

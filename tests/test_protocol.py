@@ -37,9 +37,9 @@ NO_DRIFT = DriftConfig(sigma_rad_per_sqrt_s=0.0)
 
 
 def test_message_roundtrip():
-    msg = Message(MessageKind.RECEIPT, 77, b"hello")
+    msg = Message(MessageKind.RECEIPT, 77)
     wire = encode_message(msg)
-    assert wire[:4] == b"SDC1"
+    assert wire == b"SDC1\x03" + (77).to_bytes(4, "little")
     decoded, end = decode_message(wire)
     assert decoded == msg
     assert end == len(wire)
@@ -49,7 +49,7 @@ def test_decode_splits_concatenated_messages():
     msgs = [
         Message(MessageKind.SEND_REQUEST, 0),
         Message(MessageKind.ACKNOWLEDGE, 0),
-        Message(MessageKind.RECEIPT, 0, b"x"),
+        Message(MessageKind.RECEIPT, 0),
     ]
     buffer = b"".join(encode_message(m) for m in msgs)
     decoded, offset = [], 0
@@ -61,9 +61,10 @@ def test_decode_splits_concatenated_messages():
 
 
 def test_decode_incomplete_returns_none():
-    wire = encode_message(Message(MessageKind.SEND_REQUEST, 5, b"abc"))
+    wire = encode_message(Message(MessageKind.SEND_REQUEST, 5))
     assert decode_message(wire[:7]) is None
     assert decode_message(wire[:-1]) is None
+    assert decode_message(wire + wire[:-1], len(wire)) is None
 
 
 def test_decode_rejects_bad_magic_and_kind():
