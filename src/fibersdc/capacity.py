@@ -156,7 +156,7 @@ def bootstrap_spread(counts, resamples: int, rng: np.random.Generator) -> tuple[
     if resamples < 2:
         raise ConfigError("need at least 2 resamples")
     P = estimate_conditionals(m)
-    totals = m.sum(axis=1).astype(int)
+    totals = np.sum(counts, axis=1).astype(np.int64)  # exact for integer counts
     caps = np.empty(resamples)
     nonconverged = 0
     for start in range(0, resamples, BOOTSTRAP_BLOCK):
@@ -209,8 +209,10 @@ def load_reference_counts() -> np.ndarray:
 def load_counts(path) -> np.ndarray:
     """Read a whitespace-separated 4x4 integer count matrix.
 
-    `#` starts a comment; four data rows of four fields each are required.
+    `#` starts a comment; four data rows of four fields each are required,
+    and every entry and row total must fit in int64.
     """
+    int64 = np.iinfo(np.int64)
     rows = []
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -225,9 +227,12 @@ def load_counts(path) -> np.ndarray:
             if len(parts) != 4:
                 raise ConfigError(f"count rows need 4 entries, got: {raw!r}")
             try:
-                rows.append([int(p) for p in parts])
+                row = [int(p) for p in parts]
             except ValueError as exc:
                 raise ConfigError(f"bad count entry in line: {raw!r}") from exc
+            if min(row) < int64.min or max(*row, sum(row)) > int64.max:
+                raise ConfigError(f"count entry or row total beyond int64 in line: {raw!r}")
+            rows.append(row)
     if len(rows) != 4:
         raise ConfigError(f"expected 4 count rows, got {len(rows)}")
     return np.array(rows, dtype=np.int64)

@@ -11,9 +11,9 @@ The four settings classes live here, not in the layers that read them:
 
 Each layer re-exports the classes it reads, so
 `from fibersdc.noise import SourceConfig` still works.  This module
-imports nothing but `dataclasses` and `fibersdc.errors`, so the command
-line can build its parser and merge settings without loading the
-simulator.
+imports nothing but `math`, `dataclasses` and `fibersdc.errors`, so
+the command line can build its parser and merge settings without
+loading the simulator.
 
 Two operating points are bundled:
 
@@ -29,6 +29,7 @@ Two operating points are bundled:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, require_finite
@@ -56,6 +57,11 @@ class SourceConfig:
             raise ConfigError("source_fidelity must be in [0, 1]")
         if self.accidental_rate_hz < 0:
             raise ConfigError("accidental_rate_hz must be >= 0")
+        if not math.isfinite(self.total_rate_hz):
+            raise ConfigError(
+                "coincidence_rate_hz + accidental_rate_hz must be finite, "
+                f"got {self.total_rate_hz!r}"
+            )
 
     @property
     def total_rate_hz(self) -> float:

@@ -8,6 +8,7 @@ packed four to a byte, most significant pair first.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,6 @@ PALETTE = (
     (85, 85, 85),
     (0, 0, 0),
 )
-
-_RGB_TO_VALUE = {rgb: v for v, rgb in enumerate(PALETTE)}
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class ImageRaster:
                 f"pixel buffer has {len(self.pixels)} entries, "
                 f"expected {self.width * self.height}"
             )
-        if any(p > 3 for p in self.pixels):
+        if max(self.pixels) > 3:
             raise ConfigError("pixel values must be 0..3")
 
 
@@ -67,43 +66,37 @@ def pack_dibits(dibits) -> bytes:
 
 
 def unpack_dibits(data: bytes, count: int) -> list[int]:
-    if count > 4 * len(data):
+    """The first `count` dibits of `pack_dibits` output."""
+    if not 0 <= count <= 4 * len(data):
         raise ConfigError(f"cannot unpack {count} dibits from {len(data)} bytes")
-    out = []
-    for i in range(count):
-        byte = data[i // 4]
-        out.append((byte >> (6 - 2 * (i % 4))) & 0b11)
-    return out
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), count=2 * count)
+    return (2 * bits[0::2] + bits[1::2]).tolist()
 
 
 def image_fidelity(a: ImageRaster, b: ImageRaster) -> float:
     """Fraction of pixels that agree."""
     if (a.width, a.height) != (b.width, b.height):
         raise ConfigError("images must have equal dimensions")
-    same = sum(1 for x, y in zip(a.pixels, b.pixels) if x == y)
-    return same / len(a.pixels)
+    same = np.frombuffer(a.pixels, np.uint8) == np.frombuffer(b.pixels, np.uint8)
+    return int(np.count_nonzero(same)) / len(a.pixels)
 
 
 def write_ppm(path, image: ImageRaster) -> None:
-    lines = ["P3", f"{image.width} {image.height}", "255"]
-    for y in range(image.height):
-        row = image.pixels[y * image.width : (y + 1) * image.width]
-        lines.append(" ".join(" ".join(map(str, PALETTE[v])) for v in row))
+    texts = [" ".join(map(str, rgb)) for rgb in PALETTE]
+    w, px = image.width, image.pixels
+    rows = (" ".join(map(texts.__getitem__, px[i : i + w])) for i in range(0, len(px), w))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(["P3", f"{w} {image.height}", "255", *rows]) + "\n")
 
 
 def read_ppm(path) -> ImageRaster:
     """Parse a P3 PPM whose colors all belong to the fixed palette."""
-    tokens: list[str] = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read image {path}: {exc}") from exc
-    with fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0]
-            tokens.extend(line.split())
+    tokens = re.sub(r"#[^\n]*", "", text).split()
     if not tokens or tokens[0] != "P3":
         raise ConfigError("only plain-text P3 images are supported")
     if len(tokens) < 4:
@@ -114,21 +107,23 @@ def read_ppm(path) -> ImageRaster:
         raise ConfigError("bad image header") from exc
     if maxval != 255:
         raise ConfigError("palette images must use maxval 255")
-    channels = tokens[4:]
-    if len(channels) != 3 * width * height:
+    if len(tokens) - 4 != 3 * width * height:
         raise ConfigError(
-            f"expected {3 * width * height} channel values, got {len(channels)}"
+            f"expected {3 * width * height} channel values, got {len(tokens) - 4}"
         )
-    pixels = bytearray()
-    for i in range(width * height):
-        try:
-            rgb = tuple(int(c) for c in channels[3 * i : 3 * i + 3])
-        except ValueError as exc:
-            raise ConfigError("bad channel value") from exc
-        if rgb not in _RGB_TO_VALUE:
-            raise ConfigError(f"color {rgb} is not in the four-gray palette")
-        pixels.append(_RGB_TO_VALUE[rgb])
-    return ImageRaster(width, height, bytes(pixels))
+    try:
+        rgb = np.array(tokens[4:], dtype=np.int64).reshape(-1, 3)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError("bad channel value") from exc
+    # With every channel in 0..255, a color packs into one integer.
+    weights = np.array([1 << 16, 1 << 8, 1])
+    hit = (rgb * weights).sum(axis=1)[:, None] == (np.array(PALETTE) * weights).sum(axis=1)
+    bad = ~(((rgb >= 0) & (rgb <= 255)).all(axis=1) & hit.any(axis=1))
+    if bad.any():
+        color = tuple(rgb[bad.argmax()].tolist())
+        raise ConfigError(f"color {color} is not in the four-gray palette")
+    # the palette colors differ, so each pixel hits exactly one
+    return ImageRaster(width, height, np.nonzero(hit)[1].astype(np.uint8).tobytes())
 
 
 def make_demo_image() -> ImageRaster:
@@ -137,23 +132,14 @@ def make_demo_image() -> ImageRaster:
     A framed landscape: white sky, a light sun disk, two dark mountain
     ridges over haze, and rippled dark water.  Uses all four levels with
     uneven frequencies, which is the interesting case for transfer
-    statistics.
+    statistics.  The regions are painted back to front.
     """
     w, h = 100, 136
-    px = bytearray()
-    for y in range(h):
-        for x in range(w):
-            if x < 3 or x >= w - 3 or y < 3 or y >= h - 3:
-                v = 3
-            elif (x - 68) ** 2 + (y - 30) ** 2 <= 15**2:
-                v = 1
-            elif y < 72:
-                v = 0
-            elif y < 96:
-                ridge1 = abs(x - 30) <= (96 - y)
-                ridge2 = abs(x - 62) <= (96 - y) * 2 // 3
-                v = 2 if (ridge1 or ridge2) else (1 if y < 78 else 2)
-            else:
-                v = 3 if ((y + x // 7) % 4) else 1
-            px.append(v)
-    return ImageRaster(w, h, bytes(px))
+    y, x = np.ogrid[:h, :w]
+    ridge = (abs(x - 30) <= 96 - y) | (abs(x - 62) <= (96 - y) * 2 // 3)
+    v = np.where((y + x // 7) % 4, 3, 1)  # water
+    v = np.where(y < 96, np.where(ridge | (y >= 78), 2, 1), v)  # ridges over haze
+    v = np.where(y < 72, 0, v)  # sky
+    v = np.where((x - 68) ** 2 + (y - 30) ** 2 <= 15**2, 1, v)  # sun
+    v = np.where((x < 3) | (x >= w - 3) | (y < 3) | (y >= h - 3), 3, v)  # border
+    return ImageRaster(w, h, v.astype(np.uint8).tobytes())

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,8 +149,7 @@ def beamsplitter(state: TwoPhotonState) -> TwoPhotonState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class DetectionOutcome:
+class DetectionOutcome(NamedTuple):
     """Which two detectors fired and how many delay bins apart.
 
     For dt_bins > 0 `first` is the earlier photon; for dt_bins == 0 the

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ class MessageKind(enum.IntEnum):
     RECEIPT = 3
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     kind: MessageKind
     frame_index: int
 
@@ -188,19 +187,17 @@ class ReceiverMachine:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SessionStats:
+class SessionStats(NamedTuple):
     frames: int
     erasure_count: int
     timeout_count: int
     elapsed_s: float
     throughput_bits_per_s: float
     recalibrations: int
-    verdict_counts: dict[str, int] = field(default_factory=dict)
+    verdict_counts: dict[str, int]
 
 
-@dataclass
-class SessionResult:
+class SessionResult(NamedTuple):
     dibits: list[int]
     erasures: list[bool]
     stats: SessionStats

@@ -307,6 +307,20 @@ def test_bootstrap_counts_nonconverged_resamples(monkeypatch):
     assert nonconverged == 300
 
 
+def test_bootstrap_draws_the_exact_integer_row_totals():
+    # float row sums round 2**53 + 1 down and 2**63 - 1 up, past int64
+    counts = np.array([[2**63 - 1, 0, 0, 0], [2**53 + 1, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 5]])
+    totals = []
+
+    class Recorder:
+        def multinomial(self, n, pvals):
+            totals.append(n[0].tolist())
+            return np.random.default_rng(1).multinomial(n, pvals)
+
+    bootstrap_spread(counts, 2, Recorder())
+    assert totals == [[2**63 - 1, 2**53 + 1, 4, 5]]
+
+
 # ---------------------------------------------------------------------------
 # count files
 # ---------------------------------------------------------------------------

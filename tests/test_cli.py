@@ -205,6 +205,21 @@ def test_capacity_on_bundled_counts(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("row", [
+    f"{10**29} 1 1 1",  # an entry beyond int64
+    f"{2**62} {2**62} {2**62} {2**62}",  # a row total beyond int64
+    f"{2**63 - 1} 1 0 0",
+])
+def test_capacity_rejects_counts_beyond_int64_naming_the_line(tmp_path, capsys, row):
+    path = tmp_path / "counts.txt"
+    path.write_text(f"{row}\n" + "1 1 1 1\n" * 3)
+    rc = main([
+        "capacity", "--outdir", str(tmp_path), "--resamples", "10", "--counts", str(path),
+    ])
+    assert rc == 2
+    assert row in capsys.readouterr().err
+
+
 def test_capacity_missing_counts_file(tmp_path):
     rc = main([
         "capacity", "--outdir", str(tmp_path),
@@ -354,6 +369,18 @@ def test_subnormal_recalibration_period_exits_2_naming_the_key(tmp_path, capsys)
         ])
         assert rc == 2, command
         assert "recalibration_period_s must be at least 1e-6 s" in capsys.readouterr().err
+
+
+def test_overflowing_total_rate_exits_2_naming_both_keys(tmp_path, capsys):
+    # Each rate is finite and their sum is not.  Without the check
+    # characterize hangs rather than fails, so transfer alone runs here.
+    rc = main([
+        "transfer", "--outdir", str(tmp_path),
+        "--set", "coincidence_rate_hz=1e308", "--set", "accidental_rate_hz=1e308",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "coincidence_rate_hz" in err and "accidental_rate_hz" in err
 
 
 @pytest.mark.parametrize("command, key", [

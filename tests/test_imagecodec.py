@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -128,3 +129,45 @@ def test_demo_image_shape_and_payload():
     assert set(image.pixels) == {0, 1, 2, 3}
     assert len(pack_dibits(raster_to_dibits(image))) == 3_400
     assert make_demo_image() == image
+
+
+def test_unpack_rejects_a_negative_count():
+    with pytest.raises(ConfigError):
+        unpack_dibits(b"\x1b", -1)
+
+
+def test_write_ppm_exact_text(tmp_path):
+    rows = [[0, 1, 2], [3, 2, 1]]
+    image = ImageRaster(3, 2, bytes(rows[0] + rows[1]))
+    write_ppm(tmp_path / "img.ppm", image)
+    body = "".join(
+        " ".join(" ".join(str(c) for c in PALETTE[v]) for v in row) + "\n" for row in rows
+    )
+    assert (tmp_path / "img.ppm").read_text() == "P3\n3 2\n255\n" + body
+
+
+def test_demo_image_pixels_are_pinned():
+    # recorded from the per-pixel construction this scene was first drawn with
+    digest = hashlib.sha256(make_demo_image().pixels).hexdigest()
+    assert digest == "d0d41ef8cbf9c045ce43262d819567916bd1ea68625900cdc2628ec548cb189e"
+
+
+def test_ppm_comments_end_at_the_line_break(tmp_path):
+    path = tmp_path / "img.ppm"
+    path.write_text("P3 # plain\n2 1\n255#max\n0 0 0 # 1 2 3\n85 85 85\n")
+    assert read_ppm(path) == ImageRaster(2, 1, bytes([3, 2]))
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [
+        "99999999999999999999 255 255",  # beyond int64
+        "256 -1 255",  # packs to white's integer 0xFFFFFF
+        "255 255 255.0",
+    ],
+)
+def test_ppm_rejects_channels_outside_0_to_255(tmp_path, channels):
+    path = tmp_path / "bad.ppm"
+    path.write_text(f"P3\n1 1\n255\n{channels}\n")
+    with pytest.raises(ConfigError):
+        read_ppm(path)

@@ -50,6 +50,7 @@ def _default_schedule(seconds=SECONDS_PER_STATE):
         {"source_fidelity": 1.2},
         {"source_fidelity": -0.1},
         {"accidental_rate_hz": -1.0},
+        {"coincidence_rate_hz": 1e308, "accidental_rate_hz": 1e308},  # an infinite total
     ],
 )
 def test_source_config_rejects_bad_values(kwargs):
