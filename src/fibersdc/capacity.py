@@ -215,24 +215,24 @@ def load_counts(path) -> np.ndarray:
     int64 = np.iinfo(np.int64)
     rows = []
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read counts file {path}: {exc}") from exc
-    with fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ConfigError(f"count rows need 4 entries, got: {raw!r}")
-            try:
-                row = [int(p) for p in parts]
-            except ValueError as exc:
-                raise ConfigError(f"bad count entry in line: {raw!r}") from exc
-            if min(row) < int64.min or max(*row, sum(row)) > int64.max:
-                raise ConfigError(f"count entry or row total beyond int64 in line: {raw!r}")
-            rows.append(row)
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ConfigError(f"count rows need 4 entries, got: {raw!r}")
+        try:
+            row = [int(p) for p in parts]
+        except ValueError as exc:
+            raise ConfigError(f"bad count entry in line: {raw!r}") from exc
+        if min(row) < int64.min or max(*row, sum(row)) > int64.max:
+            raise ConfigError(f"count entry or row total beyond int64 in line: {raw!r}")
+        rows.append(row)
     if len(rows) != 4:
         raise ConfigError(f"expected 4 count rows, got {len(rows)}")
     return np.array(rows, dtype=np.int64)

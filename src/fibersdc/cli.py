@@ -82,7 +82,7 @@ def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
     if config_file is not None:
         try:
             text = Path(config_file).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {config_file}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()

@@ -91,6 +91,13 @@ class DriftConfig:
         require_finite(self)
         if self.sigma_rad_per_sqrt_s < 0:
             raise ConfigError("sigma_rad_per_sqrt_s must be >= 0")
+        # Larger values overflow the walk into NaN phases, which never leak,
+        # and describe no other link: the analyzer repeats every 2 pi in a
+        # loop phase, and 1e6 rad/sqrt(s) spreads it ~1e3 rad per microsecond.
+        if self.sigma_rad_per_sqrt_s > 1e6:
+            raise ConfigError("sigma_rad_per_sqrt_s must be at most 1e6")
+        if abs(self.recalibration_residual_rad) > math.pi:
+            raise ConfigError("recalibration_residual_rad must be within [-pi, pi]")
         # No servo runs faster, and a tiny period overflows the walk's
         # period count.
         if self.recalibration_period_s < 1e-6:

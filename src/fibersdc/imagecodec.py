@@ -94,7 +94,7 @@ def read_ppm(path) -> ImageRaster:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read image {path}: {exc}") from exc
     tokens = re.sub(r"#[^\n]*", "", text).split()
     if not tokens or tokens[0] != "P3":

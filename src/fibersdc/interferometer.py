@@ -51,7 +51,6 @@ from .configs import InterferometerConfig
 from .errors import StateError
 from .states import (
     BELL_ORDER,
-    BELL_BY_LABEL,
     H,
     OUTPUT_PORTS,
     POLARIZATIONS,
@@ -59,9 +58,9 @@ from .states import (
     BellState,
     PhotonMode,
     TwoPhotonState,
+    apply_single_photon_map,
     make_bell,
     overlap,
-    pair_key,
     parse_state,
 )
 
@@ -75,31 +74,13 @@ _R8 = 1.0 / math.sqrt(8.0)
 # ---------------------------------------------------------------------------
 
 
-def _apply_single_photon_map(state, mapping):
-    """Apply a single-photon linear map to both photons of each pair.
-
-    `mapping` sends a mode to a list of (mode, amplitude) images; modes not
-    in the mapping pass through unchanged.  Pair amplitudes are converted
-    to creation-operator coefficients (a factor 1/sqrt(2) on doubly
-    occupied modes), transformed photon by photon, and converted back, so
-    bunched terms keep the right normalization.
-    """
-
-    def images(m):
-        return mapping.get(m, [(m, 1.0)])
-
-    out: dict = {}
-    for (m1, m2), amp in state.items():
-        coeff = amp / _SQ2 if m1 == m2 else amp
-        for n1, c1 in images(m1):
-            for n2, c2 in images(m2):
-                k = pair_key(n1, n2)
-                out[k] = out.get(k, 0.0) + coeff * c1 * c2
-    # back to pair amplitudes
-    fixed = {}
-    for (n1, n2), c in out.items():
-        fixed[(n1, n2)] = c * _SQ2 if n1 == n2 else c
-    return TwoPhotonState(fixed)
+# (input port, polarization) -> its (output port, amplitude) images
+_COUPLER = {
+    ("0", H): (("2", _R2), ("3", 1j * _R2)),
+    ("1", H): (("2", 1j * _R2), ("3", _R2)),
+    ("0", V): (("2", -1j * _R2), ("3", _R2)),
+    ("1", V): (("2", _R2), ("3", -1j * _R2)),
+}
 
 
 def beamsplitter(state: TwoPhotonState) -> TwoPhotonState:
@@ -121,27 +102,14 @@ def beamsplitter(state: TwoPhotonState) -> TwoPhotonState:
     classes bunch with identical output statistics, which is exactly the
     partial distinguishability a polarization-blind coupler provides.
     """
-    i0, i1, o0, o1 = "0", "1", "2", "3"
-    mapping = {}
-    tbins = {m.t for m in state.modes() if m.port in (i0, i1)}
-    for t in tbins:
-        mapping[PhotonMode(i0, H, t)] = [
-            (PhotonMode(o0, H, t), _R2),
-            (PhotonMode(o1, H, t), 1j * _R2),
-        ]
-        mapping[PhotonMode(i1, H, t)] = [
-            (PhotonMode(o0, H, t), 1j * _R2),
-            (PhotonMode(o1, H, t), _R2),
-        ]
-        mapping[PhotonMode(i0, V, t)] = [
-            (PhotonMode(o0, V, t), -1j * _R2),
-            (PhotonMode(o1, V, t), _R2),
-        ]
-        mapping[PhotonMode(i1, V, t)] = [
-            (PhotonMode(o0, V, t), _R2),
-            (PhotonMode(o1, V, t), -1j * _R2),
-        ]
-    return _apply_single_photon_map(state, mapping)
+
+    def images(m):
+        outputs = _COUPLER.get((m.port, m.pol))
+        if outputs is None:
+            return [(m, 1.0)]
+        return [(PhotonMode(port, m.pol, m.t), c) for port, c in outputs]
+
+    return apply_single_photon_map(state, images)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +183,6 @@ def verdict_label(verdict: BellState | None) -> str:
 _A, _B = "A", "B"
 
 
-def _tps(pairs) -> TwoPhotonState:
-    return TwoPhotonState({(PhotonMode(*m1), PhotonMode(*m2)): a for (m1, m2), a in pairs})
-
-
 def _target_states() -> dict[BellState, TwoPhotonState]:
     """Calibrated output signature for each Bell class.
 
@@ -229,15 +193,15 @@ def _target_states() -> dict[BellState, TwoPhotonState]:
     terms in quadrature.
     """
     t = {}
-    t[BellState.PHI_PLUS] = _tps([
+    t[BellState.PHI_PLUS] = TwoPhotonState([
         (((_A, H, 0), (_A, V, 0)), _R2),
         (((_B, H, 0), (_B, V, 0)), _R2),
     ])
-    t[BellState.PHI_MINUS] = _tps([
+    t[BellState.PHI_MINUS] = TwoPhotonState([
         (((_A, H, 0), (_B, H, 0)), _R2),
         (((_A, V, 0), (_B, V, 0)), -_R2),
     ])
-    t[BellState.PSI_PLUS] = _tps([
+    t[BellState.PSI_PLUS] = TwoPhotonState([
         (((_A, H, 0), (_B, H, 1)), _R8),
         (((_A, H, 1), (_B, H, 0)), _R8),
         (((_A, V, 0), (_B, V, 1)), _R8),
@@ -247,7 +211,7 @@ def _target_states() -> dict[BellState, TwoPhotonState]:
         (((_A, V, 0), (_B, H, 1)), _R8),
         (((_A, V, 1), (_B, H, 0)), -_R8),
     ])
-    t[BellState.PSI_MINUS] = _tps([
+    t[BellState.PSI_MINUS] = TwoPhotonState([
         (((_A, H, 0), (_A, V, 2)), _R8),
         (((_A, H, 2), (_A, V, 0)), _R8),
         (((_B, H, 0), (_B, V, 2)), -_R8),
@@ -280,19 +244,19 @@ def _leak_states() -> dict[BellState, TwoPhotonState]:
     wa = math.sqrt(LEAK_TO_PHI_MINUS)
     wr = math.sqrt(1.0 - LEAK_TO_PHI_MINUS)
     leak = {}
-    leak[BellState.PHI_PLUS] = _tps([
+    leak[BellState.PHI_PLUS] = TwoPhotonState([
         (((_A, H, 0), (_A, V, 1)), _R2),
         (((_B, H, 0), (_B, V, 1)), _R2),
     ])
-    leak[BellState.PHI_MINUS] = _tps([
+    leak[BellState.PHI_MINUS] = TwoPhotonState([
         (((_A, H, 1), (_A, V, 0)), _R2),
         (((_B, H, 1), (_B, V, 0)), _R2),
     ])
-    leak[BellState.PSI_MINUS] = _tps([
+    leak[BellState.PSI_MINUS] = TwoPhotonState([
         (((_A, H, 0), (_B, H, 2)), _R2),
         (((_A, V, 0), (_B, V, 2)), _R2),
     ])
-    leak[BellState.PSI_PLUS] = _tps([
+    leak[BellState.PSI_PLUS] = TwoPhotonState([
         (((_A, H, 0), (_B, H, 0)), wa * _R2),
         (((_A, V, 0), (_B, V, 0)), wa * _R2),
         (((_A, H, 0), (_A, H, 1)), wr * 0.5),
@@ -306,29 +270,20 @@ def _leak_states() -> dict[BellState, TwoPhotonState]:
 TARGET_STATES = _target_states()
 LEAK_STATES = _leak_states()
 
-# Interference depth per class: the detuned fraction of the class
-# amplitude that rides the phase-dependent path family.  At depth v the
-# worst-case probability remaining on the calibrated signature is
-# (1-2v)^2.  Fitted jointly with LEAK_TO_PHI_MINUS to bench confusion
-# rates; PHI_MINUS and PSI_PLUS traverse path pairs that nearly share
-# loops and so are the least sensitive.
-CAL_DEPTH = {
-    BellState.PHI_MINUS: 0.0644,
-    BellState.PHI_PLUS: 0.2031,
-    BellState.PSI_MINUS: 0.2359,
-    BellState.PSI_PLUS: 0.0643,
-}
+# Interference depth per class, indexed like BELL_ORDER: the detuned
+# fraction of the class amplitude that rides the phase-dependent path
+# family.  At depth v the worst-case probability remaining on the
+# calibrated signature is (1-2v)^2.  Fitted jointly with LEAK_TO_PHI_MINUS
+# to bench confusion rates; PHI_MINUS and PSI_PLUS traverse path pairs
+# that nearly share loops and so are the least sensitive.
+CAL_DEPTH = np.array([0.0644, 0.2031, 0.2359, 0.0643])
 
 
-# Net loop traversals (short, long) separating the two interfering path
-# families of each class: both loops twice for PHI_MINUS, the short loop
-# twice for PHI_PLUS and PSI_MINUS, the long loop twice for PSI_PLUS.
-LOOP_TRAVERSALS = {
-    BellState.PHI_MINUS: (2, 2),
-    BellState.PHI_PLUS: (2, 0),
-    BellState.PSI_MINUS: (2, 0),
-    BellState.PSI_PLUS: (0, 2),
-}
+# Net loop traversals (short, long), indexed like BELL_ORDER, separating
+# the two interfering path families of each class: both loops twice for
+# PHI_MINUS, the short loop twice for PHI_PLUS and PSI_MINUS, the long
+# loop twice for PSI_PLUS.
+LOOP_TRAVERSALS = np.array([(2, 2), (2, 0), (2, 0), (0, 2)], dtype=float)
 
 
 def _phase_monomial(which: BellState, alpha: complex, beta: complex) -> complex:
@@ -337,7 +292,7 @@ def _phase_monomial(which: BellState, alpha: complex, beta: complex) -> complex:
     alpha and beta are the per-traversal phase factors of the short and
     long loop, raised to the class's `LOOP_TRAVERSALS`.
     """
-    short, long = LOOP_TRAVERSALS[which]
+    short, long = LOOP_TRAVERSALS[which.index].tolist()
     return alpha**short * beta**long
 
 
@@ -367,7 +322,7 @@ def evolve_bsm(state: TwoPhotonState, config: InterferometerConfig) -> TwoPhoton
         c = overlap(make_bell(which), state)
         if abs(c) < 1e-15:
             continue
-        v = CAL_DEPTH[which]
+        v = CAL_DEPTH.item(which.index)
         u = 1.0 - v
         m = _phase_monomial(which, alpha, beta)
         f = u + v * m
@@ -389,21 +344,19 @@ def measurement_distribution(state: TwoPhotonState) -> dict[DetectionOutcome, fl
     """
     if abs(state.norm() - 1.0) > 1e-6:
         raise StateError("measurement_distribution expects a normalized state")
-    reduced: dict[tuple[PhotonMode, PhotonMode], complex] = {}
-    for (m1, m2), a in state.items():
+
+    def shifted(m1, m2):
         shift = min(m1.t, m2.t)
-        k = pair_key(
-            PhotonMode(m1.port, m1.pol, m1.t - shift),
-            PhotonMode(m2.port, m2.pol, m2.t - shift),
-        )
-        reduced[k] = reduced.get(k, 0.0) + a
+        return m1._replace(t=m1.t - shift), m2._replace(t=m2.t - shift)
+
+    # A reduced pair and its outcome determine each other, so the outcome
+    # probabilities need no second sum.
+    reduced = TwoPhotonState((shifted(m1, m2), a) for (m1, m2), a in state.items())
     dist: dict[DetectionOutcome, float] = {}
     for (m1, m2), a in reduced.items():
         p = abs(a) ** 2
-        if p < 1e-15:
-            continue
-        outc = DetectionOutcome.from_modes(m1, m2)
-        dist[outc] = dist.get(outc, 0.0) + p
+        if p >= 1e-15:
+            dist[DetectionOutcome.from_modes(m1, m2)] = p
     return dist
 
 
@@ -481,10 +434,6 @@ BRANCH_VERDICTS = np.array(
 )
 """The same two distributions per class over VERDICTS."""
 
-_DEPTH = np.array([CAL_DEPTH[b] for b in BELL_ORDER])
-_TRAVERSALS = np.array([LOOP_TRAVERSALS[b] for b in BELL_ORDER], dtype=float)
-
-
 def leak_weight(which, phi0, phi1):
     """Probability that class `which` leaves its target signature at loop
     phases (phi0, phi1): 2 v (1 - v) (1 - cos theta).
@@ -492,8 +441,8 @@ def leak_weight(which, phi0, phi1):
     `which` indexes BELL_ORDER; it and the phases may be scalars or arrays
     that broadcast together.  theta is the phase of `_phase_monomial`.
     """
-    v = _DEPTH[which]
-    theta = _TRAVERSALS[which, 0] * phi0 + _TRAVERSALS[which, 1] * phi1
+    v = CAL_DEPTH[which]
+    theta = LOOP_TRAVERSALS[which, 0] * phi0 + LOOP_TRAVERSALS[which, 1] * phi1
     return 2.0 * v * (1.0 - v) * (1.0 - np.cos(theta))
 
 
@@ -537,7 +486,4 @@ def load_reference_outputs() -> dict[BellState, TwoPhotonState]:
             current = sections.setdefault(stripped[1:-1], [])
         elif current is not None:
             current.append(line)
-    out = {}
-    for label, lines in sections.items():
-        out[BELL_BY_LABEL[label]] = parse_state(lines)
-    return out
+    return {BellState(label): parse_state(lines) for label, lines in sections.items()}

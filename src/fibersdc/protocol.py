@@ -224,7 +224,8 @@ def _window_closes(gap: np.ndarray, timing: TimingConfig) -> np.ndarray:
     clock[:, 3] = timing.encoder_settle_s
     clock[:, 4] = np.minimum(gap, timing.frame_window_s)
     clock[:1, 0] = 0.0
-    np.cumsum(clock, out=clock.reshape(-1))
+    with np.errstate(over="ignore"):  # run_session refuses an infinite close
+        np.cumsum(clock, out=clock.reshape(-1))
     return clock[:, 4].copy()
 
 
@@ -259,6 +260,11 @@ def run_session(
     gap = rng_arr.exponential(1.0 / source_cfg.total_rate_hz, n)
     timed_out = gap >= timing.frame_window_s
     closes = _window_closes(gap, timing)
+    op_time = float(closes[-1]) + timing.message_latency_s if n else 0.0
+    if not math.isfinite(op_time):
+        raise ConfigError(
+            "session time overflows; lower message_latency_s, encoder_settle_s or frame_window_s"
+        )
 
     # quantum pass: every detection in one draw, in frame order
     detected = ~timed_out
@@ -272,8 +278,7 @@ def run_session(
     # Every period boundary up to the last window close is a recalibration,
     # by the walk's own floor rule, whether or not a detection follows it.
     recalibrations = math.floor(closes[-1] / drift_cfg.recalibration_period_s) if n else 0
-    op_time = closes[-1] + timing.message_latency_s if n else 0.0
-    elapsed = float(op_time + recalibrations * timing.recalibration_pause_s)
+    elapsed = op_time + recalibrations * timing.recalibration_pause_s
     throughput = (2.0 * n / elapsed) if elapsed > 0 else 0.0
     stats = SessionStats(
         frames=n,

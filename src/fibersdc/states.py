@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import StateError
 
@@ -65,8 +66,6 @@ BELL_ORDER = (
     BellState.PSI_PLUS,
 )
 
-BELL_BY_LABEL = {b.value: b for b in BellState}
-
 
 def pair_key(m1: PhotonMode, m2: PhotonMode) -> tuple[PhotonMode, PhotonMode]:
     """Canonical (sorted) form of an unordered mode pair."""
@@ -76,17 +75,16 @@ def pair_key(m1: PhotonMode, m2: PhotonMode) -> tuple[PhotonMode, PhotonMode]:
 
 
 class TwoPhotonState:
-    """Immutable-by-convention container of pair amplitudes, built from a
-    mapping of mode pairs to amplitudes (none for the empty state)."""
+    """Immutable-by-convention container of pair amplitudes, built from
+    ((m1, m2), amplitude) terms; terms on one unordered pair add up."""
 
     __slots__ = ("_amp",)
 
-    def __init__(self, amplitudes: Mapping | None = None):
+    def __init__(self, terms: Iterable = ()):
         amp: dict[tuple[PhotonMode, PhotonMode], complex] = {}
-        if amplitudes:
-            for (m1, m2), a in amplitudes.items():
-                k = pair_key(m1, m2)
-                amp[k] = amp.get(k, 0.0) + complex(a)
+        for (m1, m2), a in terms:
+            k = pair_key(m1, m2)
+            amp[k] = amp.get(k, 0.0) + complex(a)
         self._amp = {k: a for k, a in amp.items() if abs(a) > _PRUNE_TOL}
 
     def items(self) -> Iterator[tuple[tuple[PhotonMode, PhotonMode], complex]]:
@@ -95,24 +93,14 @@ class TwoPhotonState:
     def amplitude(self, m1: PhotonMode, m2: PhotonMode) -> complex:
         return self._amp.get(pair_key(m1, m2), 0.0 + 0.0j)
 
-    def modes(self) -> set[PhotonMode]:
-        out: set[PhotonMode] = set()
-        for m1, m2 in self._amp:
-            out.add(m1)
-            out.add(m2)
-        return out
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self._amp.values()))
 
     def scaled(self, c: complex) -> "TwoPhotonState":
-        return TwoPhotonState({k: a * c for k, a in self._amp.items()})
+        return TwoPhotonState((k, a * c) for k, a in self._amp.items())
 
     def added(self, other: "TwoPhotonState") -> "TwoPhotonState":
-        amp = dict(self._amp)
-        for k, a in other._amp.items():
-            amp[k] = amp.get(k, 0.0) + a
-        return TwoPhotonState(amp)
+        return TwoPhotonState(chain(self._amp.items(), other._amp.items()))
 
     def __len__(self) -> int:
         return len(self._amp)
@@ -163,7 +151,27 @@ def make_bell(which: BellState) -> TwoPhotonState:
         data = {(h0, v1): r, (v0, h1): r}
     else:
         data = {(h0, v1): r, (v0, h1): -r}
-    return TwoPhotonState(data)
+    return TwoPhotonState(data.items())
+
+
+def apply_single_photon_map(state: TwoPhotonState, images: Callable) -> TwoPhotonState:
+    """Apply a single-photon linear map to both photons of each pair.
+
+    `images(mode)` lists the (mode, amplitude) images of one photon.  Pair
+    amplitudes are converted to creation-operator coefficients (a factor
+    1/sqrt(2) on doubly occupied modes), transformed photon by photon, and
+    converted back, so bunched terms keep the right normalization.
+    """
+
+    def terms():
+        for (m1, m2), amp in state.items():
+            coeff = amp / _SQ2 if m1 == m2 else amp
+            for n1, c1 in images(m1):
+                for n2, c2 in images(m2):
+                    c = coeff * c1 * c2
+                    yield (n1, n2), c * _SQ2 if n1 == n2 else c
+
+    return TwoPhotonState(terms())
 
 
 def apply_pauli(state: TwoPhotonState, gate: str, port: str) -> TwoPhotonState:
@@ -176,21 +184,15 @@ def apply_pauli(state: TwoPhotonState, gate: str, port: str) -> TwoPhotonState:
         return state
     if gate not in ("X", "Z"):
         raise StateError(f"unknown gate {gate!r}, expected I, X or Z")
-    out: dict[tuple[PhotonMode, PhotonMode], complex] = {}
-    for (m1, m2), a in state.items():
-        mm = []
-        for m in (m1, m2):
-            if m.port != port:
-                mm.append(m)
-            elif gate == "X":
-                mm.append(PhotonMode(m.port, V if m.pol == H else H, m.t))
-            else:
-                if m.pol == V:
-                    a = -a
-                mm.append(m)
-        k = pair_key(mm[0], mm[1])
-        out[k] = out.get(k, 0.0) + a
-    return TwoPhotonState(out)
+
+    def images(m):
+        if m.port != port:
+            return [(m, 1.0)]
+        if gate == "X":
+            return [(m._replace(pol=V if m.pol == H else H), 1.0)]
+        return [(m, -1.0 if m.pol == V else 1.0)]
+
+    return apply_single_photon_map(state, images)
 
 
 # Dibit encoding on the second source port.  Gates are listed in the order
@@ -245,7 +247,7 @@ def dump_state(state: TwoPhotonState) -> str:
 def parse_state(text: str | Iterable[str]) -> TwoPhotonState:
     """Inverse of dump_state.  Blank lines and `#` comments are ignored."""
     lines = text.splitlines() if isinstance(text, str) else list(text)
-    amp: dict[tuple[PhotonMode, PhotonMode], complex] = {}
+    terms = []
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -264,6 +266,5 @@ def parse_state(text: str | Iterable[str]) -> TwoPhotonState:
                 raise StateError(f"bad polarization in line: {raw!r}")
             if m.t < 0:
                 raise StateError(f"negative time bin in line: {raw!r}")
-        k = pair_key(m1, m2)
-        amp[k] = amp.get(k, 0.0) + a
-    return TwoPhotonState(amp)
+        terms.append(((m1, m2), a))
+    return TwoPhotonState(terms)

@@ -383,6 +383,16 @@ def test_overflowing_total_rate_exits_2_naming_both_keys(tmp_path, capsys):
     assert "coincidence_rate_hz" in err and "accidental_rate_hz" in err
 
 
+@pytest.mark.parametrize("key", ["message_latency_s", "encoder_settle_s"])
+def test_overflowing_transfer_timeline_exits_2_naming_the_timing_keys(tmp_path, capsys, key):
+    # One step is finite and the window closes summed over the session
+    # are not; without the check the period count fails on infinity.
+    rc = main(["transfer", "--outdir", str(tmp_path), "--set", f"{key}=1e308"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(k in err for k in ("message_latency_s", "encoder_settle_s", "frame_window_s"))
+
+
 @pytest.mark.parametrize("command, key", [
     ("characterize", "message_latency_s"),
     ("characterize", "seconds_per_state"),
@@ -411,6 +421,19 @@ def test_unusable_outdir_exits_2_naming_it(tmp_path, capsys, target):
     outdir = tmp_path / target
     assert main(["capacity", "--resamples", "10", "--outdir", str(outdir)]) == 2
     assert f"output directory {outdir}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("transfer", "--image"), ("capacity", "--counts"), ("characterize", "--config"),
+])
+def test_input_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command, option):
+    path = tmp_path / "binary.ppm"
+    path.write_bytes(b"P6\n2 1\n255\n\xff\x00\x00\xff\x00\x00")
+    rc = main([
+        command, "--outdir", str(tmp_path), *QUICK_RUN.get(command, []), option, str(path),
+    ])
+    assert rc == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_bad_config_file_line(tmp_path):

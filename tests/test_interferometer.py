@@ -139,6 +139,21 @@ def test_beamsplitter_preserves_inner_products(rng):
         assert beamsplitter(a).norm() == pytest.approx(a.norm(), abs=1e-10)
 
 
+def test_beamsplitter_on_two_photons_in_one_input_port():
+    # The doubly occupied input and the bunched outputs carry the sqrt(2)
+    # between pair amplitudes and creation-operator coefficients.
+    both_in_0 = TwoPhotonState([((PhotonMode("0", "H", 0), PhotonMode("0", "H", 0)), 1.0)])
+    out = beamsplitter(both_in_0)
+    expect = {
+        (PhotonMode("2", "H", 0), PhotonMode("2", "H", 0)): 0.5,
+        (PhotonMode("2", "H", 0), PhotonMode("3", "H", 0)): 1j * R2,
+        (PhotonMode("3", "H", 0), PhotonMode("3", "H", 0)): -0.5,
+    }
+    assert len(out) == len(expect)
+    for (m1, m2), amp in expect.items():
+        assert out.amplitude(m1, m2) == pytest.approx(amp, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the analyzer map
 # ---------------------------------------------------------------------------
@@ -156,14 +171,14 @@ def test_evolve_matches_reference_file_bit_exact():
 def test_evolve_rejects_bad_support():
     cfg = InterferometerConfig()
     both_same_port = TwoPhotonState(
-        {(PhotonMode("0", "H", 0), PhotonMode("0", "V", 0)): 1.0}
+        [((PhotonMode("0", "H", 0), PhotonMode("0", "V", 0)), 1.0)]
     )
     with pytest.raises(StateError):
         evolve_bsm(both_same_port, cfg)
-    late = TwoPhotonState({(PhotonMode("0", "H", 1), PhotonMode("1", "V", 1)): 1.0})
+    late = TwoPhotonState([((PhotonMode("0", "H", 1), PhotonMode("1", "V", 1)), 1.0)])
     with pytest.raises(StateError):
         evolve_bsm(late, cfg)
-    wrong_ports = TwoPhotonState({(PhotonMode("A", "H", 0), PhotonMode("B", "V", 0)): 1.0})
+    wrong_ports = TwoPhotonState([((PhotonMode("A", "H", 0), PhotonMode("B", "V", 0)), 1.0)])
     with pytest.raises(StateError):
         evolve_bsm(wrong_ports, cfg)
 
@@ -254,10 +269,10 @@ def test_distribution_sums_to_one_at_random_phases(rng):
 def test_distribution_ignores_global_time_translation():
     cfg = InterferometerConfig()
     state = evolve_bsm(make_bell(BellState.PSI_PLUS), cfg)
-    shifted = TwoPhotonState({
-        (PhotonMode(m1.port, m1.pol, m1.t + 1), PhotonMode(m2.port, m2.pol, m2.t + 1)): amp
+    shifted = TwoPhotonState(
+        ((PhotonMode(m1.port, m1.pol, m1.t + 1), PhotonMode(m2.port, m2.pol, m2.t + 1)), amp)
         for (m1, m2), amp in state.items()
-    })
+    )
     a = measurement_distribution(state)
     b = measurement_distribution(shifted)
     assert set(a) == set(b)

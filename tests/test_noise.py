@@ -63,10 +63,15 @@ def test_source_config_rejects_bad_values(kwargs):
     [
         {"sigma_rad_per_sqrt_s": -0.5},
         {"recalibration_period_s": 0.0},
+        # these overflow the phase walk into NaN phases
+        {"sigma_rad_per_sqrt_s": 1e308},
+        {"recalibration_residual_rad": 1e308},
+        {"recalibration_residual_rad": -1e308},
     ],
 )
 def test_drift_config_rejects_bad_values(kwargs):
-    with pytest.raises(ConfigError):
+    (key,) = kwargs
+    with pytest.raises(ConfigError, match=key):
         DriftConfig(**kwargs)
 
 

@@ -44,7 +44,7 @@ def _state_of(vec):
     for i, p0 in enumerate("HV"):
         for j, p1 in enumerate("HV"):
             amp[(PhotonMode("0", p0, 0), PhotonMode("1", p1, 0))] = vec[2 * i + j]
-    return TwoPhotonState(amp)
+    return TwoPhotonState(amp.items())
 
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,6 +81,13 @@ def test_apply_pauli_matches_matrix_algebra(gate, matrix, port, kron_side):
         np.testing.assert_allclose(got, big @ vec, atol=1e-12)
 
 
+def test_apply_pauli_on_two_photons_in_one_port():
+    h1, v1 = PhotonMode("1", "H", 0), PhotonMode("1", "V", 0)
+    out = apply_pauli(TwoPhotonState([((h1, h1), 1.0)]), "X", "1")
+    assert len(out) == 1
+    assert out.amplitude(v1, v1) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_apply_pauli_rejects_unknown_gate():
     with pytest.raises(StateError):
         apply_pauli(make_bell(BellState.PHI_PLUS), "Y", "1")
@@ -107,7 +114,7 @@ def test_pair_key_is_unordered():
     m1 = PhotonMode("B", "V", 2)
     m2 = PhotonMode("A", "H", 0)
     assert pair_key(m1, m2) == pair_key(m2, m1)
-    state = TwoPhotonState({(m1, m2): 0.5, (m2, m1): 0.5})
+    state = TwoPhotonState([((m1, m2), 0.5), ((m2, m1), 0.5)])
     assert state.amplitude(m1, m2) == pytest.approx(1.0)
 
 
@@ -142,7 +149,7 @@ def test_dump_parse_roundtrip(rng):
             m1 = PhotonMode(rng.choice(["A", "B"]), rng.choice(["H", "V"]), int(rng.integers(0, 4)))
             m2 = PhotonMode(rng.choice(["A", "B"]), rng.choice(["H", "V"]), int(rng.integers(0, 4)))
             amp[(m1, m2)] = complex(rng.normal(), rng.normal())
-        state = TwoPhotonState(amp)
+        state = TwoPhotonState(amp.items())
         again = parse_state(dump_state(state))
         assert dump_state(again) == dump_state(state)
         assert abs(overlap(state, again) - state.norm() ** 2) < 1e-9
