@@ -33,10 +33,10 @@ _EXPORTS = {
         "pack_dibits", "raster_to_dibits", "read_ppm", "unpack_dibits", "write_ppm",
     ),
     "interferometer": (
-        "DetectionOutcome", "beamsplitter", "classify", "evolve_bsm",
-        "load_reference_outputs", "measurement_distribution", "verdict_distribution",
-        "verdict_label",
+        "beamsplitter", "classify", "evolve_bsm", "load_reference_outputs",
+        "measurement_distribution", "verdict_distribution",
     ),
+    "kernel": ("BELL_ORDER", "BellState", "DetectionOutcome", "verdict_label"),
     "noise": ("PhaseWalk", "generate_event_stream", "read_event_log", "tally_verdicts"),
     "protocol": (
         "Message", "MessageKind", "ReceiverMachine", "SenderMachine", "SessionResult",
@@ -44,9 +44,8 @@ _EXPORTS = {
     ),
     "seeds": ("substream",),
     "states": (
-        "BELL_ORDER", "BellState", "PhotonMode", "TwoPhotonState", "align_global_phase",
-        "apply_pauli", "dump_state", "encode_dibit", "make_bell", "overlap",
-        "parse_state", "state_fidelity",
+        "PhotonMode", "TwoPhotonState", "align_global_phase", "apply_pauli", "dump_state",
+        "encode_dibit", "make_bell", "overlap", "parse_state", "state_fidelity",
     ),
 }
 """The public names, by the submodule that defines them; the submodules

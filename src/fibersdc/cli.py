@@ -11,17 +11,20 @@ Every run writes a manifest (subcommand, resolved settings, their hash,
 seed, package version, random-stream version, no timestamps), so
 rerunning with the same seed and settings reproduces every output byte
 for byte.  `characterize` and `transfer` take settings, the fields of
-their default configs in `COMMAND_SETTINGS`, from an optional key=value
+their default configs (`command_settings`), from an optional key=value
 config file plus repeatable --set overrides; `calibrate` and `capacity`
 depend on no setting and take neither option.  The output directory
 falls back to $FIBERSDC_OUTDIR, then the current directory.  Exit codes:
 0 success, 2 configuration problem, 1 anything else.
 
-The parser, the settings merge and the manifest need only `configs`,
-`errors` and `seeds`.  Each command imports the layers it runs when it
-runs: `calibrate` the interferometer, `capacity` the capacity layer,
+A command loads only what it runs.  The parser registers every
+subcommand by name and help, and only the invoked one builds its
+options.  The settings merge and the settings options load `configs`
+(and `dataclasses`), so only `characterize` and `transfer` load them.
+Each command imports its layers when it runs: `calibrate` the kernel,
+`capacity` the capacity layer and the kernel's class labels,
 `characterize` the sampler and the capacity layer, `transfer` the
-protocol and the image codec.
+protocol and the image codec.  No command loads the state algebra.
 """
 
 from __future__ import annotations
@@ -30,32 +33,26 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .configs import (
-    CHARACTERIZATION_DRIFT,
-    CHARACTERIZATION_SOURCE,
-    DEFAULT_INTERFEROMETER,
-    DEFAULT_TIMING,
-    SECONDS_PER_STATE,
-    TRANSFER_DRIFT,
-    TRANSFER_SOURCE,
-)
 from .errors import ConfigError
 from .seeds import STREAM_VERSION, sha256, substream
 
 OUTDIR_ENV = "FIBERSDC_OUTDIR"
 
-COMMAND_SETTINGS = {
-    "characterize": (CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT),
-    "transfer": (TRANSFER_SOURCE, TRANSFER_DRIFT, DEFAULT_TIMING),
-}
-"""Default configs of each command that takes settings; their fields are
-the keys it accepts."""
+
+def command_settings(command: str) -> tuple:
+    """Default configs of a command that takes settings, `characterize`
+    or `transfer`; their fields are the keys it accepts."""
+    from . import configs
+
+    return {
+        "characterize": (configs.CHARACTERIZATION_SOURCE, configs.CHARACTERIZATION_DRIFT),
+        "transfer": (configs.TRANSFER_SOURCE, configs.TRANSFER_DRIFT, configs.DEFAULT_TIMING),
+    }[command]
 
 
 def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
@@ -65,6 +62,8 @@ def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
     A key that no default config has is rejected.  Each config is rebuilt
     with `dataclasses.replace`, so its own checks run on the merged values.
     """
+    from dataclasses import fields, replace
+
     owner = {f.name: i for i, cfg in enumerate(defaults) for f in fields(cfg)}
     changes: list[dict[str, float]] = [{} for _ in defaults]
 
@@ -94,11 +93,13 @@ def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
 
 
 def _settings(args) -> tuple:
-    return merge_settings(COMMAND_SETTINGS[args.command], args.config, args.set or ())
+    return merge_settings(command_settings(args.command), args.config, args.set or ())
 
 
 def _resolved_settings(configs: tuple, **extras) -> dict[str, str]:
     """Every field of the merged configs and each extra input, as repr."""
+    from dataclasses import fields
+
     out = {f.name: repr(getattr(cfg, f.name)) for cfg in configs for f in fields(cfg)}
     out.update((k, repr(v)) for k, v in extras.items())
     return out
@@ -149,8 +150,8 @@ def _outdir(args) -> Path:
 
 def cmd_characterize(args) -> int:
     from .capacity import save_counts
+    from .kernel import BELL_ORDER
     from .noise import append_events, iter_event_chunks, open_event_log, tally_verdicts
-    from .states import BELL_ORDER
 
     outdir = _outdir(args)
     source, drift = _settings(args)
@@ -199,7 +200,7 @@ def cmd_capacity(args) -> int:
         load_reference_counts,
         mutual_information,
     )
-    from .states import BELL_ORDER
+    from .kernel import BELL_ORDER
 
     outdir = _outdir(args)
     if args.counts:
@@ -232,8 +233,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .interferometer import kernel_verdicts
-    from .states import BELL_ORDER
+    from .kernel import BELL_ORDER, kernel_verdicts
 
     outdir = _outdir(args)
     n = args.grid
@@ -259,6 +259,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .configs import DEFAULT_INTERFEROMETER
     from .imagecodec import (
         dibits_to_raster,
         image_fidelity,
@@ -309,31 +310,45 @@ def cmd_transfer(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fibersdc",
-        description="Simulated dense coding over a fiber Bell-class analyzer.",
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its options with `add_options`
+    when it first parses: a run builds the options of its own command
+    only, and the other commands stay a name and a help line."""
+
+    def __init__(self, *args, add_options, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_options = add_options
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_options is not None:
+            self._add_options(self)
+            self._add_options = None
+        return super().parse_known_args(args, namespace)
+
+
+def _settings_options(p: argparse.ArgumentParser, command: str) -> None:
+    from dataclasses import fields
+
+    keys = ", ".join(f.name for cfg in command_settings(command) for f in fields(cfg))
+    p.add_argument("--config", help="key=value settings file")
+    p.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help=f"override one setting (repeatable); keys: {keys}",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        if name in COMMAND_SETTINGS:
-            keys = ", ".join(f.name for cfg in COMMAND_SETTINGS[name] for f in fields(cfg))
-            p.add_argument("--config", help="key=value settings file")
-            p.add_argument(
-                "--set",
-                action="append",
-                metavar="KEY=VALUE",
-                help=f"override one setting (repeatable); keys: {keys}",
-            )
-        p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or .)")
-        p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-        return p
 
-    p = command("characterize", cmd_characterize, "measure the verdict channel")
+def _run_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or .)")
+    p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
+
+
+def _characterize_options(p: argparse.ArgumentParser) -> None:
+    from .configs import SECONDS_PER_STATE
+
+    _settings_options(p, "characterize")
+    _run_options(p)
     p.add_argument(
         "--seconds-per-state",
         type=float,
@@ -341,16 +356,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="timed run length per sent class",
     )
 
-    p = command("capacity", cmd_capacity, "capacity of a count matrix")
+
+def _capacity_options(p: argparse.ArgumentParser) -> None:
+    _run_options(p)
     p.add_argument("--counts", help="count matrix file (default: bundled reference)")
     p.add_argument("--resamples", type=int, default=1000, help="bootstrap resamples")
 
-    p = command("calibrate", cmd_calibrate, "sweep static phase offsets")
+
+def _calibrate_options(p: argparse.ArgumentParser) -> None:
+    _run_options(p)
     p.add_argument("--grid", type=int, default=25, help="grid points per phase axis")
 
-    p = command("transfer", cmd_transfer, "send a four-gray image")
+
+def _transfer_options(p: argparse.ArgumentParser) -> None:
+    _settings_options(p, "transfer")
+    _run_options(p)
     p.add_argument("--image", help="P3 PPM in the four-gray palette (default: bundled demo)")
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fibersdc",
+        description="Simulated dense coding over a fiber Bell-class analyzer.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for name, func, add_options, help in [
+        ("characterize", cmd_characterize, _characterize_options, "measure the verdict channel"),
+        ("capacity", cmd_capacity, _capacity_options, "capacity of a count matrix"),
+        ("calibrate", cmd_calibrate, _calibrate_options, "sweep static phase offsets"),
+        ("transfer", cmd_transfer, _transfer_options, "send a four-gray image"),
+    ]:
+        sub.add_parser(name, help=help, add_options=add_options).set_defaults(func=func)
     return parser
 
 

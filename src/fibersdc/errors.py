@@ -1,7 +1,6 @@
 """Exception types shared across the package."""
 
 import math
-from dataclasses import fields
 
 
 class FiberSdcError(Exception):
@@ -27,6 +26,8 @@ def require_finite(config) -> None:
     Range checks written as comparisons let NaN through (every comparison
     with NaN is false), so each config calls this before its own checks.
     """
+    from dataclasses import fields  # only configs call this, and they load it
+
     for f in fields(config):
         value = getattr(config, f.name)
         if not math.isfinite(value):

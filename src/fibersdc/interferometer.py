@@ -24,18 +24,11 @@ offsets vanish, and leaks into ambiguous or wrong-class signatures in a
 way that reproduces measured confusion rates (see `CAL_DEPTH`).
 
 `evolve_bsm` and `measurement_distribution` are the reference oracle and
-the golden-file contract; no hot path calls them.  Because each class
-leaks into a vector whose outcomes are disjoint from its target's, its
-outcome distribution at loop phases (phi0, phi1) is the closed-form
-mixture
-
-    (1 - w) * T_k + w * L_k,    w = 2 v (1 - v) (1 - cos theta_k),
-
-with T_k and L_k the outcome distributions of the target and leak
-vectors, v = CAL_DEPTH[k] and theta_k the phase of the class's path-family
-monomial.  `kernel_distribution` and `kernel_verdicts` evaluate that
-kernel on whole arrays of phases from tables built once, at import, from
-the states below; the event sampler and the calibration sweep use it.
+the golden-file contract; no command loads this module.  The commands
+run the closed-form kernel of `fibersdc.kernel` instead, whose stored
+tables the tests rebuild from the states below.  The names that moved
+there (the outcome and verdict tables, the kernel, `DetectionOutcome`,
+`CAL_DEPTH`, `LOOP_TRAVERSALS`) are re-exported here as the same objects.
 """
 
 from __future__ import annotations
@@ -43,19 +36,13 @@ from __future__ import annotations
 import cmath
 import math
 from importlib import resources
-from typing import NamedTuple
 
-import numpy as np
-
+from . import kernel
 from .configs import InterferometerConfig
 from .errors import StateError
 from .states import (
-    BELL_ORDER,
     H,
-    OUTPUT_PORTS,
-    POLARIZATIONS,
     V,
-    BellState,
     PhotonMode,
     TwoPhotonState,
     apply_single_photon_map,
@@ -63,6 +50,23 @@ from .states import (
     overlap,
     parse_state,
 )
+
+# Re-exported from `fibersdc.kernel`: the same objects.
+BellState = kernel.BellState
+BELL_ORDER = kernel.BELL_ORDER
+DetectionOutcome = kernel.DetectionOutcome
+verdict_label = kernel.verdict_label
+VERDICTS = kernel.VERDICTS
+CAL_DEPTH = kernel.CAL_DEPTH
+LOOP_TRAVERSALS = kernel.LOOP_TRAVERSALS
+OUTCOMES = kernel.OUTCOMES
+OUTCOME_VERDICT = kernel.OUTCOME_VERDICT
+UNCORRELATED_DIST = kernel.UNCORRELATED_DIST
+BRANCH_OUTCOMES = kernel.BRANCH_OUTCOMES
+BRANCH_VERDICTS = kernel.BRANCH_VERDICTS
+leak_weight = kernel.leak_weight
+kernel_distribution = kernel.kernel_distribution
+kernel_verdicts = kernel.kernel_verdicts
 
 _SQ2 = math.sqrt(2.0)
 _R2 = 1.0 / _SQ2
@@ -117,37 +121,6 @@ def beamsplitter(state: TwoPhotonState) -> TwoPhotonState:
 # ---------------------------------------------------------------------------
 
 
-class DetectionOutcome(NamedTuple):
-    """Which two detectors fired and how many delay bins apart.
-
-    For dt_bins > 0 `first` is the earlier photon; for dt_bins == 0 the
-    two (port, pol) labels are stored in sorted order, since simultaneous
-    clicks carry no ordering.
-    """
-
-    first_port: str
-    first_pol: str
-    second_port: str
-    second_pol: str
-    dt_bins: int
-
-    @classmethod
-    def from_modes(cls, m1: PhotonMode, m2: PhotonMode) -> "DetectionOutcome":
-        dt = abs(m1.t - m2.t)
-        if dt == 0:
-            a, b = sorted(((m1.port, m1.pol), (m2.port, m2.pol)))
-        else:
-            early, late = (m1, m2) if m1.t < m2.t else (m2, m1)
-            a, b = (early.port, early.pol), (late.port, late.pol)
-        return cls(a[0], a[1], b[0], b[1], dt)
-
-    def same_port(self) -> bool:
-        return self.first_port == self.second_port
-
-    def same_pol(self) -> bool:
-        return self.first_pol == self.second_pol
-
-
 def classify(outcome: DetectionOutcome) -> BellState | None:
     """Map a detection signature to its Bell class, or None if ambiguous.
 
@@ -167,13 +140,6 @@ def classify(outcome: DetectionOutcome) -> BellState | None:
     if outcome.dt_bins == 2 and not outcome.same_pol():
         return BellState.PSI_MINUS
     return None
-
-
-VERDICT_AMBIGUOUS = "ambiguous"
-
-
-def verdict_label(verdict: BellState | None) -> str:
-    return VERDICT_AMBIGUOUS if verdict is None else verdict.label
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +192,7 @@ def _target_states() -> dict[BellState, TwoPhotonState]:
 
 # Fraction of the PSI_PLUS leak (in probability) that lands in the
 # PHI_MINUS signature zone instead of ambiguous time bins.  Fitted, with
-# CAL_DEPTH below, to reproduce bench confusion rates.
+# CAL_DEPTH, to reproduce bench confusion rates.
 LEAK_TO_PHI_MINUS = 0.4245
 
 
@@ -269,21 +235,6 @@ def _leak_states() -> dict[BellState, TwoPhotonState]:
 
 TARGET_STATES = _target_states()
 LEAK_STATES = _leak_states()
-
-# Interference depth per class, indexed like BELL_ORDER: the detuned
-# fraction of the class amplitude that rides the phase-dependent path
-# family.  At depth v the worst-case probability remaining on the
-# calibrated signature is (1-2v)^2.  Fitted jointly with LEAK_TO_PHI_MINUS
-# to bench confusion rates; PHI_MINUS and PSI_PLUS traverse path pairs
-# that nearly share loops and so are the least sensitive.
-CAL_DEPTH = np.array([0.0644, 0.2031, 0.2359, 0.0643])
-
-
-# Net loop traversals (short, long), indexed like BELL_ORDER, separating
-# the two interfering path families of each class: both loops twice for
-# PHI_MINUS, the short loop twice for PHI_PLUS and PSI_MINUS, the long
-# loop twice for PSI_PLUS.
-LOOP_TRAVERSALS = np.array([(2, 2), (2, 0), (2, 0), (0, 2)], dtype=float)
 
 
 def _phase_monomial(which: BellState, alpha: complex, beta: complex) -> complex:
@@ -372,99 +323,6 @@ def verdict_distribution(
         v = classify(outcome)
         out[v] = out.get(v, 0.0) + p
     return out
-
-
-# ---------------------------------------------------------------------------
-# closed-form kernel
-# ---------------------------------------------------------------------------
-
-COINCIDENCE_BINS = range(4)
-"""Time-bin separations the coincidence window resolves."""
-
-
-# Every ordered pair of detector clicks in the coincidence window; two
-# uncorrelated clicks land on each with equal probability.
-_DETECTORS = [(port, pol) for port in OUTPUT_PORTS for pol in POLARIZATIONS]
-_CLICK_PAIRS = [
-    DetectionOutcome.from_modes(PhotonMode(*a, 0), PhotonMode(*b, dt))
-    for dt in COINCIDENCE_BINS
-    for a in _DETECTORS
-    for b in _DETECTORS
-]
-
-OUTCOMES = tuple(sorted(set(_CLICK_PAIRS)))
-"""Every signature the detectors can report, in sorted order."""
-
-OUTCOME_INDEX = {o: i for i, o in enumerate(OUTCOMES)}
-
-VERDICTS = (*BELL_ORDER, None)
-"""Verdict order of the kernel tables: the four classes, then ambiguous."""
-
-
-OUTCOME_VERDICT = np.array([VERDICTS.index(classify(o)) for o in OUTCOMES])
-"""Index into VERDICTS of each outcome's verdict."""
-
-UNCORRELATED_DIST = np.bincount(
-    [OUTCOME_INDEX[o] for o in _CLICK_PAIRS],
-    weights=np.full(len(_CLICK_PAIRS), 1.0 / len(_CLICK_PAIRS)),
-    minlength=len(OUTCOMES),
-)
-"""Outcome distribution of two uncorrelated clicks (an accidental)."""
-
-
-def _branch(state: TwoPhotonState) -> np.ndarray:
-    dist = measurement_distribution(state)
-    return np.bincount(
-        [OUTCOME_INDEX[o] for o in dist], weights=list(dist.values()), minlength=len(OUTCOMES)
-    )
-
-
-BRANCH_OUTCOMES = np.array(
-    [[_branch(TARGET_STATES[b]), _branch(LEAK_STATES[b])] for b in BELL_ORDER]
-)
-"""Shape (4, 2, len(OUTCOMES)): T_k and L_k, the outcome distributions of
-class k's target (branch 0) and leak (branch 1) vectors.  Their supports
-are disjoint, so they mix without interference."""
-
-BRANCH_VERDICTS = np.array(
-    [
-        [np.bincount(OUTCOME_VERDICT, weights=dist, minlength=len(VERDICTS)) for dist in pair]
-        for pair in BRANCH_OUTCOMES
-    ]
-)
-"""The same two distributions per class over VERDICTS."""
-
-def leak_weight(which, phi0, phi1):
-    """Probability that class `which` leaves its target signature at loop
-    phases (phi0, phi1): 2 v (1 - v) (1 - cos theta).
-
-    `which` indexes BELL_ORDER; it and the phases may be scalars or arrays
-    that broadcast together.  theta is the phase of `_phase_monomial`.
-    """
-    v = CAL_DEPTH[which]
-    theta = LOOP_TRAVERSALS[which, 0] * phi0 + LOOP_TRAVERSALS[which, 1] * phi1
-    return 2.0 * v * (1.0 - v) * (1.0 - np.cos(theta))
-
-
-def _mix(table: np.ndarray, which, phi0, phi1) -> np.ndarray:
-    w = np.asarray(leak_weight(which, phi0, phi1))[..., None]
-    return (1.0 - w) * table[which, 0] + w * table[which, 1]
-
-
-def kernel_distribution(which, phi0, phi1) -> np.ndarray:
-    """Outcome distribution over OUTCOMES of class `which` (an index into
-    BELL_ORDER) at loop phases (phi0, phi1), on the last axis.
-
-    Equals `measurement_distribution(evolve_bsm(make_bell(...), ...))`
-    without building a state; arguments broadcast as in `leak_weight`.
-    """
-    return _mix(BRANCH_OUTCOMES, which, phi0, phi1)
-
-
-def kernel_verdicts(which, phi0, phi1) -> np.ndarray:
-    """Verdict distribution over VERDICTS of class `which` at loop phases
-    (phi0, phi1), on the last axis: `verdict_distribution` as an array."""
-    return _mix(BRANCH_VERDICTS, which, phi0, phi1)
 
 
 def load_reference_outputs() -> dict[BellState, TwoPhotonState]:

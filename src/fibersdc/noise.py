@@ -10,10 +10,10 @@ stream:
 * accidental coincidences: uncorrelated detector pairs fire at a fixed
   rate and produce uniformly random signatures.
 
-Detections are drawn from the closed-form kernel of
-`fibersdc.interferometer`, never from the state algebra, which stays its
-reference oracle.  `sample_detections` draws a batch of detections at
-known times.  `iter_event_chunks` calls it to sample a timed run
+Detections are drawn from the closed-form kernel of `fibersdc.kernel`,
+never from the state algebra, which stays its reference oracle.
+`sample_detections` draws a batch of detections at known times.
+`iter_event_chunks` calls it to sample a timed run
 `EVENT_CHUNK` arrivals at a time, so memory stays bounded whatever the
 run length; the transfer protocol calls it once per session.  Arrival
 gaps, walk increments and the per-event uniforms each come from their
@@ -33,16 +33,17 @@ import numpy as np
 
 from .configs import DriftConfig, InterferometerConfig, SourceConfig
 from .errors import ConfigError
-from .interferometer import (
+from .kernel import (
+    BELL_ORDER,
     BRANCH_OUTCOMES,
     OUTCOME_VERDICT,
     OUTCOMES,
     UNCORRELATED_DIST,
     VERDICTS,
+    BellState,
     leak_weight,
     verdict_label,
 )
-from .states import BELL_ORDER, BellState
 
 EVENT_CHUNK = 2048
 """Arrival gaps drawn per sampling step of `iter_event_chunks`."""

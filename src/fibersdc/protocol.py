@@ -32,10 +32,9 @@ import numpy as np
 
 from .configs import DriftConfig, InterferometerConfig, SourceConfig, TimingConfig
 from .errors import ConfigError, ProtocolError
-from .interferometer import OUTCOME_VERDICT, VERDICTS, verdict_label
+from .kernel import BELL_TO_DIBIT, DIBIT_TO_BELL, OUTCOME_VERDICT, VERDICTS, verdict_label
 from .noise import PhaseWalk, sample_detections
 from .seeds import substream
-from .states import BELL_TO_DIBIT, DIBIT_TO_BELL
 
 MAGIC = b"SDC1"
 _HEADER = struct.Struct("<4sBI")
@@ -265,6 +264,16 @@ def run_session(
         raise ConfigError(
             "session time overflows; lower message_latency_s, encoder_settle_s or frame_window_s"
         )
+    # Every period boundary up to the last window close is a recalibration,
+    # by the walk's own floor rule, whether or not a detection follows it.
+    periods = float(closes[-1]) / drift_cfg.recalibration_period_s if n else 0.0
+    recalibrations = math.floor(periods) if math.isfinite(periods) else 0
+    elapsed = op_time + recalibrations * timing.recalibration_pause_s
+    if not (math.isfinite(periods) and math.isfinite(elapsed)):
+        raise ConfigError(
+            "recalibration pauses overflow the session time; raise recalibration_period_s "
+            "or lower recalibration_pause_s"
+        )
 
     # quantum pass: every detection in one draw, in frame order
     detected = ~timed_out
@@ -275,10 +284,6 @@ def run_session(
     erasures = verdict == _AMBIGUOUS
     counts = np.bincount(verdict, minlength=len(VERDICTS)).tolist()
 
-    # Every period boundary up to the last window close is a recalibration,
-    # by the walk's own floor rule, whether or not a detection follows it.
-    recalibrations = math.floor(closes[-1] / drift_cfg.recalibration_period_s) if n else 0
-    elapsed = op_time + recalibrations * timing.recalibration_pause_s
     throughput = (2.0 * n / elapsed) if elapsed > 0 else 0.0
     stats = SessionStats(
         frames=n,

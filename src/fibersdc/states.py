@@ -1,4 +1,4 @@
-"""Two-photon polarization/time-bin states and the four Bell classes.
+"""Two-photon polarization/time-bin states: the analyzer's reference algebra.
 
 A photon mode is a (port, polarization, time_bin) triple.  Ports are short
 strings ("0" and "1" at the source, "A" and "B" at the analyzer outputs),
@@ -11,16 +11,25 @@ are kept sorted.  A pair with both photons in the same mode is allowed by
 the container (it shows up mid-pipeline in bunched configurations) and is
 normalized so that the squared magnitudes of the stored amplitudes sum to
 one for a normalized state.
+
+The Bell classes and the dibit maps live in `fibersdc.kernel`, which the
+commands load without this module; they are re-exported here.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import kernel
 from .errors import StateError
+
+# Re-exported from `fibersdc.kernel`: the same objects.
+BellState = kernel.BellState
+BELL_ORDER = kernel.BELL_ORDER
+DIBIT_TO_BELL = kernel.DIBIT_TO_BELL
+BELL_TO_DIBIT = kernel.BELL_TO_DIBIT
 
 H = "H"
 V = "V"
@@ -36,35 +45,6 @@ class PhotonMode(NamedTuple):
     port: str
     pol: str
     t: int
-
-
-class BellState(enum.Enum):
-    """The four maximally entangled polarization classes.
-
-    Enum order doubles as the canonical row/column order used by count
-    matrices, channel matrices and reports.
-    """
-
-    PHI_MINUS = "phi_minus"
-    PHI_PLUS = "phi_plus"
-    PSI_MINUS = "psi_minus"
-    PSI_PLUS = "psi_plus"
-
-    @property
-    def label(self) -> str:
-        return self.value
-
-    @property
-    def index(self) -> int:
-        return BELL_ORDER.index(self)
-
-
-BELL_ORDER = (
-    BellState.PHI_MINUS,
-    BellState.PHI_PLUS,
-    BellState.PSI_MINUS,
-    BellState.PSI_PLUS,
-)
 
 
 def pair_key(m1: PhotonMode, m2: PhotonMode) -> tuple[PhotonMode, PhotonMode]:
@@ -195,19 +175,11 @@ def apply_pauli(state: TwoPhotonState, gate: str, port: str) -> TwoPhotonState:
     return apply_single_photon_map(state, images)
 
 
-# Dibit encoding on the second source port.  Gates are listed in the order
-# they are applied.  Since X and Z anticommute, 3 produces PSI_MINUS only
-# up to a global sign, which no measurement can see.
+# Dibit encoding on the second source port, into the classes of
+# `DIBIT_TO_BELL`.  Gates are listed in the order they are applied.  Since X
+# and Z anticommute, 3 produces PSI_MINUS only up to a global sign, which no
+# measurement can see.
 DIBIT_GATES = {0: (), 1: ("Z",), 2: ("X",), 3: ("X", "Z")}
-
-DIBIT_TO_BELL = {
-    0: BellState.PHI_PLUS,
-    1: BellState.PHI_MINUS,
-    2: BellState.PSI_PLUS,
-    3: BellState.PSI_MINUS,
-}
-
-BELL_TO_DIBIT = {b: d for d, b in DIBIT_TO_BELL.items()}
 
 ENCODING_PORT = "1"
 

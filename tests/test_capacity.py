@@ -86,6 +86,8 @@ def test_estimate_conditionals_normalizes_rows():
         np.ones((3, 4)),
         np.ones((4, 5)),
         -np.ones((4, 4)),
+        np.where(np.eye(4) == 1, np.nan, 1.0),
+        np.where(np.eye(4) == 1, np.inf, 1.0),
     ],
 )
 def test_estimate_conditionals_rejects_bad_input(bad):
@@ -133,6 +135,13 @@ def test_mi_rejects_bad_inputs():
         mutual_information([0.5, 0.5], np.eye(4))
     with pytest.raises(ConfigError):
         mutual_information([0.7, 0.1, 0.1, 0.2], np.eye(4))
+    for value in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            mutual_information([0.25, 0.25, value, 0.25], np.eye(4))
+        channel = np.eye(4)
+        channel[0, 1] = value
+        with pytest.raises(ConfigError, match="finite"):
+            mutual_information(UNIFORM, channel)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +214,11 @@ def test_capacity_rejects_bad_channels():
         channel_capacity(np.full((4, 4), 0.3))
     with pytest.raises(ConfigError):
         channel_capacity(-np.eye(4))
+    for value in (np.nan, np.inf, -np.inf):
+        channel = np.eye(4)
+        channel[0, 1] = value
+        with pytest.raises(ConfigError):
+            channel_capacity(channel)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,15 @@ import pytest
 import fibersdc
 from fibersdc import noise
 from fibersdc.capacity import load_counts
-from fibersdc.cli import COMMAND_SETTINGS, main
+from fibersdc.cli import command_settings, main
 from fibersdc.imagecodec import ImageRaster, read_ppm, write_ppm
 from fibersdc.interferometer import InterferometerConfig, verdict_distribution
 from fibersdc.noise import read_event_log
 from fibersdc.states import BELL_ORDER
 
 ACCEPTED_KEYS = {
-    command: {f.name for cfg in defaults for f in fields(cfg)}
-    for command, defaults in COMMAND_SETTINGS.items()
+    command: {f.name for cfg in command_settings(command) for f in fields(cfg)}
+    for command in ("characterize", "transfer")
 }
 
 # Not settings: the static loop phases, pair rate, delays, detector resolution
@@ -393,6 +393,21 @@ def test_overflowing_transfer_timeline_exits_2_naming_the_timing_keys(tmp_path, 
     assert all(k in err for k in ("message_latency_s", "encoder_settle_s", "frame_window_s"))
 
 
+@pytest.mark.parametrize("settings", [
+    # the recalibration count overflows
+    ["message_latency_s=1e300", "recalibration_period_s=1e-6"],
+    # the count is finite and its pauses overflow the elapsed time
+    ["recalibration_pause_s=1e308", "recalibration_period_s=1e-6"],
+])
+def test_overflowing_recalibration_pauses_exit_2_naming_the_keys(tmp_path, capsys, settings):
+    overrides = [arg for setting in settings for arg in ("--set", setting)]
+    rc = main(["transfer", "--outdir", str(tmp_path), *overrides])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "recalibration_period_s" in err and "recalibration_pause_s" in err
+    assert not (tmp_path / "transfer_report.txt").exists()
+
+
 @pytest.mark.parametrize("command, key", [
     ("characterize", "message_latency_s"),
     ("characterize", "seconds_per_state"),
@@ -458,6 +473,102 @@ def test_manifest_has_no_timestamps(tmp_path):
 # ---------------------------------------------------------------------------
 # documentation and package surface
 # ---------------------------------------------------------------------------
+
+
+# The help text of `fibersdc --help` and of each command, at 80 columns.
+HELP = {
+    "": """\
+usage: fibersdc [-h] [--version]
+                {characterize,capacity,calibrate,transfer} ...
+
+Simulated dense coding over a fiber Bell-class analyzer.
+
+positional arguments:
+  {characterize,capacity,calibrate,transfer}
+    characterize        measure the verdict channel
+    capacity            capacity of a count matrix
+    calibrate           sweep static phase offsets
+    transfer            send a four-gray image
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "characterize": """\
+usage: fibersdc characterize [-h] [--config CONFIG] [--set KEY=VALUE]
+                             [--outdir OUTDIR] [--seed SEED]
+                             [--seconds-per-state SECONDS_PER_STATE]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value settings file
+  --set KEY=VALUE       override one setting (repeatable); keys:
+                        coincidence_rate_hz, source_fidelity,
+                        accidental_rate_hz, sigma_rad_per_sqrt_s,
+                        recalibration_period_s, recalibration_residual_rad
+  --outdir OUTDIR       output directory (default $FIBERSDC_OUTDIR or .)
+  --seed SEED           master seed (default 1)
+  --seconds-per-state SECONDS_PER_STATE
+                        timed run length per sent class
+""",
+    "capacity": """\
+usage: fibersdc capacity [-h] [--outdir OUTDIR] [--seed SEED]
+                         [--counts COUNTS] [--resamples RESAMPLES]
+
+options:
+  -h, --help            show this help message and exit
+  --outdir OUTDIR       output directory (default $FIBERSDC_OUTDIR or .)
+  --seed SEED           master seed (default 1)
+  --counts COUNTS       count matrix file (default: bundled reference)
+  --resamples RESAMPLES
+                        bootstrap resamples
+""",
+    "calibrate": """\
+usage: fibersdc calibrate [-h] [--outdir OUTDIR] [--seed SEED] [--grid GRID]
+
+options:
+  -h, --help       show this help message and exit
+  --outdir OUTDIR  output directory (default $FIBERSDC_OUTDIR or .)
+  --seed SEED      master seed (default 1)
+  --grid GRID      grid points per phase axis
+""",
+    "transfer": """\
+usage: fibersdc transfer [-h] [--config CONFIG] [--set KEY=VALUE]
+                         [--outdir OUTDIR] [--seed SEED] [--image IMAGE]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  key=value settings file
+  --set KEY=VALUE  override one setting (repeatable); keys:
+                   coincidence_rate_hz, source_fidelity, accidental_rate_hz,
+                   sigma_rad_per_sqrt_s, recalibration_period_s,
+                   recalibration_residual_rad, message_latency_s,
+                   encoder_settle_s, frame_window_s, recalibration_pause_s
+  --outdir OUTDIR  output directory (default $FIBERSDC_OUTDIR or .)
+  --seed SEED      master seed (default 1)
+  --image IMAGE    P3 PPM in the four-gray palette (default: bundled demo)
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_text_is_unchanged(monkeypatch, capsys, command):
+    # Each command builds its options only when it runs; its help and the
+    # top-level help must read as when every parser was built up front.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"] if command else ["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
+
+
+def test_unknown_command_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["bogus"])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(command in err for command in HELP if command)
 
 
 def test_readme_settings_table_lists_each_key_with_its_commands():

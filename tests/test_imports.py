@@ -50,16 +50,20 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# Each command loads the layers it runs and no other.
+# Each command loads the layers it runs and no other.  No command loads
+# the state algebra, the kernel's oracle; the settings load only for the
+# commands that take them.
+ORACLE = ["fibersdc.states", "fibersdc.interferometer"]
 FOOTPRINTS = [
     (["calibrate", "--grid", "2"],
-     ["fibersdc.noise", "fibersdc.protocol", "fibersdc.imagecodec", "fibersdc.capacity"]),
+     [*ORACLE, "fibersdc.configs", "fibersdc.noise", "fibersdc.protocol",
+      "fibersdc.imagecodec", "fibersdc.capacity"]),
     (["capacity", "--resamples", "10"],
-     ["fibersdc.interferometer", "fibersdc.noise", "fibersdc.protocol",
+     [*ORACLE, "fibersdc.configs", "fibersdc.noise", "fibersdc.protocol",
       "fibersdc.imagecodec"]),
     (["characterize", "--seconds-per-state", "0.01"],
-     ["fibersdc.protocol", "fibersdc.imagecodec"]),
-    (["transfer"], ["fibersdc.capacity"]),
+     [*ORACLE, "fibersdc.protocol", "fibersdc.imagecodec"]),
+    (["transfer"], [*ORACLE, "fibersdc.capacity"]),
 ]
 
 _RUN_AND_LIST_MODULES = """

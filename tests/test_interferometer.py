@@ -1,15 +1,15 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from fibersdc.errors import ConfigError, StateError
-from fibersdc import interferometer
+from fibersdc import interferometer, kernel, states
 from fibersdc.interferometer import (
     BRANCH_OUTCOMES,
     BRANCH_VERDICTS,
     LEAK_STATES,
-    OUTCOME_INDEX,
     OUTCOME_VERDICT,
     OUTCOMES,
     TARGET_STATES,
@@ -28,6 +28,8 @@ from fibersdc.interferometer import (
 )
 from fibersdc.states import (
     BELL_ORDER,
+    OUTPUT_PORTS,
+    POLARIZATIONS,
     BellState,
     PhotonMode,
     TwoPhotonState,
@@ -328,19 +330,126 @@ def _tabulate(pairs, size):
     return bins
 
 
+# Every ordered pair of detector clicks in the coincidence window, 0 to 3
+# bins apart; two uncorrelated clicks land on each with equal probability.
+_DETECTORS = [(port, pol) for port in OUTPUT_PORTS for pol in POLARIZATIONS]
+CLICK_PAIRS = [
+    DetectionOutcome.from_modes(PhotonMode(*a, 0), PhotonMode(*b, dt))
+    for dt in range(4)
+    for a in _DETECTORS
+    for b in _DETECTORS
+]
+
+
 def test_kernel_tables_equal_sums_in_order():
     # Seeded outputs depend on the tables' last bits, through the sampler's
     # inverse-CDF table: each bin must be the sum of its terms in order.
-    clicks = interferometer._CLICK_PAIRS
-    want = _tabulate(((OUTCOME_INDEX[o], 1.0 / len(clicks)) for o in clicks), len(OUTCOMES))
+    index = {o: i for i, o in enumerate(OUTCOMES)}
+    want = _tabulate(((index[o], 1.0 / len(CLICK_PAIRS)) for o in CLICK_PAIRS), len(OUTCOMES))
     assert UNCORRELATED_DIST.tolist() == want
     for k, b in enumerate(BELL_ORDER):
         for branch, state in enumerate((TARGET_STATES[b], LEAK_STATES[b])):
             dist = measurement_distribution(state)
-            want = _tabulate(((OUTCOME_INDEX[o], p) for o, p in dist.items()), len(OUTCOMES))
+            want = _tabulate(((index[o], p) for o, p in dist.items()), len(OUTCOMES))
             assert BRANCH_OUTCOMES[k, branch].tolist() == want
             verdicts = _tabulate(zip(OUTCOME_VERDICT.tolist(), want), len(VERDICTS))
             assert BRANCH_VERDICTS[k, branch].tolist() == verdicts
+
+
+def rebuild_kernel_tables() -> dict:
+    """The tables `fibersdc.kernel` stores, built from the state algebra."""
+    outcomes = tuple(sorted(set(CLICK_PAIRS)))
+    index = {o: i for i, o in enumerate(outcomes)}
+    verdicts = (*BELL_ORDER, None)
+    outcome_verdict = np.array([verdicts.index(classify(o)) for o in outcomes])
+
+    def branch(state):
+        dist = measurement_distribution(state)
+        return np.bincount(
+            [index[o] for o in dist], weights=list(dist.values()), minlength=len(outcomes)
+        )
+
+    branch_outcomes = np.array(
+        [[branch(TARGET_STATES[b]), branch(LEAK_STATES[b])] for b in BELL_ORDER]
+    )
+    return {
+        "OUTCOMES": outcomes,
+        "OUTCOME_VERDICT": outcome_verdict,
+        "UNCORRELATED_DIST": np.bincount(
+            [index[o] for o in CLICK_PAIRS],
+            weights=np.full(len(CLICK_PAIRS), 1.0 / len(CLICK_PAIRS)),
+            minlength=len(outcomes),
+        ),
+        "BRANCH_OUTCOMES": branch_outcomes,
+        "BRANCH_VERDICTS": np.array(
+            [
+                [np.bincount(outcome_verdict, weights=d, minlength=len(verdicts)) for d in pair]
+                for pair in branch_outcomes
+            ]
+        ),
+    }
+
+
+_TABLE_FILE_HEADER = """\
+# Kernel tables of fibersdc.kernel, built from the state algebra.  Do not
+# edit: tests/test_interferometer.py rebuilds them and checks this file
+# bit for bit, and run as a script it writes the file anew:
+#   PYTHONPATH=src python tests/test_interferometer.py > src/fibersdc/data/kernel_tables.txt
+#
+# [outcomes]: one row per entry of OUTCOMES, in order: the signature
+# (first port, first pol, second port, second pol, dt_bins), its index in
+# OUTCOME_VERDICT, its UNCORRELATED_DIST probability, then its
+# BRANCH_OUTCOMES probability for each class in BELL_ORDER, target branch
+# then leak branch.
+# [branch_verdicts]: BRANCH_VERDICTS over VERDICTS, one row per class in
+# BELL_ORDER and branch, target then leak.
+"""
+
+
+def render_kernel_tables(tables: dict) -> str:
+    """The text of `data/kernel_tables.txt` for `tables`; floats as repr."""
+    lines = [_TABLE_FILE_HEADER, "[outcomes]\n"]
+    branches = tables["BRANCH_OUTCOMES"].reshape(-1, len(tables["OUTCOMES"])).T
+    for o, v, u, row in zip(
+        tables["OUTCOMES"], tables["OUTCOME_VERDICT"].tolist(),
+        tables["UNCORRELATED_DIST"].tolist(), branches.tolist(),
+    ):
+        lines.append(" ".join([*o[:4], str(o.dt_bins), str(v), *map(repr, [u, *row])]) + "\n")
+    lines.append("[branch_verdicts]\n")
+    for row in tables["BRANCH_VERDICTS"].reshape(-1, len(VERDICTS)).tolist():
+        lines.append(" ".join(map(repr, row)) + "\n")
+    return "".join(lines)
+
+
+def test_stored_kernel_tables_equal_the_state_algebras():
+    rebuilt = rebuild_kernel_tables()
+    assert kernel.OUTCOMES == rebuilt.pop("OUTCOMES")
+    for name, want in rebuilt.items():
+        got = getattr(kernel, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_kernel_table_file_is_the_rendered_algebra():
+    stored = resources.files("fibersdc.data").joinpath("kernel_tables.txt")
+    assert stored.read_text(encoding="utf-8") == render_kernel_tables(rebuild_kernel_tables())
+
+
+MOVED_TO_KERNEL = {
+    states: ["BellState", "BELL_ORDER", "DIBIT_TO_BELL", "BELL_TO_DIBIT"],
+    interferometer: [
+        "BellState", "BELL_ORDER", "DetectionOutcome", "verdict_label", "VERDICTS",
+        "CAL_DEPTH", "LOOP_TRAVERSALS", "OUTCOMES", "OUTCOME_VERDICT", "UNCORRELATED_DIST",
+        "BRANCH_OUTCOMES", "BRANCH_VERDICTS", "leak_weight", "kernel_distribution",
+        "kernel_verdicts",
+    ],
+}
+
+
+def test_oracle_modules_reexport_the_kernels_objects():
+    for module, names in MOVED_TO_KERNEL.items():
+        for name in names:
+            assert getattr(module, name) is getattr(kernel, name), f"{module.__name__}.{name}"
 
 
 def test_kernel_matches_state_algebra_at_random_phases():
@@ -414,3 +523,7 @@ def test_calibrated_verdicts_are_all_diagonal():
     for which in BELL_ORDER:
         vd = verdict_distribution(which, cfg)
         assert vd.get(which, 0.0) == pytest.approx(1.0, abs=1e-9)
+
+
+if __name__ == "__main__":
+    print(render_kernel_tables(rebuild_kernel_tables()), end="")

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibersdc import noise
 from fibersdc.configs import (
@@ -14,6 +16,7 @@ from fibersdc.errors import ConfigError, ProtocolError
 from fibersdc.interferometer import OUTCOMES, classify, verdict_label
 from fibersdc.noise import DriftConfig, PhaseWalk, SourceConfig
 from fibersdc.protocol import (
+    MAGIC,
     Message,
     MessageKind,
     ReceiverMachine,
@@ -75,6 +78,51 @@ def test_decode_rejects_bad_magic_and_kind():
     wire[4] = 200
     with pytest.raises(ProtocolError):
         decode_message(bytes(wire))
+
+
+# Wire bytes built from pieces that reach every branch of the decoder:
+# arbitrary bytes, headers with the right magic and a known or any kind
+# byte, and such headers with one magic byte replaced.  Offsets fall
+# anywhere, or where a piece starts.
+_HEADERS = st.builds(
+    lambda kind, frame: MAGIC + bytes([kind]) + frame.to_bytes(4, "little"),
+    st.one_of(st.sampled_from([k.value for k in MessageKind]), st.integers(0, 255)),
+    st.integers(0, 2**32 - 1),
+)
+_WIRE_PIECES = st.one_of(
+    st.binary(max_size=12),
+    _HEADERS,
+    st.builds(
+        lambda header, at, byte: header[:at] + bytes([byte]) + header[at + 1 :],
+        _HEADERS,
+        st.integers(0, len(MAGIC) - 1),
+        st.integers(0, 255),
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_WIRE_PIECES, max_size=4), st.data())
+def test_decode_any_bytes_at_any_offset(pieces, data):
+    buffer = b"".join(pieces)
+    starts = [sum(map(len, pieces[:i])) for i in range(len(pieces) + 1)]
+    offset = data.draw(
+        st.one_of(st.sampled_from(starts), st.integers(0, len(buffer))), label="offset"
+    )
+    head = buffer[offset : offset + 9]
+    try:
+        decoded = decode_message(buffer, offset)
+    except ProtocolError:
+        # only a whole header with a bad magic or an unknown kind
+        assert len(head) == 9
+        assert head[:4] != MAGIC or head[4] not in {k.value for k in MessageKind}
+        return
+    if len(head) < 9:
+        assert decoded is None
+    else:
+        msg, end = decoded
+        assert end == offset + 9
+        assert encode_message(msg) == head
 
 
 def test_timing_config_validation():
