@@ -57,14 +57,27 @@ def _divergences(p: np.ndarray, P: np.ndarray, logP: np.ndarray) -> np.ndarray:
     return (P * (logP - _log2(q))).sum(axis=1)
 
 
+def _as_channel(conditionals) -> np.ndarray:
+    """The channel matrix P[x, y] = P(y | x): finite, non-negative, each
+    row summing to 1."""
+    P = np.asarray(conditionals, dtype=float)
+    if P.ndim != 2 or not np.isfinite(P).all() or (P < -1e-12).any():
+        raise ConfigError("channel matrix must be finite and non-negative")
+    if not len(P):
+        raise ConfigError("channel matrix needs at least one row")
+    if np.abs(P.sum(axis=1) - 1.0).max() > 1e-9:
+        raise ConfigError("channel rows must each sum to 1")
+    return P
+
+
 def mutual_information(input_dist, conditionals) -> float:
     """I(X;Y) in bits for inputs p(x) and channel P(y|x)."""
     p = np.asarray(input_dist, dtype=float)
-    P = np.asarray(conditionals, dtype=float)
+    P = _as_channel(conditionals)
     if p.ndim != 1 or P.shape[0] != p.shape[0]:
         raise ConfigError("input distribution does not match channel rows")
-    if not (np.isfinite(p).all() and np.isfinite(P).all()):
-        raise ConfigError("input distribution and channel must be finite")
+    if not np.isfinite(p).all():
+        raise ConfigError("input distribution must be finite")
     if abs(p.sum() - 1.0) > 1e-9 or (p < -1e-12).any():
         raise ConfigError("input distribution must be a probability vector")
     D = _divergences(p[:, None], P[..., None], _log2(P)[..., None])[:, 0]
@@ -133,11 +146,7 @@ def channel_capacity(conditionals) -> CapacityResult:
     """Blahut-Arimoto capacity of a discrete memoryless channel, solved to
     a relative tolerance of 1e-9 in at most 100,000 iterations (see
     `_blahut_arimoto`)."""
-    P = np.asarray(conditionals, dtype=float)
-    if P.ndim != 2 or not np.isfinite(P).all() or (P < -1e-12).any():
-        raise ConfigError("channel matrix must be finite and non-negative")
-    if np.abs(P.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ConfigError("channel rows must each sum to 1")
+    P = _as_channel(conditionals)
     trajectory = []
     capacity, p, iterations, converged = _blahut_arimoto(
         P[None], _TOL, _MAX_ITERATIONS, trajectory

@@ -89,14 +89,28 @@ def write_ppm(path, image: ImageRaster) -> None:
         fh.write("\n".join(["P3", f"{w} {image.height}", "255", *rows]) + "\n")
 
 
+# Anything in a channel body but ASCII digits and ASCII whitespace.
+_NOT_DECIMAL = re.compile(r"[^0-9 \t\n\r\v\f]")
+# The palette index of each gray level 0..256, 4 for a level off the
+# palette; any level above 255 reads as 256.
+_GRAY_INDEX = np.full(257, 4, dtype=np.uint8)
+_GRAY_INDEX[[gray for gray, _, _ in PALETTE]] = range(len(PALETTE))
+
+
 def read_ppm(path) -> ImageRaster:
-    """Parse a P3 PPM whose colors all belong to the fixed palette."""
+    """Parse a P3 PPM whose colors all belong to the fixed palette.
+
+    Channel values are ASCII decimal digits separated by ASCII
+    whitespace; the body is parsed in one call, with no object per value.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = re.sub(r"#[^\n]*", "", fh.read())  # comments end at the line break
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read image {path}: {exc}") from exc
-    tokens = re.sub(r"#[^\n]*", "", text).split()
+    # Only the header is split into tokens; the fifth part is the body.
+    tokens = text.split(maxsplit=4)
+    del text
     if not tokens or tokens[0] != "P3":
         raise ConfigError("only plain-text P3 images are supported")
     if len(tokens) < 4:
@@ -107,23 +121,29 @@ def read_ppm(path) -> ImageRaster:
         raise ConfigError("bad image header") from exc
     if maxval != 255:
         raise ConfigError("palette images must use maxval 255")
-    if len(tokens) - 4 != 3 * width * height:
+    body = tokens.pop() if len(tokens) == 5 else ""
+    if _NOT_DECIMAL.search(body):
+        raise ConfigError("bad channel value")
+    # `split` strips the body's leading whitespace, so every value the
+    # parse finds is one run of digits.
+    channels = np.fromstring(body, dtype=np.int64, sep=" ")
+    del body
+    if len(channels) != 3 * width * height:
         raise ConfigError(
-            f"expected {3 * width * height} channel values, got {len(tokens) - 4}"
+            f"expected {3 * width * height} channel values, got {len(channels)}"
         )
-    try:
-        rgb = np.array(tokens[4:], dtype=np.int64).reshape(-1, 3)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError("bad channel value") from exc
-    # With every channel in 0..255, a color packs into one integer.
-    weights = np.array([1 << 16, 1 << 8, 1])
-    hit = (rgb * weights).sum(axis=1)[:, None] == (np.array(PALETTE) * weights).sum(axis=1)
-    bad = ~(((rgb >= 0) & (rgb <= 255)).all(axis=1) & hit.any(axis=1))
+    # The parse saturates a value beyond int64 instead of failing.
+    if channels.max(initial=0) == np.iinfo(np.int64).max:
+        raise ConfigError("bad channel value")
+    rgb = channels.reshape(-1, 3)
+    # The palette colors are grays, so a pixel is on it when its three
+    # channels are equal and its level is a palette level.
+    level = _GRAY_INDEX[np.minimum(rgb[:, 0], 256)]
+    bad = (level == 4) | (rgb[:, 1] != rgb[:, 0]) | (rgb[:, 2] != rgb[:, 0])
     if bad.any():
         color = tuple(rgb[bad.argmax()].tolist())
         raise ConfigError(f"color {color} is not in the four-gray palette")
-    # the palette colors differ, so each pixel hits exactly one
-    return ImageRaster(width, height, np.nonzero(hit)[1].astype(np.uint8).tobytes())
+    return ImageRaster(width, height, level.tobytes())
 
 
 def make_demo_image() -> ImageRaster:

@@ -13,13 +13,13 @@ stream:
 Detections are drawn from the closed-form kernel of `fibersdc.kernel`,
 never from the state algebra, which stays its reference oracle.
 `sample_detections` draws a batch of detections at known times.
-`iter_event_chunks` calls it to sample a timed run
-`EVENT_CHUNK` arrivals at a time, so memory stays bounded whatever the
-run length; the transfer protocol calls it once per session.  Arrival
-gaps, walk increments and the per-event uniforms each come from their
-own generator, spawned from the caller's, and are consumed in a fixed
-amount per arrival or event; the events therefore do not depend on the
-chunk size.
+`iter_event_chunks` calls it to sample a timed run `EVENT_CHUNK`
+arrivals at a time, so memory stays bounded whatever the run length; the
+transfer protocol calls it on runs of `EVENT_CHUNK` frames for the same
+reason.  Arrival gaps, walk increments and the per-event uniforms each
+come from their own generator, spawned from the caller's, and are
+consumed in a fixed amount per arrival or event; the events therefore do
+not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from .kernel import (
 )
 
 EVENT_CHUNK = 2048
-"""Arrival gaps drawn per sampling step of `iter_event_chunks`."""
+"""Arrival gaps drawn per sampling step of `iter_event_chunks`, and frames
+per run of `protocol.run_session`."""
 
 
 class PhaseWalk:

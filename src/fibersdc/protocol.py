@@ -30,10 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import noise
 from .configs import DriftConfig, InterferometerConfig, SourceConfig, TimingConfig
 from .errors import ConfigError, ProtocolError
 from .kernel import BELL_TO_DIBIT, DIBIT_TO_BELL, OUTCOME_VERDICT, VERDICTS, verdict_label
-from .noise import PhaseWalk, sample_detections
 from .seeds import substream
 
 MAGIC = b"SDC1"
@@ -206,23 +206,27 @@ _AMBIGUOUS = len(VERDICTS) - 1
 _DIBIT_CLASS = np.array([DIBIT_TO_BELL[d].index for d in sorted(DIBIT_TO_BELL)])
 # The received dibit of each verdict; an erasure (an ambiguous verdict or
 # an empty window) is filled with 0.
-_VERDICT_DIBIT = np.array([BELL_TO_DIBIT.get(v, 0) for v in VERDICTS])
+_VERDICT_DIBIT = np.array([BELL_TO_DIBIT.get(v, 0) for v in VERDICTS], dtype=np.uint8)
 
 
-def _window_closes(gap: np.ndarray, timing: TimingConfig) -> np.ndarray:
+def _window_closes(
+    gap: np.ndarray, timing: TimingConfig, after: float | None = None
+) -> np.ndarray:
     """Operating time at which each frame's window closes, given the first
     arrival after each frame's settle.
 
     A frame is five steps: hop, hop, hop, settle, then the window or the
-    first arrival in it; frame 0 has no RECEIPT hop before it.  A
-    sequential cumsum, in place, gives the same floats as adding the steps
-    one by one.
+    first arrival in it.  `after` is the close of the frame before the
+    first one here, or None at the session start, where frame 0 has no
+    RECEIPT hop before it.  A sequential cumsum, in place, gives the same
+    floats as adding the steps one by one, so a session split into runs
+    of frames has the same closes.
     """
     clock = np.empty((len(gap), 5))
     clock[:, :3] = timing.message_latency_s
     clock[:, 3] = timing.encoder_settle_s
     clock[:, 4] = np.minimum(gap, timing.frame_window_s)
-    clock[:1, 0] = 0.0
+    clock[:1, 0] = 0.0 if after is None else after + timing.message_latency_s
     with np.errstate(over="ignore"):  # run_session refuses an infinite close
         np.cumsum(clock, out=clock.reshape(-1))
     return clock[:, 4].copy()
@@ -241,32 +245,44 @@ def run_session(
     Each frame's window closes at its first detection (later arrivals in
     the same window are ignored) or times out empty into an erasure.  On
     the lossless link no verdict changes the message flow, so the windows
-    close at times known in closed form, the final RECEIPT adds one hop,
-    and every detection is drawn in one batch.  Phase drift advances on
-    operating time, and each recalibration period that ends before the
-    last window closes inserts a fixed pause; the analyzer sits at the
-    walk's phases, whatever offsets `interf_cfg` holds.  Everything is
-    reproducible from the master seed.
+    close at times known in closed form and the final RECEIPT adds one
+    hop.  The session runs in two passes over runs of `noise.EVENT_CHUNK`
+    frames: the first lays out the timeline, keeping one detection time
+    per frame, and the second draws the run's detections in one batch.
+    Every generator is consumed in frame order, so the outputs do not
+    depend on the run length.  Phase drift advances on operating time, and
+    each recalibration period that ends before the last window closes
+    inserts a fixed pause; the analyzer sits at the walk's phases,
+    whatever offsets `interf_cfg` holds.  Everything is reproducible from
+    the master seed.
     """
     for d in dibits:
         if d not in DIBIT_TO_BELL:
             raise ConfigError(f"dibit out of range: {d!r}")
     n = len(dibits)
-    walk = PhaseWalk(drift_cfg, substream(master_seed, "protocol.drift"))
+    walk = noise.PhaseWalk(drift_cfg, substream(master_seed, "protocol.drift"))
     rng_q = substream(master_seed, "protocol.quantum")
     rng_arr = substream(master_seed, "protocol.arrivals")
+    runs = [(a, min(a + noise.EVENT_CHUNK, n)) for a in range(0, n, noise.EVENT_CHUNK)]
 
-    gap = rng_arr.exponential(1.0 / source_cfg.total_rate_hz, n)
-    timed_out = gap >= timing.frame_window_s
-    closes = _window_closes(gap, timing)
-    op_time = float(closes[-1]) + timing.message_latency_s if n else 0.0
+    # classical pass: each frame's detection time, NaN for an empty window
+    times = np.empty(n)
+    last_close, timeout_count = None, 0
+    for a, b in runs:
+        gap = rng_arr.exponential(1.0 / source_cfg.total_rate_hz, b - a)
+        closes = _window_closes(gap, timing, last_close)
+        last_close = float(closes[-1])
+        timed_out = gap >= timing.frame_window_s
+        timeout_count += int(timed_out.sum())
+        times[a:b] = np.where(timed_out, np.nan, closes)
+    op_time = last_close + timing.message_latency_s if n else 0.0
     if not math.isfinite(op_time):
         raise ConfigError(
             "session time overflows; lower message_latency_s, encoder_settle_s or frame_window_s"
         )
     # Every period boundary up to the last window close is a recalibration,
     # by the walk's own floor rule, whether or not a detection follows it.
-    periods = float(closes[-1]) / drift_cfg.recalibration_period_s if n else 0.0
+    periods = last_close / drift_cfg.recalibration_period_s if n else 0.0
     recalibrations = math.floor(periods) if math.isfinite(periods) else 0
     elapsed = op_time + recalibrations * timing.recalibration_pause_s
     if not (math.isfinite(periods) and math.isfinite(elapsed)):
@@ -275,23 +291,27 @@ def run_session(
             "or lower recalibration_pause_s"
         )
 
-    # quantum pass: every detection in one draw, in frame order
-    detected = ~timed_out
-    sent = _DIBIT_CLASS[np.array(dibits, dtype=np.intp)[detected]]
-    outcome = sample_detections(sent, closes[detected], walk, source_cfg, rng_q)
-    verdict = np.full(n, _AMBIGUOUS)
-    verdict[detected] = OUTCOME_VERDICT[outcome]
+    # quantum pass: each run's detections in one draw, in frame order
+    verdict = np.full(n, _AMBIGUOUS, dtype=np.int8)
+    counts = np.zeros(len(VERDICTS), dtype=np.int64)
+    for a, b in runs:
+        run_times, run_verdict = times[a:b], verdict[a:b]
+        detected = ~np.isnan(run_times)
+        sent = _DIBIT_CLASS[np.array(dibits[a:b], dtype=np.intp)[detected]]
+        outcome = noise.sample_detections(sent, run_times[detected], walk, source_cfg, rng_q)
+        run_verdict[detected] = OUTCOME_VERDICT[outcome]
+        counts += np.bincount(run_verdict, minlength=len(VERDICTS))
+    del times
     erasures = verdict == _AMBIGUOUS
-    counts = np.bincount(verdict, minlength=len(VERDICTS)).tolist()
 
     throughput = (2.0 * n / elapsed) if elapsed > 0 else 0.0
     stats = SessionStats(
         frames=n,
         erasure_count=int(erasures.sum()),
-        timeout_count=int(timed_out.sum()),
+        timeout_count=timeout_count,
         elapsed_s=elapsed,
         throughput_bits_per_s=throughput,
         recalibrations=recalibrations,
-        verdict_counts={verdict_label(v): c for v, c in zip(VERDICTS, counts) if c},
+        verdict_counts={verdict_label(v): c for v, c in zip(VERDICTS, counts.tolist()) if c},
     )
     return SessionResult(_VERDICT_DIBIT[verdict].tolist(), erasures.tolist(), stats)

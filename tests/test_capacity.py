@@ -142,6 +142,12 @@ def test_mi_rejects_bad_inputs():
         channel[0, 1] = value
         with pytest.raises(ConfigError, match="finite"):
             mutual_information(UNIFORM, channel)
+    # Rows that do not sum to 1, or negative entries, are no channel: they
+    # used to give 4.0 bits (above log2 4) and 0.0 bits.
+    with pytest.raises(ConfigError, match="sum to 1"):
+        mutual_information(UNIFORM, 2 * np.eye(4))
+    with pytest.raises(ConfigError, match="non-negative"):
+        mutual_information(UNIFORM, -np.eye(4))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +220,8 @@ def test_capacity_rejects_bad_channels():
         channel_capacity(np.full((4, 4), 0.3))
     with pytest.raises(ConfigError):
         channel_capacity(-np.eye(4))
+    with pytest.raises(ConfigError, match="at least one row"):
+        channel_capacity(np.empty((0, 3)))
     for value in (np.nan, np.inf, -np.inf):
         channel = np.eye(4)
         channel[0, 1] = value

@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibersdc.errors import ConfigError
 from fibersdc.imagecodec import (
@@ -171,3 +173,94 @@ def test_ppm_rejects_channels_outside_0_to_255(tmp_path, channels):
     path.write_text(f"P3\n1 1\n255\n{channels}\n")
     with pytest.raises(ConfigError):
         read_ppm(path)
+
+
+@pytest.mark.parametrize(
+    "channels",
+    [
+        "+255 255 255",  # a sign
+        "-0 -0 -0",
+        "25_5 255 255",  # an underscore, as in a Python literal
+        "٢٥٥ 255 255",  # Arabic-Indic digits
+        "２５５ 255 255",  # fullwidth digits
+        "255\x1c255 255",  # separators that are not ASCII whitespace
+        "255\x1f255 255",
+        "255\x85255 255",
+        "255\xa0255 255",
+        "255　255 255",
+        "255 255 255\x1c",
+        "9223372036854775807 255 255",  # 2**63 - 1, where the parse saturates
+    ],
+)
+def test_ppm_channels_are_ascii_decimal(tmp_path, channels):
+    # All but the last read as white while the channels were split on any
+    # Unicode whitespace and parsed one by one as Python integers; the
+    # last was reported as an off-palette color.
+    path = tmp_path / "white.ppm"
+    path.write_text(f"P3\n1 1\n255\n{channels}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="bad channel value"):
+        read_ppm(path)
+
+
+def test_ppm_accepts_leading_zeros_and_ascii_whitespace(tmp_path):
+    path = tmp_path / "img.ppm"
+    path.write_text("P3\n2 1\n255\n00000000000000000000255 0255 255\t85\r\n85\x0b85\x0c\n")
+    assert read_ppm(path) == ImageRaster(2, 1, bytes([0, 2]))
+
+
+_ASCII_SPACE = st.text(" \t\n\r\v\f", min_size=1, max_size=3)
+# Comment text runs to the line break; reading in text mode makes a
+# carriage return one too.
+_COMMENT = st.text(
+    st.characters(exclude_categories=["Cs"], exclude_characters="\r\n"), max_size=8
+).map(lambda text: f"#{text}\n")
+_SEPARATOR = st.lists(st.one_of(_ASCII_SPACE, _COMMENT), min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def _images(draw):
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pixels = draw(st.binary(min_size=width * height, max_size=width * height))
+    return ImageRaster(width, height, bytes(p % 4 for p in pixels))
+
+
+def _tokens(tmp_path, image):
+    write_ppm(tmp_path / "img.ppm", image)
+    return (tmp_path / "img.ppm").read_text().split()
+
+
+@settings(max_examples=60, deadline=None)
+@given(image=_images(), data=st.data())
+def test_ppm_roundtrips_any_whitespace_and_comment_layout(tmp_path_factory, image, data):
+    tmp_path = tmp_path_factory.mktemp("layout")
+    tokens = _tokens(tmp_path, image)
+    lead = data.draw(st.one_of(st.just(""), _SEPARATOR))
+    seps = data.draw(st.lists(_SEPARATOR, min_size=len(tokens), max_size=len(tokens)))
+    text = lead + "".join(token + sep for token, sep in zip(tokens, seps))
+    (tmp_path / "img.ppm").write_bytes(text.encode("utf-8"))
+    assert read_ppm(tmp_path / "img.ppm") == image
+
+
+_MUTATIONS = {
+    "sign": st.sampled_from("+-").map(lambda sign: lambda token: sign + token),
+    "twenty digits": st.integers(10**19, 10**20 - 1).map(lambda big: lambda token: str(big)),
+    "underscore": st.just(lambda token: token[:1] + "_" + (token[1:] or "0")),
+    "non-ASCII digit": st.characters(categories=["Nd"])
+    .filter(lambda c: not c.isascii())
+    .map(lambda digit: lambda token: digit + token[1:]),
+    # the space after the token becomes a file separator
+    "separator": st.just(lambda token: token + "\x1c"),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(image=_images(), kind=st.sampled_from(sorted(_MUTATIONS)), data=st.data())
+def test_ppm_rejects_mutated_channels(tmp_path_factory, image, kind, data):
+    tmp_path = tmp_path_factory.mktemp("mutated")
+    tokens = _tokens(tmp_path, image)
+    at = data.draw(st.integers(4, len(tokens) - 1))
+    tokens[at] = data.draw(_MUTATIONS[kind])(tokens[at])
+    text = " ".join(tokens).replace("\x1c ", "\x1c")
+    (tmp_path / "img.ppm").write_bytes(text.encode("utf-8"))
+    with pytest.raises(ConfigError):
+        read_ppm(tmp_path / "img.ppm")

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fibersdc.configs import (
     TRANSFER_SOURCE,
 )
 from fibersdc.errors import ConfigError, ProtocolError
+from fibersdc.imagecodec import ImageRaster, raster_to_dibits, read_ppm, write_ppm
 from fibersdc.interferometer import OUTCOMES, classify, verdict_label
 from fibersdc.noise import DriftConfig, PhaseWalk, SourceConfig
 from fibersdc.protocol import (
@@ -472,3 +474,55 @@ def test_session_matches_a_frame_by_frame_reference():
     # closes at 55.9 s, after seven 7 s periods.
     assert checked[-1].timeout_count == 40 and checked[-1].recalibrations == 7
     assert checked[-1].elapsed_s == pytest.approx(55.9 + 0.3 + 7 * 2.0)
+
+
+def test_session_does_not_depend_on_the_run_length(monkeypatch):
+    # The slow, often-recalibrated case of the frame-by-frame reference.
+    slow = dataclasses.replace(TRANSFER_SOURCE, coincidence_rate_hz=2.0)
+    drift = dataclasses.replace(TRANSFER_DRIFT, recalibration_period_s=7.0)
+    dibits = np.random.default_rng(6).integers(0, 4, 300).tolist()
+    n = len(dibits)
+    gap = substream(17, "protocol.arrivals").exponential(1.0 / slow.total_rate_hz, n)
+    closes = _window_closes(gap, DEFAULT_TIMING)
+    timed_out = np.flatnonzero(gap >= DEFAULT_TIMING.frame_window_s)
+    new_period = np.flatnonzero(np.diff(np.floor(closes / drift.recalibration_period_s))) + 1
+    first_timeout = int(timed_out[timed_out > 1][0])
+    # Runs of these lengths start at a timed-out frame, end at one, and
+    # start at the first frame whose window closes in a new period.
+    edges = [first_timeout, first_timeout + 1, int(new_period[0])]
+    results = []
+    for chunk in [1, 7, 64, n, n + 1, *edges]:
+        monkeypatch.setattr(noise, "EVENT_CHUNK", chunk)
+        results.append(
+            run_session(dibits, slow, drift, DEFAULT_INTERFEROMETER, DEFAULT_TIMING, 17)
+        )
+    stats = results[0].stats
+    assert stats.timeout_count > 20 and stats.recalibrations > 20
+    assert all(result == results[0] for result in results[1:])
+
+
+# Traced bytes per pixel of reading a generated image and sending it, at
+# most.  Measured 34 B/px on a 400x500 image (numpy 2.4): the parse holds
+# the body text and one int64 per channel, the session one detection time
+# per frame plus its three lists.  Parsing one str per token and drawing
+# the session in one batch took 208 B/px.
+_TRANSFER_BYTES_PER_PIXEL = 48
+
+
+def test_transfer_memory_is_a_few_bytes_per_pixel(tmp_path):
+    width, height = 400, 500
+    pixels = np.random.default_rng(4).integers(0, 4, width * height, dtype=np.uint8)
+    path = tmp_path / "big.ppm"
+    write_ppm(path, ImageRaster(width, height, pixels.tobytes()))
+    tracemalloc.start()
+    try:
+        image = read_ppm(path)
+        result = run_session(
+            raster_to_dibits(image), TRANSFER_SOURCE, TRANSFER_DRIFT,
+            DEFAULT_INTERFEROMETER, DEFAULT_TIMING, master_seed=1,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.stats.frames == width * height
+    assert peak / (width * height) < _TRANSFER_BYTES_PER_PIXEL
