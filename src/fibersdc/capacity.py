@@ -84,6 +84,7 @@ def mutual_information(input_dist, conditionals) -> float:
     return float((p * D).sum())
 
 
+# Not a tuple: bench/tracing.py's capacity hook reads a tuple return as (result, ...).
 @dataclass(frozen=True)
 class CapacityResult:
     """`lower_bounds` holds the capacity lower bound after each iteration;
