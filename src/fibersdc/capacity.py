@@ -10,6 +10,7 @@ bits (base-2 logs).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,12 +219,11 @@ def partial_bsm_channel() -> np.ndarray:
 
 
 def load_reference_counts() -> np.ndarray:
-    """The bundled bench count matrix (canonical Bell order)."""
-    from importlib import resources
-
-    ref = resources.files("fibersdc.data").joinpath("characterization_counts.txt")
-    with resources.as_file(ref) as path:
-        return load_counts(path)
+    """The bundled bench count matrix (canonical Bell order).  Read by
+    path, as `kernel` reads its tables: `importlib.resources` would add
+    its import to the command's start-up."""
+    path = os.path.join(os.path.dirname(__file__), "data", "characterization_counts.txt")
+    return load_counts(path)
 
 
 def load_counts(path) -> np.ndarray:

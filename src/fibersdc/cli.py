@@ -339,9 +339,21 @@ def _settings_options(p: argparse.ArgumentParser, command: str) -> None:
     )
 
 
+def _seed(text: str) -> int:
+    """`--seed`: a non-negative integer.  A non-integer gets argparse's
+    own `type=int` message."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or .)")
-    p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
+    p.add_argument("--seed", type=_seed, default=1, help="master seed (default 1)")
 
 
 def _characterize_options(p: argparse.ArgumentParser) -> None:

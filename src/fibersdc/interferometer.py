@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from importlib import resources
+import os
 
 from . import kernel
 from .configs import InterferometerConfig
@@ -331,11 +331,9 @@ def load_reference_outputs() -> dict[BellState, TwoPhotonState]:
     The file is the golden record: tests compare `evolve_bsm` at zero
     offsets against it bit-exactly (after phase alignment).
     """
-    text = (
-        resources.files("fibersdc.data")
-        .joinpath("bell_outputs_calibrated.txt")
-        .read_text(encoding="utf-8")
-    )
+    path = os.path.join(os.path.dirname(__file__), "data", "bell_outputs_calibrated.txt")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None
     for line in text.splitlines():

@@ -34,11 +34,13 @@ def substream_seed(master_seed: int, name: str) -> np.random.SeedSequence:
 
     The name is hashed with SHA-256 so adding new substreams never
     perturbs existing ones, and the result does not depend on Python's
-    per-process string hashing.
+    per-process string hashing.  The master seed enters whole, so every
+    non-negative integer gives its own streams; a negative one raises
+    ValueError.
     """
     digest = sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.SeedSequence(entropy=[int(master_seed) & (2**63 - 1)] + words)
+    return np.random.SeedSequence(entropy=[int(master_seed)] + words)
 
 
 def substream(master_seed: int, name: str) -> np.random.Generator:

@@ -430,6 +430,19 @@ def test_commands_without_settings_refuse_settings_options(tmp_path, command, op
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", "-9223372036854775808"])
+@pytest.mark.parametrize("command", ["calibrate", "capacity", "characterize", "transfer"])
+def test_a_negative_seed_exits_2_naming_seed(tmp_path, capsys, command, seed):
+    # Rejected while parsing, before any output is written.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--outdir", str(tmp_path / "out"), "--seed", seed])
+    assert exc.value.code == 2
+    assert f"argument --seed: must be a non-negative integer, got '{seed}'" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("target", ["blocker", "blocker/sub"])
 def test_unusable_outdir_exits_2_naming_it(tmp_path, capsys, target):
     (tmp_path / "blocker").write_text("")  # a file where a directory should be

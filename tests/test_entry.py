@@ -4,14 +4,16 @@ in-process; these run the real entry, in a child or with `main` stubbed.
 """
 
 import ast
-import gc
+import io
 import os
 import re
 import subprocess
 import sys
-import weakref
 from importlib import import_module
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import fibersdc.__main__ as entry
 from fibersdc import cli
@@ -44,14 +46,23 @@ def test_the_script_calls_the_function_python_m_runs():
     assert getattr(import_module(module), name) is entry.run
 
 
-def python_m_fibersdc(*argv: str) -> subprocess.CompletedProcess:
+def python_m_fibersdc(
+    *argv: str, code: str | None = None, stdout=subprocess.PIPE
+) -> subprocess.CompletedProcess:
+    """Run `python -m fibersdc ARGV` in a child, or `python -c CODE ARGV`
+    when `code` is given, with this checkout's sources first on the path.
+    The child's stdout is block-buffered, as on a pipe by default, so
+    output the entry fails to flush is lost."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     env.pop(cli.OUTDIR_ENV, None)
+    env.pop("PYTHONUNBUFFERED", None)
+    entry_args = ["-m", "fibersdc"] if code is None else ["-c", code]
     return subprocess.run(
-        [sys.executable, "-m", "fibersdc", *argv], env=env, capture_output=True, text=True
+        [sys.executable, *entry_args, *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
     )
 
 
@@ -70,30 +81,107 @@ def test_python_m_fibersdc_exits_2_naming_a_bad_setting(tmp_path):
     assert done.stdout == ""
 
 
-class _Node:
-    pass
+class _Recorder(io.StringIO):
+    """A stream that logs its flushes in the shared event list."""
+
+    def __init__(self, events: list, name: str, fail: bool = False):
+        super().__init__()
+        self.events, self.name, self.fail = events, name, fail
+
+    def flush(self):
+        self.events.append(f"flush {self.name}")
+        if self.fail:
+            raise BrokenPipeError(32, "Broken pipe")
 
 
-def test_the_entry_freezes_the_import_heap_and_keeps_collecting(monkeypatch):
-    seen = {}
-
+def stub_the_exit(monkeypatch, events: list, stdout_fails: bool = False) -> None:
+    """Stub `main` to print and return 7, and record what `run` does
+    after it.  The real `atexit._run_exitfuncs` would run and clear the
+    pytest process's own callbacks, so the entry gets a stand-in; a child
+    test runs the real one."""
     def stub_main():
-        seen["enabled"] = gc.isenabled()
-        seen["frozen"] = gc.get_freeze_count()
-        # A cycle the command makes is still reclaimed.
-        node = _Node()
-        node.self = node
-        ref = weakref.ref(node)
-        del node
-        gc.collect()
-        seen["cycle_freed"] = ref() is None
+        print("report")
         return 7
 
     monkeypatch.setattr(cli, "main", stub_main)
+    monkeypatch.setattr(
+        entry, "atexit", SimpleNamespace(_run_exitfuncs=lambda: events.append("atexit"))
+    )
+    monkeypatch.setattr(entry.os, "_exit", lambda code: events.append(("os._exit", code)))
+    monkeypatch.setattr(sys, "stdout", _Recorder(events, "stdout", fail=stdout_fails))
+    monkeypatch.setattr(sys, "stderr", _Recorder(events, "stderr"))
+
+
+def test_the_entry_runs_atexit_flushes_and_ends_with_mains_code(monkeypatch):
+    events: list = []
+    stub_the_exit(monkeypatch, events)
+    entry.run()
+    assert events == ["atexit", "flush stdout", "flush stderr", ("os._exit", 7)]
+    assert sys.stdout.getvalue() == "report\n"
+
+
+def test_a_failed_flush_leaves_through_the_interpreter_exit(monkeypatch):
+    # The interpreter's exit flushes again and reports the failure itself.
+    events: list = []
+    stub_the_exit(monkeypatch, events, stdout_fails=True)
+    assert entry.run() == 7
+    assert events == ["atexit", "flush stdout"]
+
+
+_WITH_AN_ATEXIT_HANDLER = """
+import atexit, runpy, sys
+atexit.register(lambda: print("atexit handler ran"))
+sys.argv = ["fibersdc", *sys.argv[1:]]
+runpy.run_module("fibersdc", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_an_atexit_handler_registered_before_the_entry_runs(tmp_path):
+    # Registered ahead of the entry, as coverage and site hooks are; its
+    # output, written after the report, is flushed by the entry too.
+    done = python_m_fibersdc(
+        "calibrate", "--grid", "3", "--outdir", str(tmp_path), code=_WITH_AN_ATEXIT_HANDLER
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    report = (tmp_path / "calibration_report.txt").read_text(encoding="utf-8")
+    assert done.stdout == report + "atexit handler ran\n"
+
+
+def test_characterize_child_leaves_every_event_in_its_log(tmp_path):
+    done = python_m_fibersdc(
+        "characterize", "--seconds-per-state", "0.1", "--outdir", str(tmp_path)
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    total = int(re.search(r"^events_total=(\d+)$", done.stdout, re.M).group(1))
+    lines = (tmp_path / "events.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line for line in lines if not line.startswith("#")][1:]  # after the column line
+    assert total > 0
+    assert len(rows) == total
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["bogus"]], ids=" ".join)
+def test_argparse_exits_of_the_child_match_main(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    expected = capsys.readouterr()
+    done = python_m_fibersdc(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        exc.value.code, expected.out, expected.err
+    )
+    assert done.returncode == (2 if argv == ["bogus"] else 0)
+
+
+def test_a_closed_stdout_pipe_is_reported_by_the_interpreter_exit(tmp_path):
+    # The report stays in stdout's buffer and the entry's flush fails; the
+    # interpreter's exit flushes again, reports the error and exits 120.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
-        assert entry.run() == 7
+        done = python_m_fibersdc(
+            "calibrate", "--grid", "3", "--outdir", str(tmp_path), stdout=write_end
+        )
     finally:
-        gc.unfreeze()
-    assert seen["enabled"]
-    assert seen["frozen"] > 0
-    assert seen["cycle_freed"]
+        os.close(write_end)
+    assert done.returncode == 120
+    assert "BrokenPipeError" in done.stderr

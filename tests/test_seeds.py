@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fibersdc.cli import _settings_body
-from fibersdc.seeds import sha256, substream_seed
+from fibersdc.seeds import sha256, substream, substream_seed
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fibersdc"
 
@@ -46,3 +46,19 @@ def test_substream_seed_is_pinned():
     assert substream_seed(1, "characterize").entropy == [
         1, 543815835, 344174542, 2607538168, 832824954,
     ]
+
+
+def test_the_master_seed_enters_whole():
+    # Seeds below 2**63 keep their entropy; those at and above it no longer
+    # fold onto it, which masking the top bit used to do.
+    words = substream_seed(1, "bootstrap").entropy[1:]
+    for seed in (0, 2**63 - 1, 2**63, 2**64 + 5):
+        assert substream_seed(seed, "bootstrap").entropy == [seed, *words]
+    draws = {seed: substream(seed, "bootstrap").integers(2**62, size=4).tolist()
+             for seed in (0, 2**63, 2**63 - 1)}
+    assert len({tuple(d) for d in draws.values()}) == 3
+
+
+def test_a_negative_master_seed_raises():
+    with pytest.raises(ValueError):
+        substream_seed(-1, "characterize")
