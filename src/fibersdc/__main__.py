@@ -1,6 +1,18 @@
 """Process entry of the command line: `python -m fibersdc` and the
 installed `fibersdc` script both call `run`.
 
+Nothing in the package uses OpenSSL, yet `numpy.random` loads it through
+`secrets`, `hmac` and `hashlib`: about 3.4 MB of RSS and 2-3 ms of
+import time per command.  So before it imports the CLI, `run` marks
+`_hashlib` unavailable with `sys.modules.setdefault("_hashlib", None)`,
+the import system's documented block, and `hashlib` and `hmac` then take
+the path CPython takes on a build without OpenSSL: the interpreter's
+built-in hash modules, and `_operator._compare_digest`.  The block is set only
+when every built-in module behind `hashlib.algorithms_guaranteed` exists
+(`BUILTIN_HASHES`); on a build configured with fewer of them `hashlib`
+would log each missing one to stderr, so there `_hashlib` is left alone.
+If `_hashlib` is already loaded, `setdefault` leaves it loaded.
+
 A command is one short process, and once its outputs are written
 nothing reads the interpreter's state again.  So when `main` returns,
 `run` runs the `atexit` callbacks (coverage and site hooks rely on
@@ -13,16 +25,31 @@ the normal interpreter exit, and so does a run whose final flush fails,
 so that the interpreter reports it as usual.
 
 `cli.main` does none of this and returns: tests and demos call it
-in-process.  A profiler that reports at interpreter exit, such as
-`python -m cProfile -m fibersdc`, gets no report; profile `cli.main`.
+in-process, and there OpenSSL loads as usual.  A profiler that reports
+at interpreter exit, such as `python -m cProfile -m fibersdc`, gets no
+report; profile `cli.main`.
 """
 
 import atexit
 import os
 import sys
 
+# The interpreter's own modules behind `hashlib.algorithms_guaranteed`;
+# Python 3.12 merged `_sha256` and `_sha512` into `_sha2`.
+_SHA2 = ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+BUILTIN_HASHES = ("_md5", "_sha1", *_SHA2, "_sha3", "_blake2")
+
+
+def block_openssl() -> None:
+    """Mark `_hashlib` unavailable if the built-in hashes can stand in."""
+    from importlib.util import find_spec
+
+    if all(find_spec(name) is not None for name in BUILTIN_HASHES):
+        sys.modules.setdefault("_hashlib", None)
+
 
 def run() -> int:
+    block_openssl()
     from .cli import main
 
     code = main()

@@ -10,6 +10,7 @@ bits (base-2 logs).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -160,7 +161,7 @@ def channel_capacity(conditionals) -> CapacityResult:
 
 
 # Resamples drawn and solved together; the block's arrays bound the memory
-# a bootstrap needs beyond one float per resample.
+# a bootstrap needs, whatever the number of resamples.
 BOOTSTRAP_BLOCK = 256
 
 
@@ -172,13 +173,16 @@ def bootstrap_spread(counts, resamples: int, rng: np.random.Generator) -> tuple[
     total and empirical distribution.  Resamples are drawn and solved
     `BOOTSTRAP_BLOCK` at a time; one broadcast multinomial call draws a
     block in the same order as drawing row by row, resample by resample.
+    The spread is accumulated block by block, so memory does not grow
+    with `resamples`.
     """
     m = _as_matrix(counts)
     if resamples < 2:
         raise ConfigError("need at least 2 resamples")
     P = estimate_conditionals(m)
     totals = np.sum(counts, axis=1).astype(np.int64)  # exact for integer counts
-    caps = np.empty(resamples)
+    # running count, mean and sum of squared deviations of the capacities
+    n, mean, m2 = 0, 0.0, 0.0
     nonconverged = 0
     for start in range(0, resamples, BOOTSTRAP_BLOCK):
         k = min(BOOTSTRAP_BLOCK, resamples - start)
@@ -187,11 +191,16 @@ def bootstrap_spread(counts, resamples: int, rng: np.random.Generator) -> tuple[
         )
         # a verdict column can come back empty; row sums stay positive
         resampled = draws / draws.sum(axis=2, keepdims=True)
-        caps[start : start + k], _, _, converged = _blahut_arimoto(
-            resampled, 1e-7, _MAX_ITERATIONS
-        )
+        caps, _, _, converged = _blahut_arimoto(resampled, 1e-7, _MAX_ITERATIONS)
         nonconverged += int(k - converged.sum())
-    return float(np.std(caps, ddof=1)), nonconverged
+        # merge the block's moments into the running ones (Chan et al.)
+        block_mean = float(caps.mean())
+        block_m2 = float(np.square(caps - block_mean).sum())
+        delta = block_mean - mean
+        n += k
+        mean += delta * k / n
+        m2 += block_m2 + delta * delta * (n - k) * k / n
+    return math.sqrt(m2 / (n - 1)), nonconverged
 
 
 def bootstrap_ci(counts, resamples: int, rng: np.random.Generator) -> float:

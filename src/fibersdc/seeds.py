@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 # The interpreter's built-in SHA-256, as CPython's own random.py does for
-# SHA-512: hashlib would load OpenSSL for a few digests of short strings.
+# SHA-512: in library use hashlib would load OpenSSL for a few digests of
+# short strings.  (A command's process blocks OpenSSL at its entry, and
+# there hashlib too falls back to the built-in.)
 try:
     from _sha2 import sha256  # Python 3.12+
 except ImportError:

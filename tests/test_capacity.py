@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,21 @@ def test_bootstrap_does_not_depend_on_block_size(monkeypatch, resamples):
 def test_bootstrap_matches_the_resample_loop_value():
     sd = bootstrap_ci(BENCH_COUNTS, 1000, substream(1, "bootstrap"))
     assert abs(sd - BENCH_BOOTSTRAP_STD) <= 1e-12
+
+
+def _bootstrap_peak_bytes(resamples: int) -> int:
+    tracemalloc.start()
+    try:
+        bootstrap_spread(BENCH_COUNTS, resamples, substream(3, "bootstrap"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bootstrap_memory_does_not_grow_with_resamples():
+    bootstrap_spread(BENCH_COUNTS, 300, substream(3, "bootstrap"))  # one-time allocations
+    # ten times the resamples: an array of one float each would add 180 KB
+    assert _bootstrap_peak_bytes(25_600) - _bootstrap_peak_bytes(2_560) <= 64 * 1024
 
 
 def test_bootstrap_counts_nonconverged_resamples(monkeypatch):

@@ -4,12 +4,16 @@ in-process; these run the real entry, in a child or with `main` stubbed.
 """
 
 import ast
+import hashlib
+import hmac
 import io
+import json
 import os
 import re
 import subprocess
 import sys
 from importlib import import_module
+from importlib.util import find_spec
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -98,11 +102,13 @@ def stub_the_exit(monkeypatch, events: list, stdout_fails: bool = False) -> None
     """Stub `main` to print and return 7, and record what `run` does
     after it.  The real `atexit._run_exitfuncs` would run and clear the
     pytest process's own callbacks, so the entry gets a stand-in; a child
-    test runs the real one."""
+    test runs the real one.  The entry's block on `_hashlib` is undone
+    after the test, so this process keeps its OpenSSL-backed hashlib."""
     def stub_main():
         print("report")
         return 7
 
+    monkeypatch.setitem(sys.modules, "_hashlib", sys.modules.get("_hashlib"))
     monkeypatch.setattr(cli, "main", stub_main)
     monkeypatch.setattr(
         entry, "atexit", SimpleNamespace(_run_exitfuncs=lambda: events.append("atexit"))
@@ -126,6 +132,42 @@ def test_a_failed_flush_leaves_through_the_interpreter_exit(monkeypatch):
     stub_the_exit(monkeypatch, events, stdout_fails=True)
     assert entry.run() == 7
     assert events == ["atexit", "flush stdout"]
+
+
+def test_the_entry_blocks_openssl_before_it_imports_the_cli(monkeypatch):
+    stub_the_exit(monkeypatch, [])
+    del sys.modules["_hashlib"]
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(sys.modules.get("_hashlib", "unset")))
+    entry.run()
+    assert seen == [None]
+
+
+def test_the_entry_leaves_a_loaded_hashlib_loaded(monkeypatch):
+    loaded = pytest.importorskip("_hashlib")
+    stub_the_exit(monkeypatch, [])
+    sys.modules["_hashlib"] = loaded
+    entry.run()
+    assert sys.modules["_hashlib"] is loaded
+
+
+def test_the_guard_lists_the_module_behind_every_guaranteed_hash():
+    # A release that renames a built-in hash module fails here rather
+    # than silently leaving OpenSSL in every command.
+    assert [name for name in entry.BUILTIN_HASHES if find_spec(name) is None] == []
+    done = subprocess.run(
+        [sys.executable, "-c", _BUILTIN_HASH_MODULES], capture_output=True, text=True, check=True
+    )
+    assert done.stderr == ""
+    assert sorted(done.stdout.split()) == sorted(entry.BUILTIN_HASHES)
+
+
+_BUILTIN_HASH_MODULES = """
+import sys
+sys.modules["_hashlib"] = None
+import hashlib
+print(*{type(hashlib.new(name)).__module__ for name in hashlib.algorithms_guaranteed})
+"""
 
 
 _WITH_AN_ATEXIT_HANDLER = """
@@ -185,3 +227,75 @@ def test_a_closed_stdout_pipe_is_reported_by_the_interpreter_exit(tmp_path):
         os.close(write_end)
     assert done.returncode == 120
     assert "BrokenPipeError" in done.stderr
+
+
+COMMANDS = [
+    ["calibrate", "--grid", "3"],
+    ["capacity", "--resamples", "10"],
+    ["characterize", "--seconds-per-state", "0.1"],
+    ["transfer"],
+]
+
+_HASH_AT_EXIT = """
+import atexit, json, runpy, sys
+
+def report():
+    modules = sorted(name for name, module in sys.modules.items() if module)
+    import hashlib, hmac, secrets
+    from fibersdc.seeds import substream_seed
+    print(json.dumps({
+        "modules": modules,
+        "sha256": hashlib.sha256(b"abc").hexdigest(),
+        "hmac": hmac.new(b"key", b"message", "sha256").hexdigest(),
+        "token": secrets.token_hex(16),
+        "entropy": substream_seed(1, "characterize").entropy,
+    }))
+
+atexit.register(report)
+sys.argv = ["fibersdc", *sys.argv[1:]]
+runpy.run_module("fibersdc", run_name="__main__", alter_sys=True)
+"""
+
+
+def exit_report(done: subprocess.CompletedProcess) -> dict:
+    """What the child's exit handler printed, as the last line of stdout,
+    after the command's own report."""
+    assert (done.returncode, done.stderr) == (0, "")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
+def test_no_command_loads_openssl_and_hashing_still_works(tmp_path, argv):
+    report = exit_report(
+        python_m_fibersdc(*argv, "--outdir", str(tmp_path), code=_HASH_AT_EXIT)
+    )
+    assert "fibersdc.cli" in report["modules"]
+    assert "_hashlib" not in report["modules"]
+    # the built-in hashes agree with OpenSSL's, in this process
+    assert report["sha256"] == hashlib.sha256(b"abc").hexdigest()
+    assert report["hmac"] == hmac.new(b"key", b"message", "sha256").hexdigest()
+    assert len(report["token"]) == 32
+    # as pinned in test_seeds.py
+    assert report["entropy"] == [1, 543815835, 344174542, 2607538168, 832824954]
+
+
+_WITHOUT_BUILTIN_MD5 = """
+import atexit, json, runpy, sys
+
+def report():
+    import _hashlib
+    print(json.dumps({"modules": sorted(n for n, m in sys.modules.items() if m)}))
+
+atexit.register(report)
+sys.modules["_md5"] = None
+sys.argv = ["fibersdc", *sys.argv[1:]]
+runpy.run_module("fibersdc", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_without_a_builtin_hash_the_entry_leaves_openssl_importable(tmp_path):
+    pytest.importorskip("_hashlib")
+    report = exit_report(python_m_fibersdc(
+        "capacity", "--resamples", "10", "--outdir", str(tmp_path), code=_WITHOUT_BUILTIN_MD5
+    ))
+    assert "_hashlib" in report["modules"]

@@ -88,9 +88,11 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):
     assert "fibersdc.cli" in loaded
     assert sorted(loaded.intersection(unloaded)) == []
     # The package hashes without OpenSSL; only `numpy.random` loads it,
-    # through `secrets`.  numpy >= 2 imports `numpy.random` on first use,
-    # so `calibrate`, which draws no random numbers, then loads neither;
-    # numpy < 2 imports it with numpy itself.
+    # through `secrets`, when `cli.main` is called directly as here.
+    # numpy >= 2 imports `numpy.random` on first use, so `calibrate`, which
+    # draws no random numbers, then loads neither; numpy < 2 imports it
+    # with numpy itself.  The process entry blocks OpenSSL for every
+    # command; tests/test_entry.py checks that.
     if "numpy.random" not in loaded:
         assert "_hashlib" not in loaded
 
