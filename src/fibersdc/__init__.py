@@ -37,7 +37,7 @@ _EXPORTS = {
         "measurement_distribution", "verdict_distribution",
     ),
     "kernel": ("BELL_ORDER", "BellState", "DetectionOutcome", "verdict_label"),
-    "noise": ("PhaseWalk", "generate_event_stream", "read_event_log", "tally_verdicts"),
+    "noise": ("PhaseWalk", "generate_event_stream", "tally_verdicts"),
     "protocol": (
         "Message", "MessageKind", "ReceiverMachine", "SenderMachine", "SessionResult",
         "SessionStats", "decode_message", "encode_message", "run_session",

@@ -42,6 +42,8 @@ from .errors import ConfigError
 from .seeds import STREAM_VERSION, sha256, substream
 
 OUTDIR_ENV = "FIBERSDC_OUTDIR"
+CALIBRATE_BLOCK = 1 << 16
+"""Most grid points `calibrate` scores at once (a whole phi0 row at least)."""
 
 
 def command_settings(command: str) -> tuple:
@@ -240,19 +242,27 @@ def cmd_calibrate(args) -> int:
     if n < 2:
         raise ConfigError("--grid must be at least 2")
     phis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    phi0, phi1 = (a.ravel() for a in np.meshgrid(phis, phis, indexing="ij"))
-    score = sum(kernel_verdicts(b.index, phi0, phi1)[:, b.index] for b in BELL_ORDER) / 4.0
-    rows = ["phi0_rad\tphi1_rad\tmean_diagonal"]
-    rows.extend(
-        f"{p0:.9f}\t{p1:.9f}\t{s:.9f}"
-        for p0, p1, s in zip(phi0.tolist(), phi1.tolist(), score.tolist())
-    )
-    (outdir / "calibration_grid.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    top = int(np.argmax(score))  # the first point scanned wins a tie
+    rows = max(1, CALIBRATE_BLOCK // n)
+    best = None
+    # Scored and written a block of phi0 rows at a time: memory stays
+    # bounded whatever the grid.
+    with open(outdir / "calibration_grid.tsv", "w", encoding="utf-8") as fh:
+        fh.write("phi0_rad\tphi1_rad\tmean_diagonal\n")
+        for start in range(0, n, rows):
+            block = np.meshgrid(phis[start:start + rows], phis, indexing="ij")
+            phi0, phi1 = (a.ravel() for a in block)
+            score = sum(kernel_verdicts(b.index, phi0, phi1)[:, b.index] for b in BELL_ORDER) / 4.0
+            fh.writelines(
+                f"{p0:.9f}\t{p1:.9f}\t{s:.9f}\n"
+                for p0, p1, s in zip(phi0.tolist(), phi1.tolist(), score.tolist())
+            )
+            top = int(np.argmax(score))
+            if best is None or score[top] > best[0]:  # the first point scanned wins a tie
+                best = (score[top], phi0[top], phi1[top])
     lines = [
-        f"best_score={score[top]:.9f}",
-        f"best_phi0_rad={phi0[top]:.9f}",
-        f"best_phi1_rad={phi1[top]:.9f}",
+        f"best_score={best[0]:.9f}",
+        f"best_phi0_rad={best[1]:.9f}",
+        f"best_phi1_rad={best[2]:.9f}",
     ]
     _write_report(args, outdir, "calibration_report.txt", lines, {"grid": repr(n)})
     return 0

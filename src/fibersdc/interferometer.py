@@ -26,9 +26,7 @@ way that reproduces measured confusion rates (see `CAL_DEPTH`).
 `evolve_bsm` and `measurement_distribution` are the reference oracle and
 the golden-file contract; no command loads this module.  The commands
 run the closed-form kernel of `fibersdc.kernel` instead, whose stored
-tables the tests rebuild from the states below.  The names that moved
-there (the outcome and verdict tables, the kernel, `DetectionOutcome`,
-`CAL_DEPTH`, `LOOP_TRAVERSALS`) are re-exported here as the same objects.
+tables the tests rebuild from the states below.
 """
 
 from __future__ import annotations
@@ -37,9 +35,9 @@ import cmath
 import math
 import os
 
-from . import kernel
 from .configs import InterferometerConfig
 from .errors import StateError
+from .kernel import BELL_ORDER, CAL_DEPTH, LOOP_TRAVERSALS, BellState, DetectionOutcome
 from .states import (
     H,
     V,
@@ -50,23 +48,6 @@ from .states import (
     overlap,
     parse_state,
 )
-
-# Re-exported from `fibersdc.kernel`: the same objects.
-BellState = kernel.BellState
-BELL_ORDER = kernel.BELL_ORDER
-DetectionOutcome = kernel.DetectionOutcome
-verdict_label = kernel.verdict_label
-VERDICTS = kernel.VERDICTS
-CAL_DEPTH = kernel.CAL_DEPTH
-LOOP_TRAVERSALS = kernel.LOOP_TRAVERSALS
-OUTCOMES = kernel.OUTCOMES
-OUTCOME_VERDICT = kernel.OUTCOME_VERDICT
-UNCORRELATED_DIST = kernel.UNCORRELATED_DIST
-BRANCH_OUTCOMES = kernel.BRANCH_OUTCOMES
-BRANCH_VERDICTS = kernel.BRANCH_VERDICTS
-leak_weight = kernel.leak_weight
-kernel_distribution = kernel.kernel_distribution
-kernel_verdicts = kernel.kernel_verdicts
 
 _SQ2 = math.sqrt(2.0)
 _R2 = 1.0 / _SQ2

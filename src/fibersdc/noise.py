@@ -267,7 +267,7 @@ def tally_verdicts(events: EventChunk) -> tuple[np.ndarray, np.ndarray]:
 
 _LOG_COLUMNS = "wall_time_s,truth,port1,pol1,port2,pol2,dt_bins,verdict"
 # The text of a row after its wall time, by (truth, outcome); the verdict
-# follows from the outcome, so these are all the rows the writer produces.
+# follows from the outcome.
 _ROW_TAILS = [
     [
         f",{b.label},{o.first_port},{o.first_pol},{o.second_port},{o.second_pol},"
@@ -276,7 +276,6 @@ _ROW_TAILS = [
     ]
     for b in BELL_ORDER
 ]
-_ROW_CODE = {tail: (k, o) for k, tails in enumerate(_ROW_TAILS) for o, tail in enumerate(tails)}
 
 
 def open_event_log(path, header: dict[str, str]) -> TextIO:
@@ -297,54 +296,3 @@ def append_events(fh: TextIO, chunk: EventChunk) -> None:
         f"{t:.6f}{_ROW_TAILS[k][o]}\n"
         for t, k, o in zip(chunk.wall_time_s.tolist(), chunk.truth.tolist(), chunk.outcome.tolist())
     )
-
-
-def read_event_log(path) -> tuple[EventChunk, dict[str, str]]:
-    """The events and the header of a log written by `open_event_log` and
-    `append_events`: `#` header lines, then the column line, then rows
-    whose wall times do not decrease.  A line out of that layout, or a row
-    the writer could not have produced, raises ConfigError naming it."""
-    header: dict[str, str] = {}
-    times: list[float] = []
-    codes: list[tuple[int, int]] = []
-    in_rows = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            try:
-                if in_rows:
-                    t, k, o = _decode_row(line)
-                    if times and t < times[-1]:
-                        raise ConfigError(f"wall time goes back from {times[-1]!r}")
-                    times.append(t)
-                    codes.append((k, o))
-                elif line == _LOG_COLUMNS:
-                    in_rows = True
-                elif line.startswith("#"):
-                    key, colon, val = line[1:].partition(":")
-                    if colon:
-                        header[key.strip()] = val.strip()
-                else:
-                    raise ConfigError("expected a '#' header line or the column line")
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}: {line!r}") from None
-    if not in_rows:
-        raise ConfigError(f"{path}: no column line")
-    truth, outcome = np.array(codes, dtype=np.intp).reshape(-1, 2).T
-    return EventChunk(np.array(times), truth, outcome), header
-
-
-def _decode_row(line: str) -> tuple[float, int, int]:
-    """Wall time, class index and outcome index of one event-log row.
-
-    The time must read exactly as `append_events` writes a finite,
-    non-negative one: `f"{t:.6f}"`, with no sign."""
-    time, comma, tail = line.partition(",")
-    code = _ROW_CODE.get(comma + tail)
-    try:
-        t = float(time)
-    except ValueError:
-        t = math.nan
-    if code is None or not math.isfinite(t) or time != f"{t:.6f}" or time.startswith("-"):
-        raise ConfigError("not a row the event-log writer produces")
-    return (t, *code)

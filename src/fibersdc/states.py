@@ -13,7 +13,7 @@ normalized so that the squared magnitudes of the stored amplitudes sum to
 one for a normalized state.
 
 The Bell classes and the dibit maps live in `fibersdc.kernel`, which the
-commands load without this module; they are re-exported here.
+commands load without this module.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import kernel
 from .errors import StateError
 
-# Re-exported from `fibersdc.kernel`: the same objects.
+# The kernel's objects; tests/test_acceptance.py imports both from here.
 BellState = kernel.BellState
 BELL_ORDER = kernel.BELL_ORDER
-DIBIT_TO_BELL = kernel.DIBIT_TO_BELL
-BELL_TO_DIBIT = kernel.BELL_TO_DIBIT
 
 H = "H"
 V = "V"
@@ -176,9 +174,9 @@ def apply_pauli(state: TwoPhotonState, gate: str, port: str) -> TwoPhotonState:
 
 
 # Dibit encoding on the second source port, into the classes of
-# `DIBIT_TO_BELL`.  Gates are listed in the order they are applied.  Since X
-# and Z anticommute, 3 produces PSI_MINUS only up to a global sign, which no
-# measurement can see.
+# `kernel.DIBIT_TO_BELL`.  Gates are listed in the order they are applied.
+# Since X and Z anticommute, 3 produces PSI_MINUS only up to a global sign,
+# which no measurement can see.
 DIBIT_GATES = {0: (), 1: ("Z",), 2: ("X",), 3: ("X", "Z")}
 
 ENCODING_PORT = "1"

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import types
 from dataclasses import fields
 from pathlib import Path
@@ -12,8 +13,7 @@ from fibersdc.capacity import load_counts
 from fibersdc.cli import command_settings, main
 from fibersdc.imagecodec import ImageRaster, read_ppm, write_ppm
 from fibersdc.interferometer import InterferometerConfig, verdict_distribution
-from fibersdc.noise import read_event_log
-from fibersdc.states import BELL_ORDER
+from fibersdc.kernel import BELL_ORDER
 
 ACCEPTED_KEYS = {
     command: {f.name for cfg in command_settings(command) for f in fields(cfg)}
@@ -74,9 +74,11 @@ def test_characterize_writes_all_outputs(tmp_path):
     manifest = (tmp_path / "manifest.txt").read_text()
     assert "command=characterize" in manifest
     assert "master_seed=3" in manifest
-    events, header = read_event_log(tmp_path / "events.csv")
-    assert len(events) == int(report["events_total"])
-    assert f"settings_sha256={header['settings_sha256']}\n" in manifest
+    log = (tmp_path / "events.csv").read_text().splitlines()
+    rows = log[log.index(noise._LOG_COLUMNS) + 1:]
+    assert len(rows) == int(report["events_total"])
+    digest = next(line for line in log if line.startswith("# settings_sha256: "))
+    assert f"settings_sha256={digest.split(': ', 1)[1]}\n" in manifest
     keys = [line.split("=", 1)[0] for line in _manifest_settings(tmp_path / "manifest.txt")]
     assert keys == sorted(ACCEPTED_KEYS["characterize"] | {"seconds_per_state"})
     assert "seconds_per_state=0.5\n" in manifest
@@ -256,6 +258,49 @@ def test_calibrate_grid_matches_a_state_algebra_sweep(tmp_path):
             score = sum(verdict_distribution(b, c).get(b, 0.0) for b in BELL_ORDER) / 4.0
             rows.append(f"{p0:.9f}\t{p1:.9f}\t{score:.9f}")
     assert (tmp_path / "calibration_grid.tsv").read_text() == "\n".join(rows) + "\n"
+
+
+def test_calibrate_ties_go_to_the_first_point_across_blocks(tmp_path, monkeypatch):
+    # At grid 4, (0, 0), (0, pi), (pi, 0) and (pi, pi) score exactly the same.
+    monkeypatch.setattr("fibersdc.cli.CALIBRATE_BLOCK", 4)  # one phi0 row per block
+    assert main(["calibrate", "--outdir", str(tmp_path), "--grid", "4"]) == 0
+    report = _read_report(tmp_path / "calibration_report.txt")
+    grid = (tmp_path / "calibration_grid.tsv").read_text().splitlines()
+    assert sum(row.endswith(f"\t{report['best_score']}") for row in grid) == 4
+    assert float(report["best_phi0_rad"]) == 0.0
+    assert float(report["best_phi1_rad"]) == 0.0
+
+
+@pytest.mark.parametrize("grid", ["7", "12"])
+def test_calibrate_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, grid):
+    def outputs(outdir):
+        assert main(["calibrate", "--outdir", str(outdir), "--grid", grid]) == 0
+        return [(outdir / name).read_bytes()
+                for name in ("calibration_grid.tsv", "calibration_report.txt")]
+
+    default = outputs(tmp_path / "default")
+    monkeypatch.setattr("fibersdc.cli.CALIBRATE_BLOCK", 1)  # one phi0 row per block
+    assert outputs(tmp_path / "one-row") == default
+
+
+def _calibrate_peak_bytes(outdir, grid):
+    tracemalloc.start()
+    try:
+        assert main(["calibrate", "--outdir", str(outdir), "--grid", str(grid)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_calibrate_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # A small block keeps the traced sweep short; a block holds 4,000 points
+    # at both grids.
+    monkeypatch.setattr("fibersdc.cli.CALIBRATE_BLOCK", 1 << 12)
+    main(["calibrate", "--outdir", str(tmp_path), "--grid", "2"])  # one-time allocations
+    # four times the points: the 30,000 more rows would add about 6 MB if
+    # they were held at once; measured growth is about 10 KB
+    growth = _calibrate_peak_bytes(tmp_path, 200) - _calibrate_peak_bytes(tmp_path, 100)
+    assert growth <= 64 * 1024
 
 
 def test_calibrate_rejects_tiny_grid(tmp_path):

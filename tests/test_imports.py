@@ -97,8 +97,6 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):
         assert "_hashlib" not in loaded
 
 
-# Public functions with no caller on purpose; the README says why.
-LIBRARY_ONLY = ["read_event_log"]
 CALLER_SOURCES = [
     *sorted(PACKAGE.glob("*.py")),
     *sorted((ROOT / "demos").glob("*.py")),
@@ -160,7 +158,7 @@ def test_every_public_function_has_a_caller():
         name for name in fibersdc.__all__ if inspect.isfunction(getattr(fibersdc, name))
     ]
     uncalled = [name for name in functions if not any(references(t, name) for t in trees)]
-    assert uncalled == LIBRARY_ONLY
+    assert uncalled == []
 
 
 def test_every_public_name_is_read():

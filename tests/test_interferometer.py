@@ -7,30 +7,32 @@ import pytest
 from fibersdc.errors import ConfigError, StateError
 from fibersdc import interferometer, kernel, states
 from fibersdc.interferometer import (
-    BRANCH_OUTCOMES,
-    BRANCH_VERDICTS,
     LEAK_STATES,
-    OUTCOME_VERDICT,
-    OUTCOMES,
     TARGET_STATES,
-    UNCORRELATED_DIST,
-    VERDICTS,
-    DetectionOutcome,
     InterferometerConfig,
     beamsplitter,
     classify,
     evolve_bsm,
-    kernel_distribution,
-    kernel_verdicts,
     load_reference_outputs,
     measurement_distribution,
     verdict_distribution,
 )
-from fibersdc.states import (
+from fibersdc.kernel import (
     BELL_ORDER,
+    BRANCH_OUTCOMES,
+    BRANCH_VERDICTS,
+    OUTCOME_VERDICT,
+    OUTCOMES,
+    UNCORRELATED_DIST,
+    VERDICTS,
+    BellState,
+    DetectionOutcome,
+    kernel_distribution,
+    kernel_verdicts,
+)
+from fibersdc.states import (
     OUTPUT_PORTS,
     POLARIZATIONS,
-    BellState,
     PhotonMode,
     TwoPhotonState,
     align_global_phase,
@@ -436,13 +438,8 @@ def test_kernel_table_file_is_the_rendered_algebra():
 
 
 MOVED_TO_KERNEL = {
-    states: ["BellState", "BELL_ORDER", "DIBIT_TO_BELL", "BELL_TO_DIBIT"],
-    interferometer: [
-        "BellState", "BELL_ORDER", "DetectionOutcome", "verdict_label", "VERDICTS",
-        "CAL_DEPTH", "LOOP_TRAVERSALS", "OUTCOMES", "OUTCOME_VERDICT", "UNCORRELATED_DIST",
-        "BRANCH_OUTCOMES", "BRANCH_VERDICTS", "leak_weight", "kernel_distribution",
-        "kernel_verdicts",
-    ],
+    states: ["BellState", "BELL_ORDER"],
+    interferometer: ["BellState", "BELL_ORDER", "DetectionOutcome", "CAL_DEPTH", "LOOP_TRAVERSALS"],
 }
 
 

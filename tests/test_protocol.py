@@ -15,7 +15,8 @@ from fibersdc.configs import (
 )
 from fibersdc.errors import ConfigError, ProtocolError
 from fibersdc.imagecodec import ImageRaster, raster_to_dibits, read_ppm, write_ppm
-from fibersdc.interferometer import OUTCOMES, classify, verdict_label
+from fibersdc.interferometer import classify
+from fibersdc.kernel import BELL_TO_DIBIT, DIBIT_TO_BELL, OUTCOMES, verdict_label
 from fibersdc.noise import DriftConfig, PhaseWalk, SourceConfig
 from fibersdc.protocol import (
     MAGIC,
@@ -30,7 +31,6 @@ from fibersdc.protocol import (
     run_session,
 )
 from fibersdc.seeds import substream
-from fibersdc.states import BELL_TO_DIBIT, DIBIT_TO_BELL
 
 CLEAN_SOURCE = SourceConfig(source_fidelity=1.0, accidental_rate_hz=0.0)
 NO_DRIFT = DriftConfig(sigma_rad_per_sqrt_s=0.0)

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from fibersdc.errors import StateError
+from fibersdc.kernel import BELL_ORDER, DIBIT_TO_BELL, BellState
 from fibersdc.states import (
-    BELL_ORDER,
-    DIBIT_TO_BELL,
-    BellState,
     PhotonMode,
     TwoPhotonState,
     align_global_phase,
