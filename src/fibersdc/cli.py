@@ -21,10 +21,12 @@ A command loads only what it runs.  The parser registers every
 subcommand by name and help, and only the invoked one builds its
 options.  The settings merge and the settings options load `configs`
 (and `dataclasses`), so only `characterize` and `transfer` load them.
-Each command imports its layers when it runs: `calibrate` the kernel,
-`capacity` the capacity layer and the kernel's class labels,
-`characterize` the sampler and the capacity layer, `transfer` the
-protocol and the image codec.  No command loads the state algebra.
+Every command uses the kernel, which loads without numpy, so it is
+imported with the CLI.  Each command imports its other layers when it
+runs: `calibrate` none, so that it loads no numpy (its sweep needs only
+`math`); `capacity` the capacity layer, `characterize` the sampler and
+the capacity layer, `transfer` the protocol and the image codec.  No
+command loads the state algebra.
 """
 
 from __future__ import annotations
@@ -35,15 +37,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError
+from .kernel import BELL_ORDER, mean_diagonal
 from .seeds import STREAM_VERSION, sha256, substream
 
 OUTDIR_ENV = "FIBERSDC_OUTDIR"
-CALIBRATE_BLOCK = 1 << 16
-"""Most grid points `calibrate` scores at once (a whole phi0 row at least)."""
 
 
 def command_settings(command: str) -> tuple:
@@ -151,8 +150,9 @@ def _outdir(args) -> Path:
 
 
 def cmd_characterize(args) -> int:
+    import numpy as np
+
     from .capacity import save_counts
-    from .kernel import BELL_ORDER
     from .noise import append_events, iter_event_chunks, open_event_log, tally_verdicts
 
     outdir = _outdir(args)
@@ -202,7 +202,6 @@ def cmd_capacity(args) -> int:
         load_reference_counts,
         mutual_information,
     )
-    from .kernel import BELL_ORDER
 
     outdir = _outdir(args)
     if args.counts:
@@ -213,7 +212,7 @@ def cmd_capacity(args) -> int:
         counts_name = "bundled:characterization_counts.txt"
     P = estimate_conditionals(counts)
     result = channel_capacity(P)
-    uniform = mutual_information(np.full(4, 0.25), P)
+    uniform = mutual_information([0.25] * len(BELL_ORDER), P)
     std, nonconverged = bootstrap_spread(
         counts, resamples=args.resamples, rng=substream(args.seed, "bootstrap")
     )
@@ -235,30 +234,25 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .kernel import BELL_ORDER, kernel_verdicts
-
     outdir = _outdir(args)
     n = args.grid
     if n < 2:
         raise ConfigError("--grid must be at least 2")
-    phis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    rows = max(1, CALIBRATE_BLOCK // n)
-    best = None
-    # Scored and written a block of phi0 rows at a time: memory stays
-    # bounded whatever the grid.
+    # Equal bit for bit to np.linspace(0, 2 pi, n, endpoint=False)
+    phis = [i * (2.0 * math.pi / n) for i in range(n)]
+    texts = [f"{p:.9f}\t" for p in phis]
+    best = (-math.inf, 0.0, 0.0)
+    # Each phi0 row is written as it is scored: memory stays bounded
+    # whatever the grid.
     with open(outdir / "calibration_grid.tsv", "w", encoding="utf-8") as fh:
         fh.write("phi0_rad\tphi1_rad\tmean_diagonal\n")
-        for start in range(0, n, rows):
-            block = np.meshgrid(phis[start:start + rows], phis, indexing="ij")
-            phi0, phi1 = (a.ravel() for a in block)
-            score = sum(kernel_verdicts(b.index, phi0, phi1)[:, b.index] for b in BELL_ORDER) / 4.0
-            fh.writelines(
-                f"{p0:.9f}\t{p1:.9f}\t{s:.9f}\n"
-                for p0, p1, s in zip(phi0.tolist(), phi1.tolist(), score.tolist())
-            )
-            top = int(np.argmax(score))
-            if best is None or score[top] > best[0]:  # the first point scanned wins a tie
-                best = (score[top], phi0[top], phi1[top])
+        for phi0, text0 in zip(phis, texts):
+            scores = [mean_diagonal(phi0, phi1) for phi1 in phis]
+            fh.writelines([f"{text0}{text1}{s:.9f}\n" for text1, s in zip(texts, scores)])
+            # The first point scanned wins a tie: a row's first top, if it beats earlier rows.
+            top = max(scores)
+            if top > best[0]:
+                best = (top, phi0, phis[scores.index(top)])
     lines = [
         f"best_score={best[0]:.9f}",
         f"best_phi0_rad={best[1]:.9f}",
@@ -414,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -11,25 +11,27 @@ mixture
 
 with T_k and L_k the outcome distributions of the target and leak
 vectors, v = CAL_DEPTH[k] and theta_k the phase of the class's
-path-family monomial.  `kernel_distribution` and `kernel_verdicts`
-evaluate that kernel on whole arrays of phases; the event sampler, the
-transfer session and the calibration sweep use it.
+path-family monomial.  `kernel_distribution` evaluates it with numpy on
+arrays of phases, for the event sampler and the transfer session;
+`mean_diagonal` scores a point of the calibration sweep with `math`.
 
 This module holds the kernel and what runs around it: the Bell classes,
 the dibit maps, the outcome and verdict tables.  The tables are stored
-in `data/kernel_tables.txt` as `repr` floats and read at import; the
-tests rebuild every one of them bit for bit from the state algebra.
+in `data/kernel_tables.txt` as `repr` floats, read at import and made
+arrays on first use, so the module loads without numpy; the tests
+rebuild every one of them bit for bit from the state algebra.
 """
 
 from __future__ import annotations
 
 import enum
 import os
+from math import cos
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .states import PhotonMode
 
 
@@ -119,21 +121,20 @@ VERDICTS = (*BELL_ORDER, None)
 # calibrated signature is (1-2v)^2.  Fitted jointly with
 # `interferometer.LEAK_TO_PHI_MINUS` to bench confusion rates; PHI_MINUS
 # and PSI_PLUS traverse path pairs that nearly share loops and so are the
-# least sensitive.
-CAL_DEPTH = np.array([0.0644, 0.2031, 0.2359, 0.0643])
+# least sensitive.  `CAL_DEPTH` is this as an array.
+_CAL_DEPTH = (0.0644, 0.2031, 0.2359, 0.0643)
 
 # Net loop traversals (short, long), indexed like BELL_ORDER, separating
 # the two interfering path families of each class: both loops twice for
 # PHI_MINUS, the short loop twice for PHI_PLUS and PSI_MINUS, the long
-# loop twice for PSI_PLUS.
-LOOP_TRAVERSALS = np.array([(2, 2), (2, 0), (2, 0), (0, 2)], dtype=float)
+# loop twice for PSI_PLUS.  `LOOP_TRAVERSALS` is this as an array.
+_LOOP_TRAVERSALS = ((2.0, 2.0), (2.0, 0.0), (2.0, 0.0), (0.0, 2.0))
 
 
-def _read_tables() -> dict[str, list[list[str]]]:
-    """The whitespace-split rows of each `[section]` of the table file.
-
-    The file is opened by path: `importlib.resources` would cost about a
-    millisecond of every command's start-up."""
+def _read_tables() -> tuple[tuple, tuple, tuple, tuple]:
+    """OUTCOMES, each one's verdict index and probabilities, and the branch
+    verdict rows, from the table file, opened by path: `importlib.resources`
+    would cost about a millisecond of every command's start-up."""
     path = os.path.join(os.path.dirname(__file__), "data", "kernel_tables.txt")
     sections: dict[str, list[list[str]]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -143,32 +144,55 @@ def _read_tables() -> dict[str, list[list[str]]]:
                 rows = sections[fields[0][1:-1]] = []
             elif fields:
                 rows.append(fields)
-    return sections
+    outcomes = sections["outcomes"]
+    return (
+        tuple(DetectionOutcome(*row[:4], int(row[4])) for row in outcomes),
+        tuple(int(row[5]) for row in outcomes),
+        tuple(tuple(map(float, row[6:])) for row in outcomes),
+        tuple(tuple(map(float, row)) for row in sections["branch_verdicts"]),
+    )
 
 
-_TABLES = _read_tables()
-_OUTCOME_ROWS = _TABLES["outcomes"]
-_OUTCOME_VALUES = np.array([[float(x) for x in row[6:]] for row in _OUTCOME_ROWS])
+OUTCOMES, _OUTCOME_VERDICT, _OUTCOME_VALUES, _BRANCH_VERDICTS = _read_tables()
+"""OUTCOMES: every signature the detectors can report, in sorted order:
+two clicks on any of the four detectors, 0 to 3 time bins apart."""
 
-OUTCOMES = tuple(DetectionOutcome(*row[:4], int(row[4])) for row in _OUTCOME_ROWS)
-"""Every signature the detectors can report, in sorted order: two clicks
-on any of the four detectors, 0 to 3 time bins apart."""
+# Per class: 2 v (1 - v), its traversals, and its own verdict's target and leak probabilities.
+_DIAGONAL = [
+    (2.0 * v * (1.0 - v), *_LOOP_TRAVERSALS[k], _BRANCH_VERDICTS[2 * k][k],
+     _BRANCH_VERDICTS[2 * k + 1][k])
+    for k, v in enumerate(_CAL_DEPTH)
+]
 
-OUTCOME_VERDICT = np.array([int(row[5]) for row in _OUTCOME_ROWS])
-"""Index into VERDICTS of each outcome's verdict."""
+# Array constants, built together on first use so that a run reading none
+# loads no numpy: CAL_DEPTH and LOOP_TRAVERSALS (the tuples above),
+# OUTCOME_VERDICT (each outcome's index into VERDICTS), UNCORRELATED_DIST
+# (two uncorrelated clicks, an accidental), BRANCH_OUTCOMES (T_k and L_k,
+# shape (4, 2, len(OUTCOMES)): class k's target and leak distributions,
+# whose supports are disjoint) and BRANCH_VERDICTS (the same over VERDICTS).
+_ARRAY_NAMES = ("CAL_DEPTH", "LOOP_TRAVERSALS", "OUTCOME_VERDICT", "UNCORRELATED_DIST",
+                "BRANCH_OUTCOMES", "BRANCH_VERDICTS")
 
-UNCORRELATED_DIST = _OUTCOME_VALUES[:, 0].copy()
-"""Outcome distribution of two uncorrelated clicks (an accidental)."""
 
-BRANCH_OUTCOMES = _OUTCOME_VALUES[:, 1:].T.reshape(len(BELL_ORDER), 2, len(OUTCOMES)).copy()
-"""Shape (4, 2, len(OUTCOMES)): T_k and L_k, the outcome distributions of
-class k's target (branch 0) and leak (branch 1) vectors.  Their supports
-are disjoint, so they mix without interference."""
+def __getattr__(name: str):
+    """An array constant, all of them built on the first access (PEP 562).
+    The module's own functions read them through this call too."""
+    if name not in _ARRAY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    g = globals()
+    if name not in g:
+        import numpy as np
 
-BRANCH_VERDICTS = np.array(
-    [[float(x) for x in row] for row in _TABLES["branch_verdicts"]]
-).reshape(len(BELL_ORDER), 2, len(VERDICTS))
-"""The same two distributions per class over VERDICTS."""
+        values = np.array(_OUTCOME_VALUES)
+        g.update(
+            CAL_DEPTH=np.array(_CAL_DEPTH),
+            LOOP_TRAVERSALS=np.array(_LOOP_TRAVERSALS),
+            OUTCOME_VERDICT=np.array(_OUTCOME_VERDICT),
+            UNCORRELATED_DIST=values[:, 0].copy(),
+            BRANCH_OUTCOMES=values[:, 1:].T.reshape(len(BELL_ORDER), 2, len(OUTCOMES)).copy(),
+            BRANCH_VERDICTS=np.array(_BRANCH_VERDICTS).reshape(len(BELL_ORDER), 2, -1),
+        )
+    return g[name]
 
 
 def leak_weight(which, phi0, phi1):
@@ -179,14 +203,12 @@ def leak_weight(which, phi0, phi1):
     that broadcast together.  theta is the phase of the class's path-family
     monomial, `LOOP_TRAVERSALS[which]` dotted with the phases.
     """
-    v = CAL_DEPTH[which]
-    theta = LOOP_TRAVERSALS[which, 0] * phi0 + LOOP_TRAVERSALS[which, 1] * phi1
+    import numpy as np
+
+    v = __getattr__("CAL_DEPTH")[which]
+    traversals = __getattr__("LOOP_TRAVERSALS")
+    theta = traversals[which, 0] * phi0 + traversals[which, 1] * phi1
     return 2.0 * v * (1.0 - v) * (1.0 - np.cos(theta))
-
-
-def _mix(table: np.ndarray, which, phi0, phi1) -> np.ndarray:
-    w = np.asarray(leak_weight(which, phi0, phi1))[..., None]
-    return (1.0 - w) * table[which, 0] + w * table[which, 1]
 
 
 def kernel_distribution(which, phi0, phi1) -> np.ndarray:
@@ -196,10 +218,18 @@ def kernel_distribution(which, phi0, phi1) -> np.ndarray:
     Equals `measurement_distribution(evolve_bsm(make_bell(...), ...))`
     without building a state; arguments broadcast as in `leak_weight`.
     """
-    return _mix(BRANCH_OUTCOMES, which, phi0, phi1)
+    table = __getattr__("BRANCH_OUTCOMES")
+    w = leak_weight(which, phi0, phi1)[..., None]
+    return (1.0 - w) * table[which, 0] + w * table[which, 1]
 
 
-def kernel_verdicts(which, phi0, phi1) -> np.ndarray:
-    """Verdict distribution over VERDICTS of class `which` at loop phases
-    (phi0, phi1), on the last axis: `verdict_distribution` as an array."""
-    return _mix(BRANCH_VERDICTS, which, phi0, phi1)
+def mean_diagonal(phi0: float, phi1: float) -> float:
+    """The calibration score at loop phases (phi0, phi1): the mean over the
+    classes of the probability that a class is decoded as itself.  The
+    kernel's verdict mixture on its diagonal, in `math`, with each w
+    computed in `leak_weight`'s operation order."""
+    total = 0.0
+    for a, short, long, target, leak in _DIAGONAL:
+        w = a * (1.0 - cos(short * phi0 + long * phi1))
+        total += (1.0 - w) * target + w * leak
+    return total / 4.0

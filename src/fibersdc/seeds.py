@@ -8,7 +8,10 @@ statistically independent of each other.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The interpreter's built-in SHA-256, as CPython's own random.py does for
 # SHA-512: in library use hashlib would load OpenSSL for a few digests of
@@ -40,6 +43,8 @@ def substream_seed(master_seed: int, name: str) -> np.random.SeedSequence:
     non-negative integer gives its own streams; a negative one raises
     ValueError.
     """
+    import numpy as np
+
     digest = sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.SeedSequence(entropy=[int(master_seed)] + words)
@@ -47,4 +52,6 @@ def substream_seed(master_seed: int, name: str) -> np.random.SeedSequence:
 
 def substream(master_seed: int, name: str) -> np.random.Generator:
     """Generator for the named substream of a master seed."""
+    import numpy as np
+
     return np.random.default_rng(substream_seed(master_seed, name))

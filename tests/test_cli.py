@@ -260,27 +260,15 @@ def test_calibrate_grid_matches_a_state_algebra_sweep(tmp_path):
     assert (tmp_path / "calibration_grid.tsv").read_text() == "\n".join(rows) + "\n"
 
 
-def test_calibrate_ties_go_to_the_first_point_across_blocks(tmp_path, monkeypatch):
-    # At grid 4, (0, 0), (0, pi), (pi, 0) and (pi, pi) score exactly the same.
-    monkeypatch.setattr("fibersdc.cli.CALIBRATE_BLOCK", 4)  # one phi0 row per block
+def test_calibrate_ties_go_to_the_first_point_across_rows(tmp_path):
+    # At grid 4, (0, 0), (0, pi), (pi, 0) and (pi, pi) score exactly the
+    # same, in two phi0 rows.
     assert main(["calibrate", "--outdir", str(tmp_path), "--grid", "4"]) == 0
     report = _read_report(tmp_path / "calibration_report.txt")
     grid = (tmp_path / "calibration_grid.tsv").read_text().splitlines()
     assert sum(row.endswith(f"\t{report['best_score']}") for row in grid) == 4
     assert float(report["best_phi0_rad"]) == 0.0
     assert float(report["best_phi1_rad"]) == 0.0
-
-
-@pytest.mark.parametrize("grid", ["7", "12"])
-def test_calibrate_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, grid):
-    def outputs(outdir):
-        assert main(["calibrate", "--outdir", str(outdir), "--grid", grid]) == 0
-        return [(outdir / name).read_bytes()
-                for name in ("calibration_grid.tsv", "calibration_report.txt")]
-
-    default = outputs(tmp_path / "default")
-    monkeypatch.setattr("fibersdc.cli.CALIBRATE_BLOCK", 1)  # one phi0 row per block
-    assert outputs(tmp_path / "one-row") == default
 
 
 def _calibrate_peak_bytes(outdir, grid):
@@ -292,13 +280,11 @@ def _calibrate_peak_bytes(outdir, grid):
         tracemalloc.stop()
 
 
-def test_calibrate_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
-    # A small block keeps the traced sweep short; a block holds 4,000 points
-    # at both grids.
-    monkeypatch.setattr("fibersdc.cli.CALIBRATE_BLOCK", 1 << 12)
+def test_calibrate_memory_does_not_grow_with_the_grid(tmp_path):
     main(["calibrate", "--outdir", str(tmp_path), "--grid", "2"])  # one-time allocations
     # four times the points: the 30,000 more rows would add about 6 MB if
-    # they were held at once; measured growth is about 10 KB
+    # they were held at once; measured growth is about 20 KB, one row of
+    # scores and text
     growth = _calibrate_peak_bytes(tmp_path, 200) - _calibrate_peak_bytes(tmp_path, 100)
     assert growth <= 64 * 1024
 

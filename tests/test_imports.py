@@ -5,7 +5,8 @@ No linter is among the test dependencies, so the first check reads each
 module's syntax tree: a name an import binds must be read somewhere in
 the module.  `__init__.py` is skipped, since it resolves the public API
 by name.  The second runs each command in a fresh interpreter and reads
-`sys.modules` after it.  The third reads the syntax trees of the
+`sys.modules` after it, and checks that the kernel loads numpy only when
+one of its arrays is first read.  The third reads the syntax trees of the
 package, the demos and the acceptance tests: each public function must
 be referred to there, outside its own definition.  The fourth widens the
 third to every public name a module defines at its top level, read by
@@ -52,12 +53,12 @@ def test_module_has_no_unused_imports(path):
 
 # Each command loads the layers it runs and no other.  No command loads
 # the state algebra, the kernel's oracle; the settings load only for the
-# commands that take them.
+# commands that take them, and numpy for the commands that use arrays.
 ORACLE = ["fibersdc.states", "fibersdc.interferometer"]
 FOOTPRINTS = [
     (["calibrate", "--grid", "2"],
      [*ORACLE, "fibersdc.configs", "fibersdc.noise", "fibersdc.protocol",
-      "fibersdc.imagecodec", "fibersdc.capacity"]),
+      "fibersdc.imagecodec", "fibersdc.capacity", "numpy"]),
     (["capacity", "--resamples", "10"],
      [*ORACLE, "fibersdc.configs", "fibersdc.noise", "fibersdc.protocol",
       "fibersdc.imagecodec"]),
@@ -65,6 +66,19 @@ FOOTPRINTS = [
      [*ORACLE, "fibersdc.protocol", "fibersdc.imagecodec"]),
     (["transfer"], [*ORACLE, "fibersdc.capacity"]),
 ]
+
+
+def run_python(code: str, *argv: str) -> str:
+    """stdout of `python -c CODE ARGV` in a fresh interpreter, with this
+    checkout's sources first on the path."""
+    env = dict(os.environ)
+    paths = [str(PACKAGE.parent), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
 
 _RUN_AND_LIST_MODULES = """
 import sys
@@ -77,24 +91,30 @@ sys.exit(code)
 
 @pytest.mark.parametrize("argv, unloaded", FOOTPRINTS, ids=[a[0] for a, _ in FOOTPRINTS])
 def test_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):
-    env = dict(os.environ)
-    paths = [str(PACKAGE.parent), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    done = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv, "--outdir", str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    loaded = set(done.stdout.rsplit("modules: ", 1)[1].split())
+    stdout = run_python(_RUN_AND_LIST_MODULES, *argv, "--outdir", str(tmp_path))
+    loaded = set(stdout.rsplit("modules: ", 1)[1].split())
     assert "fibersdc.cli" in loaded
     assert sorted(loaded.intersection(unloaded)) == []
     # The package hashes without OpenSSL; only `numpy.random` loads it,
-    # through `secrets`, when `cli.main` is called directly as here.
-    # numpy >= 2 imports `numpy.random` on first use, so `calibrate`, which
-    # draws no random numbers, then loads neither; numpy < 2 imports it
-    # with numpy itself.  The process entry blocks OpenSSL for every
-    # command; tests/test_entry.py checks that.
+    # through `secrets`, when `cli.main` is called directly as here.  So a
+    # command that loads no `numpy.random` (`calibrate`, which loads no
+    # numpy at all) loads no OpenSSL either.  The process entry blocks
+    # OpenSSL for every command; tests/test_entry.py checks that.
     if "numpy.random" not in loaded:
         assert "_hashlib" not in loaded
+
+
+_KERNEL_THEN_AN_ARRAY = """
+import sys
+import fibersdc.kernel as kernel
+print("numpy" in sys.modules)
+kernel.BRANCH_OUTCOMES
+print("numpy" in sys.modules)
+"""
+
+
+def test_the_kernel_loads_numpy_when_an_array_is_first_read():
+    assert run_python(_KERNEL_THEN_AN_ARRAY).split() == ["False", "True"]
 
 
 CALLER_SOURCES = [

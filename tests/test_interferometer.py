@@ -28,7 +28,8 @@ from fibersdc.kernel import (
     BellState,
     DetectionOutcome,
     kernel_distribution,
-    kernel_verdicts,
+    leak_weight,
+    mean_diagonal,
 )
 from fibersdc.states import (
     OUTPUT_PORTS,
@@ -453,24 +454,50 @@ def test_kernel_matches_state_algebra_at_random_phases():
     rng = np.random.default_rng(20261018)
     phases = rng.uniform(-4 * np.pi, 4 * np.pi, size=(300, 2))
     cfg = InterferometerConfig()
+    # One column per verdict, marking the outcomes classified as it.
+    by_verdict = np.eye(len(VERDICTS))[OUTCOME_VERDICT]
+    diagonal = np.zeros(len(phases))
     worst = 0.0
     for which in BELL_ORDER:
         outcomes = kernel_distribution(which.index, phases[:, 0], phases[:, 1])
-        verdicts = kernel_verdicts(which.index, phases[:, 0], phases[:, 1])
-        for (p0, p1), got, got_verdicts in zip(phases.tolist(), outcomes, verdicts):
+        verdicts = outcomes @ by_verdict
+        for i, ((p0, p1), got, got_verdicts) in enumerate(
+            zip(phases.tolist(), outcomes, verdicts)
+        ):
             c = cfg.with_phases(p0, p1)
             dist = measurement_distribution(evolve_bsm(make_bell(which), c))
             assert set(dist) <= set(OUTCOMES)
             want = np.array([dist.get(o, 0.0) for o in OUTCOMES])
             vd = verdict_distribution(which, c)
             want_verdicts = np.array([vd.get(v, 0.0) for v in VERDICTS])
+            diagonal[i] += vd.get(which, 0.0) / 4.0
             worst = max(
                 worst,
                 np.abs(got - want).max(),
                 np.abs(got_verdicts - want_verdicts).max(),
                 np.abs(kernel_distribution(which.index, p0, p1) - want).max(),
             )
+    scores = [mean_diagonal(p0, p1) for p0, p1 in phases.tolist()]
+    worst = max(worst, np.abs(np.array(scores) - diagonal).max())
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 32, 101])
+def test_mean_diagonal_is_the_leak_weight_mixture(n):
+    # The calibration score in `math` and the sampler's `leak_weight` in
+    # numpy evaluate one formula.  numpy may vectorize cos differently
+    # from libm, so they agree within 4 ulp and in the sweep's 9-decimal
+    # text, not bit for bit.
+    phis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    phi0, phi1 = (a.ravel() for a in np.meshgrid(phis, phis, indexing="ij"))
+    want = 0.0
+    for k in range(len(BELL_ORDER)):
+        w = leak_weight(k, phi0, phi1)
+        want += (1.0 - w) * BRANCH_VERDICTS[k, 0, k] + w * BRANCH_VERDICTS[k, 1, k]
+    want /= 4.0
+    got = np.array([mean_diagonal(p0, p1) for p0, p1 in zip(phi0.tolist(), phi1.tolist())])
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    assert [f"{s:.9f}" for s in got.tolist()] == [f"{s:.9f}" for s in want.tolist()]
 
 
 # ---------------------------------------------------------------------------
