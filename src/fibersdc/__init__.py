@@ -20,7 +20,7 @@ _EXPORTS = {
     "capacity": (
         "CapacityResult", "bootstrap_ci", "channel_capacity", "estimate_conditionals",
         "load_counts", "load_reference_counts", "mutual_information",
-        "partial_bsm_channel", "save_counts",
+        "partial_bsm_channel",
     ),
     "configs": (
         "CHARACTERIZATION_DRIFT", "CHARACTERIZATION_SOURCE", "DEFAULT_INTERFEROMETER",
@@ -37,7 +37,7 @@ _EXPORTS = {
         "measurement_distribution", "verdict_distribution",
     ),
     "kernel": ("BELL_ORDER", "BellState", "DetectionOutcome", "verdict_label"),
-    "noise": ("PhaseWalk", "generate_event_stream", "tally_verdicts"),
+    "noise": ("PhaseWalk", "generate_event_stream", "save_counts", "tally_verdicts"),
     "protocol": (
         "Message", "MessageKind", "ReceiverMachine", "SenderMachine", "SessionResult",
         "SessionStats", "decode_message", "encode_message", "run_session",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,16 +86,25 @@ def mutual_information(input_dist, conditionals) -> float:
 
 
 # Not a tuple: bench/tracing.py's capacity hook reads a tuple return as (result, ...).
-@dataclass(frozen=True)
 class CapacityResult:
     """`lower_bounds` holds the capacity lower bound after each iteration;
     it never decreases."""
 
-    capacity_bits: float
-    input_distribution: np.ndarray
-    iterations: int
-    converged: bool
-    lower_bounds: np.ndarray
+    __slots__ = ("capacity_bits", "input_distribution", "iterations", "converged", "lower_bounds")
+
+    def __init__(
+        self,
+        capacity_bits: float,
+        input_distribution: np.ndarray,
+        iterations: int,
+        converged: bool,
+        lower_bounds: np.ndarray,
+    ):
+        self.capacity_bits = capacity_bits
+        self.input_distribution = input_distribution
+        self.iterations = iterations
+        self.converged = converged
+        self.lower_bounds = lower_bounds
 
 
 def _blahut_arimoto(P: np.ndarray, tol: float, max_iterations: int, trajectory=None):
@@ -266,10 +274,3 @@ def load_counts(path) -> np.ndarray:
         raise ConfigError(f"expected 4 count rows, got {len(rows)}")
     return np.array(rows, dtype=np.int64)
 
-
-def save_counts(path, counts) -> None:
-    m = np.asarray(counts)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# rows: sent class, columns: verdict, canonical Bell order\n")
-        for row in m:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")

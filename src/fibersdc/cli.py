@@ -19,14 +19,14 @@ falls back to $FIBERSDC_OUTDIR, then the current directory.  Exit codes:
 
 A command loads only what it runs.  The parser registers every
 subcommand by name and help, and only the invoked one builds its
-options.  The settings merge and the settings options load `configs`
-(and `dataclasses`), so only `characterize` and `transfer` load them.
+options.  The settings merge and the settings options load `configs`,
+so only `characterize` and `transfer` load it.
 Every command uses the kernel, which loads without numpy, so it is
 imported with the CLI.  Each command imports its other layers when it
 runs: `calibrate` none, so that it loads no numpy (its sweep needs only
-`math`); `capacity` the capacity layer, `characterize` the sampler and
-the capacity layer, `transfer` the protocol and the image codec.  No
-command loads the state algebra.
+`math`); `capacity` the capacity layer, `characterize` the sampler,
+which also writes the counts, `transfer` the protocol and the image
+codec.  No command loads the state algebra or `dataclasses`.
 """
 
 from __future__ import annotations
@@ -61,11 +61,9 @@ def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
     applied, then the `overrides` (KEY=VALUE strings, as given to --set).
 
     A key that no default config has is rejected.  Each config is rebuilt
-    with `dataclasses.replace`, so its own checks run on the merged values.
+    with its `_replace`, so its own checks run on the merged values.
     """
-    from dataclasses import fields, replace
-
-    owner = {f.name: i for i, cfg in enumerate(defaults) for f in fields(cfg)}
+    owner = {name: i for i, cfg in enumerate(defaults) for name in cfg._fields}
     changes: list[dict[str, float]] = [{} for _ in defaults]
 
     def put(where: str, text: str) -> None:
@@ -90,7 +88,7 @@ def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
                 put(f"{config_file}:{lineno}: ", line)
     for pair in overrides:
         put("--set: ", pair)
-    return tuple(replace(cfg, **kw) for cfg, kw in zip(defaults, changes))
+    return tuple(cfg._replace(**kw) for cfg, kw in zip(defaults, changes))
 
 
 def _settings(args) -> tuple:
@@ -99,9 +97,7 @@ def _settings(args) -> tuple:
 
 def _resolved_settings(configs: tuple, **extras) -> dict[str, str]:
     """Every field of the merged configs and each extra input, as repr."""
-    from dataclasses import fields
-
-    out = {f.name: repr(getattr(cfg, f.name)) for cfg in configs for f in fields(cfg)}
+    out = {name: repr(value) for cfg in configs for name, value in zip(cfg._fields, cfg)}
     out.update((k, repr(v)) for k, v in extras.items())
     return out
 
@@ -152,8 +148,13 @@ def _outdir(args) -> Path:
 def cmd_characterize(args) -> int:
     import numpy as np
 
-    from .capacity import save_counts
-    from .noise import append_events, iter_event_chunks, open_event_log, tally_verdicts
+    from .noise import (
+        append_events,
+        iter_event_chunks,
+        open_event_log,
+        save_counts,
+        tally_verdicts,
+    )
 
     outdir = _outdir(args)
     source, drift = _settings(args)
@@ -331,9 +332,7 @@ class _Subcommand(argparse.ArgumentParser):
 
 
 def _settings_options(p: argparse.ArgumentParser, command: str) -> None:
-    from dataclasses import fields
-
-    keys = ", ".join(f.name for cfg in command_settings(command) for f in fields(cfg))
+    keys = ", ".join(name for cfg in command_settings(command) for name in cfg._fields)
     p.add_argument("--config", help="key=value settings file")
     p.add_argument(
         "--set",

@@ -1,4 +1,4 @@
-"""Settings dataclasses and named default configurations.
+"""Settings records and named default configurations.
 
 The four settings classes live here, not in the layers that read them:
 
@@ -11,9 +11,15 @@ The four settings classes live here, not in the layers that read them:
 
 Each layer re-exports the classes it reads, so
 `from fibersdc.noise import SourceConfig` still works.  This module
-imports nothing but `math`, `dataclasses` and `fibersdc.errors`, so
-the command line can build its parser and merge settings without
-loading the simulator.
+imports nothing but `math`, `typing` and `fibersdc.errors`, so the
+command line can build its parser and merge settings without loading
+the simulator.
+
+Each class is a `typing.NamedTuple` of its fields under a subclass that
+checks them (`errors.CheckedRecord`): an instance built by keyword or
+by position, by `_make` or by `_replace` has passed its checks.  So
+`_replace` is the one way to change a setting.  Being tuples, two
+configs of different classes with equal values compare equal.
 
 Two operating points are bundled:
 
@@ -30,13 +36,18 @@ Two operating points are bundled:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .errors import ConfigError, require_finite
+from .errors import CheckedRecord, ConfigError, require_finite
 
 
-@dataclass(frozen=True)
-class SourceConfig:
+class _Source(NamedTuple):
+    coincidence_rate_hz: float = 200.0
+    source_fidelity: float = 0.97
+    accidental_rate_hz: float = 1.359
+
+
+class SourceConfig(CheckedRecord, _Source):
     """Entangled-pair source and detection-rate settings.
 
     coincidence_rate_hz is the rate of pairs that survive transmission and
@@ -45,11 +56,9 @@ class SourceConfig:
     pair is the intended class.
     """
 
-    coincidence_rate_hz: float = 200.0
-    source_fidelity: float = 0.97
-    accidental_rate_hz: float = 1.359
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         require_finite(self)
         if self.coincidence_rate_hz <= 0.0:
             raise ConfigError("coincidence_rate_hz must be positive")
@@ -72,8 +81,13 @@ class SourceConfig:
         return self.accidental_rate_hz / self.total_rate_hz
 
 
-@dataclass(frozen=True)
-class DriftConfig:
+class _Drift(NamedTuple):
+    sigma_rad_per_sqrt_s: float = 3.0
+    recalibration_period_s: float = 100.0
+    recalibration_residual_rad: float = 0.0
+
+
+class DriftConfig(CheckedRecord, _Drift):
     """Loop-phase drift between recalibrations.
 
     Each loop phase performs an independent Gaussian random walk with
@@ -83,11 +97,9 @@ class DriftConfig:
     cannot remove.  The period is at least a microsecond.
     """
 
-    sigma_rad_per_sqrt_s: float = 3.0
-    recalibration_period_s: float = 100.0
-    recalibration_residual_rad: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         require_finite(self)
         if self.sigma_rad_per_sqrt_s < 0:
             raise ConfigError("sigma_rad_per_sqrt_s must be >= 0")
@@ -104,35 +116,37 @@ class DriftConfig:
             raise ConfigError("recalibration_period_s must be at least 1e-6 s")
 
 
-@dataclass(frozen=True)
-class TimingConfig:
+class _Timing(NamedTuple):
+    message_latency_s: float = 0.3
+    encoder_settle_s: float = 0.005
+    frame_window_s: float = 0.5
+    recalibration_pause_s: float = 2.0
+
+
+class TimingConfig(CheckedRecord, _Timing):
     """Wall-clock model of the classical and quantum steps.
 
     The link never loses a message, so a session charges three one-way
     latencies per frame and no retransmission timeout.
     """
 
-    message_latency_s: float = 0.3
-    encoder_settle_s: float = 0.005
-    frame_window_s: float = 0.5
-    recalibration_pause_s: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         require_finite(self)
-        for name in (
-            "message_latency_s",
-            "encoder_settle_s",
-            "frame_window_s",
-            "recalibration_pause_s",
-        ):
-            if getattr(self, name) < 0:
+        for name, value in zip(self._fields, self):
+            if value < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.frame_window_s <= 0:
             raise ConfigError("frame_window_s must be positive")
 
 
-@dataclass(frozen=True)
-class InterferometerConfig:
+class _Phases(NamedTuple):
+    phi0_rad: float = 0.0
+    phi1_rad: float = 0.0
+
+
+class InterferometerConfig(CheckedRecord, _Phases):
     """Loop phases of the reference analyzer `evolve_bsm`.
 
     phi0_rad and phi1_rad are the phase offsets picked up per traversal of
@@ -142,14 +156,13 @@ class InterferometerConfig:
     settings.
     """
 
-    phi0_rad: float = 0.0
-    phi1_rad: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         require_finite(self)
 
     def with_phases(self, phi0_rad: float, phi1_rad: float) -> "InterferometerConfig":
-        return replace(self, phi0_rad=phi0_rad, phi1_rad=phi1_rad)
+        return self._replace(phi0_rad=phi0_rad, phi1_rad=phi1_rad)
 
 
 CHARACTERIZATION_SOURCE = SourceConfig()
@@ -158,7 +171,7 @@ CHARACTERIZATION_DRIFT = DriftConfig()
 
 TRANSFER_SOURCE = CHARACTERIZATION_SOURCE
 
-TRANSFER_DRIFT = replace(CHARACTERIZATION_DRIFT, sigma_rad_per_sqrt_s=0.129)
+TRANSFER_DRIFT = CHARACTERIZATION_DRIFT._replace(sigma_rad_per_sqrt_s=0.129)
 
 DEFAULT_INTERFEROMETER = InterferometerConfig()
 

@@ -9,11 +9,11 @@ packed four to a byte, most significant pair first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import CheckedRecord, ConfigError
 
 PALETTE = (
     (255, 255, 255),
@@ -23,13 +23,16 @@ PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class ImageRaster:
+class _Raster(NamedTuple):
     width: int
     height: int
     pixels: bytes  # row-major, one value 0..3 per pixel
 
-    def __post_init__(self):
+
+class ImageRaster(CheckedRecord, _Raster):
+    __slots__ = ()
+
+    def _check(self):
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("image dimensions must be positive")
         if len(self.pixels) != self.width * self.height:

@@ -20,12 +20,15 @@ reason.  Arrival gaps, walk increments and the per-event uniforms each
 come from their own generator, spawned from the caller's, and are
 consumed in a fixed amount per arrival or event; the events therefore do
 not depend on the chunk size.
+
+The module also writes what a timed run keeps: the event log
+(`open_event_log`, `append_events`) and the count matrix (`save_counts`,
+which `capacity.load_counts` reads back).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, TextIO
 
@@ -166,15 +169,17 @@ def sample_detections(
     return _sample_outcomes(truth, walk.advance(times), source_cfg, u)
 
 
-@dataclass(frozen=True, eq=False)
 class EventChunk:
     """Detection events as parallel arrays of what the sampler draws: wall
     time, sent class (index into BELL_ORDER) and outcome (index into
     OUTCOMES).  `len` counts the events."""
 
-    wall_time_s: np.ndarray
-    truth: np.ndarray
-    outcome: np.ndarray
+    __slots__ = ("wall_time_s", "truth", "outcome")
+
+    def __init__(self, wall_time_s: np.ndarray, truth: np.ndarray, outcome: np.ndarray):
+        self.wall_time_s = wall_time_s
+        self.truth = truth
+        self.outcome = outcome
 
     def __len__(self) -> int:
         return len(self.wall_time_s)
@@ -261,20 +266,28 @@ def tally_verdicts(events: EventChunk) -> tuple[np.ndarray, np.ndarray]:
     return table[:, :-1], table[:, -1]
 
 
+def save_counts(path, counts) -> None:
+    """Write a count matrix over (sent class, verdict), such as the first
+    of `tally_verdicts`, in the text form `capacity.load_counts` reads."""
+    m = np.asarray(counts)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# rows: sent class, columns: verdict, canonical Bell order\n")
+        for row in m:
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
 # --------------------------------------------------------------------------
 # event-log serialization
 # --------------------------------------------------------------------------
 
 _LOG_COLUMNS = "wall_time_s,truth,port1,pol1,port2,pol2,dt_bins,verdict"
-# The text of a row after its wall time, by (truth, outcome); the verdict
-# follows from the outcome.
+# The text of a row after its wall time, newline included, at
+# truth * len(OUTCOMES) + outcome; the verdict follows from the outcome.
 _ROW_TAILS = [
-    [
-        f",{b.label},{o.first_port},{o.first_pol},{o.second_port},{o.second_pol},"
-        f"{o.dt_bins},{verdict_label(VERDICTS[v])}"
-        for o, v in zip(OUTCOMES, OUTCOME_VERDICT.tolist())
-    ]
+    f",{b.label},{o.first_port},{o.first_pol},{o.second_port},{o.second_pol},"
+    f"{o.dt_bins},{verdict_label(VERDICTS[v])}\n"
     for b in BELL_ORDER
+    for o, v in zip(OUTCOMES, OUTCOME_VERDICT.tolist())
 ]
 
 
@@ -292,7 +305,8 @@ def open_event_log(path, header: dict[str, str]) -> TextIO:
 
 
 def append_events(fh: TextIO, chunk: EventChunk) -> None:
-    fh.writelines(
-        f"{t:.6f}{_ROW_TAILS[k][o]}\n"
-        for t, k, o in zip(chunk.wall_time_s.tolist(), chunk.truth.tolist(), chunk.outcome.tolist())
-    )
+    """Append one row per event of `chunk` to a log from `open_event_log`,
+    in one write."""
+    rows = (chunk.truth * len(OUTCOMES) + chunk.outcome).tolist()
+    times = chunk.wall_time_s.tolist()
+    fh.write("".join([f"{t:.6f}{_ROW_TAILS[r]}" for t, r in zip(times, rows)]))

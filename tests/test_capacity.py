@@ -16,9 +16,9 @@ from fibersdc.capacity import (
     load_counts,
     mutual_information,
     partial_bsm_channel,
-    save_counts,
 )
 from fibersdc.errors import ConfigError
+from fibersdc.noise import save_counts
 from fibersdc.seeds import substream
 
 UNIFORM = np.full(4, 0.25)

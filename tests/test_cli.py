@@ -1,7 +1,6 @@
 import re
 import tracemalloc
 import types
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ from fibersdc.interferometer import InterferometerConfig, verdict_distribution
 from fibersdc.kernel import BELL_ORDER
 
 ACCEPTED_KEYS = {
-    command: {f.name for cfg in command_settings(command) for f in fields(cfg)}
+    command: {name for cfg in command_settings(command) for name in cfg._fields}
     for command in ("characterize", "transfer")
 }
 

@@ -68,6 +68,13 @@ def test_raster_validation():
         ImageRaster(2, 2, bytes([0, 1, 2]))
     with pytest.raises(ConfigError):
         ImageRaster(2, 2, bytes([0, 1, 2, 4]))
+    # `_make` and `_replace` check too.
+    image = ImageRaster(width=2, height=2, pixels=bytes([0, 1, 2, 3]))
+    with pytest.raises(ConfigError):
+        image._replace(pixels=bytes([0, 1, 2]))
+    with pytest.raises(ConfigError):
+        ImageRaster._make((2, 2, bytes([0, 1, 2, 4])))
+    assert image._replace(pixels=bytes([3, 2, 1, 0])) == ImageRaster(2, 2, bytes([3, 2, 1, 0]))
 
 
 def test_raster_dibit_roundtrip():

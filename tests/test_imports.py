@@ -52,19 +52,22 @@ def test_module_has_no_unused_imports(path):
 
 
 # Each command loads the layers it runs and no other.  No command loads
-# the state algebra, the kernel's oracle; the settings load only for the
-# commands that take them, and numpy for the commands that use arrays.
+# the state algebra, the kernel's oracle, or `dataclasses`; the settings
+# load only for the commands that take them, and numpy for the commands
+# that use arrays.  `characterize` writes its counts through the sampler
+# layer and loads no capacity layer.
 ORACLE = ["fibersdc.states", "fibersdc.interferometer"]
 FOOTPRINTS = [
     (["calibrate", "--grid", "2"],
      [*ORACLE, "fibersdc.configs", "fibersdc.noise", "fibersdc.protocol",
-      "fibersdc.imagecodec", "fibersdc.capacity", "numpy"]),
+      "fibersdc.imagecodec", "fibersdc.capacity", "numpy", "dataclasses"]),
     (["capacity", "--resamples", "10"],
      [*ORACLE, "fibersdc.configs", "fibersdc.noise", "fibersdc.protocol",
-      "fibersdc.imagecodec"]),
+      "fibersdc.imagecodec", "dataclasses"]),
     (["characterize", "--seconds-per-state", "0.01"],
-     [*ORACLE, "fibersdc.protocol", "fibersdc.imagecodec"]),
-    (["transfer"], [*ORACLE, "fibersdc.capacity"]),
+     [*ORACLE, "fibersdc.protocol", "fibersdc.imagecodec", "fibersdc.capacity",
+      "dataclasses"]),
+    (["transfer"], [*ORACLE, "fibersdc.capacity", "dataclasses"]),
 ]
 
 

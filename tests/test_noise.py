@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -93,7 +91,7 @@ def test_phase_walk_recalibrates_on_period():
     assert walk.advance(np.array([50.0])).tolist() == [[0.2, 0.2]]
     # With drift, a query on a boundary sits at the residual, whether it
     # is one period or several past the query before it.
-    walk = PhaseWalk(replace(cfg, sigma_rad_per_sqrt_s=0.5), substream(1, "test.walk"))
+    walk = PhaseWalk(cfg._replace(sigma_rad_per_sqrt_s=0.5), substream(1, "test.walk"))
     assert np.all(walk.advance(np.array([50.0])) != 0.2)
     assert walk.advance(np.array([100.0])).tolist() == [[0.2, 0.2]]
     assert np.all(walk.advance(np.array([150.0])) != 0.2)

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -446,13 +445,11 @@ def _frame_by_frame(dibits, source, drift, timing, seed):
 def test_session_matches_a_frame_by_frame_reference():
     # A slow source empties about one window in five, and a short period
     # recalibrates every few frames.
-    slow = dataclasses.replace(TRANSFER_SOURCE, coincidence_rate_hz=2.0)
-    drift = dataclasses.replace(TRANSFER_DRIFT, recalibration_period_s=7.0)
+    slow = TRANSFER_SOURCE._replace(coincidence_rate_hz=2.0)
+    drift = TRANSFER_DRIFT._replace(recalibration_period_s=7.0)
     # A near-silent source times out every window, so no detection is drawn.
-    silent = dataclasses.replace(
-        TRANSFER_SOURCE, coincidence_rate_hz=1e-3, accidental_rate_hz=0.0
-    )
-    instant = dataclasses.replace(DEFAULT_TIMING, message_latency_s=0.0)
+    silent = TRANSFER_SOURCE._replace(coincidence_rate_hz=1e-3, accidental_rate_hz=0.0)
+    instant = DEFAULT_TIMING._replace(message_latency_s=0.0)
     dibits = np.random.default_rng(6).integers(0, 4, 300).tolist()
     cases = [
         (dibits, slow, drift, DEFAULT_TIMING),
@@ -478,8 +475,8 @@ def test_session_matches_a_frame_by_frame_reference():
 
 def test_session_does_not_depend_on_the_run_length(monkeypatch):
     # The slow, often-recalibrated case of the frame-by-frame reference.
-    slow = dataclasses.replace(TRANSFER_SOURCE, coincidence_rate_hz=2.0)
-    drift = dataclasses.replace(TRANSFER_DRIFT, recalibration_period_s=7.0)
+    slow = TRANSFER_SOURCE._replace(coincidence_rate_hz=2.0)
+    drift = TRANSFER_DRIFT._replace(recalibration_period_s=7.0)
     dibits = np.random.default_rng(6).integers(0, 4, 300).tolist()
     n = len(dibits)
     gap = substream(17, "protocol.arrivals").exponential(1.0 / slow.total_rate_hz, n)
