@@ -37,15 +37,17 @@ _EXPORTS = {
         "measurement_distribution", "verdict_distribution",
     ),
     "kernel": ("BELL_ORDER", "BellState", "DetectionOutcome", "verdict_label"),
-    "noise": ("PhaseWalk", "generate_event_stream", "save_counts", "tally_verdicts"),
-    "protocol": (
-        "Message", "MessageKind", "ReceiverMachine", "SenderMachine", "SessionResult",
-        "SessionStats", "decode_message", "encode_message", "run_session",
-    ),
+    "noise": ("generate_event_stream", "save_counts", "tally_verdicts"),
+    "protocol": ("SessionResult", "SessionStats", "run_session"),
+    "sampler": ("PhaseWalk",),
     "seeds": ("substream",),
     "states": (
         "PhotonMode", "TwoPhotonState", "align_global_phase", "apply_pauli", "dump_state",
         "encode_dibit", "make_bell", "overlap", "parse_state", "state_fidelity",
+    ),
+    "wire": (
+        "Message", "MessageKind", "ReceiverMachine", "SenderMachine", "decode_message",
+        "encode_message",
     ),
 }
 """The public names, by the submodule that defines them; the submodules

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: the parser, `main` and the helpers the
+commands share.
 
 Four subcommands cover the package's workflows:
 
@@ -19,28 +20,29 @@ falls back to $FIBERSDC_OUTDIR, then the current directory.  Exit codes:
 
 A command loads only what it runs.  The parser registers every
 subcommand by name and help, and only the invoked one builds its
-options.  The settings merge and the settings options load `configs`,
-so only `characterize` and `transfer` load it.
-Every command uses the kernel, which loads without numpy, so it is
-imported with the CLI.  Each command imports its other layers when it
-runs: `calibrate` none, so that it loads no numpy (its sweep needs only
-`math`); `capacity` the capacity layer, `characterize` the sampler,
-which also writes the counts, `transfer` the protocol and the image
-codec.  No command loads the state algebra or `dataclasses`.
+options.  Each command's body is its own module,
+`fibersdc.commands.<name>`, which `main` imports after parsing, so a
+process compiles one body and the layers that body imports.  The
+settings merge and the settings options load `configs`, so only
+`characterize` and `transfer` load it.  `calibrate` loads the kernel and
+no numpy (its sweep needs only `math`); `capacity` the capacity layer;
+`characterize` the timed run (`noise`), which also writes the counts,
+and the sampler; `transfer` the session (`protocol`), the sampler and
+the image codec, and neither the timed run nor the wire codec.  No
+command loads the state algebra or `dataclasses`.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError
-from .kernel import BELL_ORDER, mean_diagonal
-from .seeds import STREAM_VERSION, sha256, substream
+from .seeds import STREAM_VERSION, sha256
 
 OUTDIR_ENV = "FIBERSDC_OUTDIR"
 
@@ -91,11 +93,13 @@ def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
     return tuple(cfg._replace(**kw) for cfg, kw in zip(defaults, changes))
 
 
-def _settings(args) -> tuple:
+def merged_settings(args) -> tuple:
+    """The invoked command's default configs, merged with its --config
+    file and --set overrides."""
     return merge_settings(command_settings(args.command), args.config, args.set or ())
 
 
-def _resolved_settings(configs: tuple, **extras) -> dict[str, str]:
+def resolved_settings(configs: tuple, **extras) -> dict[str, str]:
     """Every field of the merged configs and each extra input, as repr."""
     out = {name: repr(value) for cfg in configs for name, value in zip(cfg._fields, cfg)}
     out.update((k, repr(v)) for k, v in extras.items())
@@ -111,7 +115,7 @@ def settings_digest(settings: dict[str, str]) -> str:
     return sha256(_settings_body(settings).encode("utf-8")).hexdigest()
 
 
-def _write_report(
+def write_report(
     args, outdir: Path, name: str, lines: list[str], settings: dict[str, str]
 ) -> None:
     """Write the report `name` and the run's manifest to `outdir`, then
@@ -131,183 +135,14 @@ def _write_report(
     print(report, end="")
 
 
-def _outdir(args) -> Path:
+def output_dir(args) -> Path:
+    """The run's output directory, created if missing."""
     path = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use output directory {path}: {exc}") from exc
     return path
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
-def cmd_characterize(args) -> int:
-    import numpy as np
-
-    from .noise import (
-        append_events,
-        iter_event_chunks,
-        open_event_log,
-        save_counts,
-        tally_verdicts,
-    )
-
-    outdir = _outdir(args)
-    source, drift = _settings(args)
-    seconds = args.seconds_per_state
-    if not (math.isfinite(seconds) and seconds > 0):
-        raise ConfigError(f"seconds_per_state must be finite and positive, got {seconds!r}")
-    schedule = [(b, seconds) for b in BELL_ORDER]
-    settings = _resolved_settings((source, drift), seconds_per_state=seconds)
-
-    # Each chunk is tallied and logged, then dropped: memory stays bounded.
-    counts = np.zeros((len(BELL_ORDER), len(BELL_ORDER)), dtype=np.int64)
-    ambiguous = np.zeros(len(BELL_ORDER), dtype=np.int64)
-    header = {"settings_sha256": settings_digest(settings), "master_seed": str(args.seed)}
-    with open_event_log(outdir / "events.csv", header) as log:
-        rng = substream(args.seed, "characterize")
-        for chunk in iter_event_chunks(schedule, source, drift, rng):
-            kept_counts, ambiguous_counts = tally_verdicts(chunk)
-            counts += kept_counts
-            ambiguous += ambiguous_counts
-            append_events(log, chunk)
-    save_counts(outdir / "counts.txt", counts)
-
-    lines = [f"events_total={counts.sum() + ambiguous.sum()}"]
-    # P(verdict | sent) over the kept events; a class with none has no
-    # estimate, so its row is nan rather than a made-up distribution.
-    P = []
-    for i, b in enumerate(BELL_ORDER):
-        kept = counts[i].sum()
-        P.append(counts[i] / kept if kept else np.full(len(BELL_ORDER), np.nan))
-        lines.append(f"accuracy_{b.label}={P[i][i]:.6f}")
-        lines.append(f"kept_{b.label}={kept}")
-        lines.append(f"ambiguous_{b.label}={ambiguous[i]}")
-    for i, b in enumerate(BELL_ORDER):
-        row = " ".join(f"{v:.6f}" for v in P[i])
-        lines.append(f"conditionals_{b.label}={row}")
-    _write_report(args, outdir, "characterization_report.txt", lines, settings)
-    return 0
-
-
-def cmd_capacity(args) -> int:
-    from .capacity import (
-        bootstrap_spread,
-        channel_capacity,
-        estimate_conditionals,
-        load_counts,
-        load_reference_counts,
-        mutual_information,
-    )
-
-    outdir = _outdir(args)
-    if args.counts:
-        counts = load_counts(args.counts)
-        counts_name = str(args.counts)
-    else:
-        counts = load_reference_counts()
-        counts_name = "bundled:characterization_counts.txt"
-    P = estimate_conditionals(counts)
-    result = channel_capacity(P)
-    uniform = mutual_information([0.25] * len(BELL_ORDER), P)
-    std, nonconverged = bootstrap_spread(
-        counts, resamples=args.resamples, rng=substream(args.seed, "bootstrap")
-    )
-
-    lines = [
-        f"counts={counts_name}",
-        f"capacity_bits={result.capacity_bits:.9f}",
-        f"uniform_input_bits={uniform:.9f}",
-        f"bootstrap_std_bits={std:.9f}",
-        f"bootstrap_nonconverged={nonconverged}",
-        f"ba_iterations={result.iterations}",
-        f"ba_converged={result.converged}",
-    ]
-    for b, p in zip(BELL_ORDER, result.input_distribution):
-        lines.append(f"optimal_input_{b.label}={p:.9f}")
-    settings = {"counts": counts_name, "resamples": repr(args.resamples)}
-    _write_report(args, outdir, "capacity_report.txt", lines, settings)
-    return 0
-
-
-def cmd_calibrate(args) -> int:
-    outdir = _outdir(args)
-    n = args.grid
-    if n < 2:
-        raise ConfigError("--grid must be at least 2")
-    # Equal bit for bit to np.linspace(0, 2 pi, n, endpoint=False)
-    phis = [i * (2.0 * math.pi / n) for i in range(n)]
-    texts = [f"{p:.9f}\t" for p in phis]
-    best = (-math.inf, 0.0, 0.0)
-    # Each phi0 row is written as it is scored: memory stays bounded
-    # whatever the grid.
-    with open(outdir / "calibration_grid.tsv", "w", encoding="utf-8") as fh:
-        fh.write("phi0_rad\tphi1_rad\tmean_diagonal\n")
-        for phi0, text0 in zip(phis, texts):
-            scores = [mean_diagonal(phi0, phi1) for phi1 in phis]
-            fh.writelines([f"{text0}{text1}{s:.9f}\n" for text1, s in zip(texts, scores)])
-            # The first point scanned wins a tie: a row's first top, if it beats earlier rows.
-            top = max(scores)
-            if top > best[0]:
-                best = (top, phi0, phis[scores.index(top)])
-    lines = [
-        f"best_score={best[0]:.9f}",
-        f"best_phi0_rad={best[1]:.9f}",
-        f"best_phi1_rad={best[2]:.9f}",
-    ]
-    _write_report(args, outdir, "calibration_report.txt", lines, {"grid": repr(n)})
-    return 0
-
-
-def cmd_transfer(args) -> int:
-    from .configs import DEFAULT_INTERFEROMETER
-    from .imagecodec import (
-        dibits_to_raster,
-        image_fidelity,
-        make_demo_image,
-        pack_dibits,
-        raster_to_dibits,
-        read_ppm,
-        write_ppm,
-    )
-    from .protocol import run_session
-
-    outdir = _outdir(args)
-    source, drift, timing = _settings(args)
-    if args.image:
-        image = read_ppm(args.image)
-        image_name = str(args.image)
-    else:
-        image = make_demo_image()
-        image_name = "bundled:demo"
-    dibits = raster_to_dibits(image)
-    result = run_session(dibits, source, drift, DEFAULT_INTERFEROMETER, timing, args.seed)
-    received = dibits_to_raster(result.dibits, image.width, image.height)
-    fidelity = image_fidelity(image, received)
-
-    write_ppm(outdir / "received.ppm", received)
-    (outdir / "erasures.bin").write_bytes(pack_dibits(result.erasures))
-    stats = result.stats
-    lines = [
-        f"image={image_name}",
-        f"frames={stats.frames}",
-        f"payload_bytes={(len(dibits) + 3) // 4}",
-        f"image_fidelity={fidelity:.6f}",
-        f"erasures={stats.erasure_count}",
-        f"timeouts={stats.timeout_count}",
-        f"elapsed_s={stats.elapsed_s:.3f}",
-        f"throughput_bits_per_s={stats.throughput_bits_per_s:.6f}",
-        f"recalibrations={stats.recalibrations}",
-    ]
-    for label in sorted(stats.verdict_counts):
-        lines.append(f"verdicts_{label}={stats.verdict_counts[label]}")
-    settings = _resolved_settings((source, drift, timing), image=image_name)
-    _write_report(args, outdir, "transfer_report.txt", lines, settings)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +231,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    for name, func, add_options, help in [
-        ("characterize", cmd_characterize, _characterize_options, "measure the verdict channel"),
-        ("capacity", cmd_capacity, _capacity_options, "capacity of a count matrix"),
-        ("calibrate", cmd_calibrate, _calibrate_options, "sweep static phase offsets"),
-        ("transfer", cmd_transfer, _transfer_options, "send a four-gray image"),
+    for name, add_options, help in [
+        ("characterize", _characterize_options, "measure the verdict channel"),
+        ("capacity", _capacity_options, "capacity of a count matrix"),
+        ("calibrate", _calibrate_options, "sweep static phase offsets"),
+        ("transfer", _transfer_options, "send a four-gray image"),
     ]:
-        sub.add_parser(name, help=help, add_options=add_options).set_defaults(func=func)
+        sub.add_parser(name, help=help, add_options=add_options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        command = import_module(f"{__package__}.commands.{args.command}")
+        return command.run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,0 +1,57 @@
+"""`fibersdc characterize`: a timed verdict-channel measurement.
+
+It samples a timed run per sent class, tallies and logs each chunk of
+events, and writes the count matrix.  It loads numpy, the settings, the
+timed run (`fibersdc.noise`), the sampler and the kernel, and no
+capacity layer: `noise.save_counts` writes the counts that
+`capacity.load_counts` reads back.
+"""
+
+import math
+
+import numpy as np
+
+from ..cli import merged_settings, output_dir, resolved_settings, settings_digest, write_report
+from ..errors import ConfigError
+from ..kernel import BELL_ORDER
+from ..noise import append_events, iter_event_chunks, open_event_log, save_counts, tally_verdicts
+from ..seeds import substream
+
+
+def run(args) -> int:
+    outdir = output_dir(args)
+    source, drift = merged_settings(args)
+    seconds = args.seconds_per_state
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ConfigError(f"seconds_per_state must be finite and positive, got {seconds!r}")
+    schedule = [(b, seconds) for b in BELL_ORDER]
+    settings = resolved_settings((source, drift), seconds_per_state=seconds)
+
+    # Each chunk is tallied and logged, then dropped: memory stays bounded.
+    counts = np.zeros((len(BELL_ORDER), len(BELL_ORDER)), dtype=np.int64)
+    ambiguous = np.zeros(len(BELL_ORDER), dtype=np.int64)
+    header = {"settings_sha256": settings_digest(settings), "master_seed": str(args.seed)}
+    with open_event_log(outdir / "events.csv", header) as log:
+        rng = substream(args.seed, "characterize")
+        for chunk in iter_event_chunks(schedule, source, drift, rng):
+            kept_counts, ambiguous_counts = tally_verdicts(chunk)
+            counts += kept_counts
+            ambiguous += ambiguous_counts
+            append_events(log, chunk)
+    save_counts(outdir / "counts.txt", counts)
+
+    lines = [f"events_total={counts.sum() + ambiguous.sum()}"]
+    # P(verdict | sent) over the kept events; a class with none has no
+    # estimate, so its row is nan rather than a made-up distribution.
+    P = []
+    for i, b in enumerate(BELL_ORDER):
+        kept = counts[i].sum()
+        P.append(counts[i] / kept if kept else np.full(len(BELL_ORDER), np.nan))
+        lines.append(f"accuracy_{b.label}={P[i][i]:.6f}")
+        lines.append(f"kept_{b.label}={kept}")
+        lines.append(f"ambiguous_{b.label}={ambiguous[i]}")
+    for i, b in enumerate(BELL_ORDER):
+        row = " ".join(f"{v:.6f}" for v in P[i])
+        lines.append(f"conditionals_{b.label}={row}")
+    write_report(args, outdir, "characterization_report.txt", lines, settings)
+    return 0

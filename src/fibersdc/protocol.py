@@ -1,189 +1,28 @@
-"""Framed dibit transfer over a classical byte channel plus the quantum link.
+"""Framed dibit transfer over the simulated link: the session.
 
-Each frame moves two bits as one Bell class.  The classical side runs a
-strict five-step exchange per frame:
+Each frame moves two bits as one Bell class, in the five-step exchange
+that `fibersdc.wire` defines: three one-way classical hops (request,
+acknowledge, receipt), the encoder's settle, and the detection window,
+which closes at the first detection or times out into an erasure.
 
-    sender -> SEND_REQUEST(i)      announce frame i
-    receiver -> ACKNOWLEDGE(i)     arm the detection window
-    sender emits the encoded pair  (quantum link, no bytes)
-    receiver closes the window     at the first detection or a timeout
-    receiver -> RECEIPT(i)         release the sender for frame i+1
-
-A message is nine bytes: MAGIC "SDC1", a one-byte kind and a
-little-endian u32 frame index; no kind carries anything more.  The state
-machines are the sans-io protocol a real link would run: they consume
-decoded messages and return actions.  Retransmissions after a timeout
-and stale copies of the previous frame's messages are idempotent;
-anything else out of order raises ProtocolError.
-
-`run_session` models a lossless link, on which the exchange never varies:
-three one-way hops per frame.  It computes the session's timeline in
-closed form rather than replaying the messages.
+`run_session` models a lossless link, on which the exchange never
+varies, so it computes the session's timeline in closed form rather than
+replaying the messages, and loads neither the codec nor the state
+machines.  Its detections come from `fibersdc.sampler`.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-import struct
 from typing import NamedTuple
 
 import numpy as np
 
-from . import noise
+from . import sampler
 from .configs import DriftConfig, InterferometerConfig, SourceConfig, TimingConfig
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 from .kernel import BELL_TO_DIBIT, DIBIT_TO_BELL, OUTCOME_VERDICT, VERDICTS, verdict_label
 from .seeds import substream
-
-MAGIC = b"SDC1"
-_HEADER = struct.Struct("<4sBI")
-
-
-class MessageKind(enum.IntEnum):
-    SEND_REQUEST = 1
-    ACKNOWLEDGE = 2
-    RECEIPT = 3
-
-
-class Message(NamedTuple):
-    kind: MessageKind
-    frame_index: int
-
-
-def encode_message(msg: Message) -> bytes:
-    return _HEADER.pack(MAGIC, int(msg.kind), msg.frame_index)
-
-
-def decode_message(buffer: bytes, offset: int = 0) -> tuple[Message, int] | None:
-    """Decode one message starting at offset, or None if incomplete."""
-    if len(buffer) - offset < _HEADER.size:
-        return None
-    magic, kind, frame = _HEADER.unpack_from(buffer, offset)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}")
-    try:
-        mk = MessageKind(kind)
-    except ValueError as exc:
-        raise ProtocolError(f"unknown message kind {kind}") from exc
-    return Message(mk, frame), offset + _HEADER.size
-
-
-# ---------------------------------------------------------------------------
-# sans-io state machines
-# ---------------------------------------------------------------------------
-
-
-class SenderMachine:
-    """Drives frames in order; actions are ("wire", Message) to transmit
-    bytes and ("transmit", frame_index) to fire the quantum encoder."""
-
-    def __init__(self, n_frames: int):
-        if n_frames < 0:
-            raise ConfigError("n_frames must be >= 0")
-        self.n_frames = n_frames
-        self.frame = 0
-        self.awaiting = "start"  # start -> ack -> receipt -> (ack ...) -> done
-        self._last_wire: Message | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.awaiting == "done"
-
-    def _wire(self, msg: Message):
-        self._last_wire = msg
-        return ("wire", msg)
-
-    def start(self) -> list:
-        if self.awaiting != "start":
-            raise ProtocolError("sender already started")
-        if self.n_frames == 0:
-            self.awaiting = "done"
-            return []
-        self.awaiting = "ack"
-        return [self._wire(Message(MessageKind.SEND_REQUEST, 0))]
-
-    def handle_message(self, msg: Message) -> list:
-        if msg.kind is MessageKind.ACKNOWLEDGE:
-            if self.awaiting == "ack" and msg.frame_index == self.frame:
-                self.awaiting = "receipt"
-                return [("transmit", self.frame)]
-            if self.awaiting == "receipt" and msg.frame_index == self.frame:
-                return []  # duplicate ack after a retransmitted request
-            if msg.frame_index == self.frame - 1:
-                return []  # stale ack replayed with the previous receipt
-            raise ProtocolError(
-                f"unexpected ACKNOWLEDGE({msg.frame_index}) while at frame "
-                f"{self.frame} awaiting {self.awaiting}"
-            )
-        if msg.kind is MessageKind.RECEIPT:
-            if self.awaiting == "receipt" and msg.frame_index == self.frame:
-                self.frame += 1
-                if self.frame == self.n_frames:
-                    self.awaiting = "done"
-                    return []
-                self.awaiting = "ack"
-                return [self._wire(Message(MessageKind.SEND_REQUEST, self.frame))]
-            if msg.frame_index == self.frame - 1:
-                return []  # stale duplicate receipt
-            raise ProtocolError(
-                f"unexpected RECEIPT({msg.frame_index}) while at frame {self.frame}"
-            )
-        raise ProtocolError(f"sender cannot handle {msg.kind.name}")
-
-    def handle_timeout(self) -> list:
-        """Retransmit the last outbound message; safe to repeat."""
-        if self.done or self._last_wire is None:
-            return []
-        return [("wire", self._last_wire)]
-
-
-class ReceiverMachine:
-    """Accepts frames in order: a SEND_REQUEST arms the frame's detection
-    window, and closing the window issues its RECEIPT."""
-
-    def __init__(self, n_frames: int):
-        if n_frames < 0:
-            raise ConfigError("n_frames must be >= 0")
-        self.n_frames = n_frames
-        self.expected = 0
-        self.armed = False
-        self._last_receipt: Message | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.expected == self.n_frames and not self.armed
-
-    def handle_message(self, msg: Message) -> list:
-        if msg.kind is not MessageKind.SEND_REQUEST:
-            raise ProtocolError(f"receiver cannot handle {msg.kind.name}")
-        if msg.frame_index == self.expected and self.expected < self.n_frames:
-            self.armed = True
-            return [("wire", Message(MessageKind.ACKNOWLEDGE, msg.frame_index))]
-        if msg.frame_index == self.expected - 1:
-            if self.armed:
-                return []  # late duplicate: the sender has moved on
-            # the receipt must have been lost: re-ack and re-issue it
-            actions = [("wire", Message(MessageKind.ACKNOWLEDGE, msg.frame_index))]
-            if self._last_receipt is not None:
-                actions.append(("wire", self._last_receipt))
-            return actions
-        raise ProtocolError(
-            f"unexpected SEND_REQUEST({msg.frame_index}), expected {self.expected}"
-        )
-
-    def close_window(self, frame_index: int) -> list:
-        if not self.armed or frame_index != self.expected:
-            raise ProtocolError(f"no armed window for frame {frame_index}")
-        self.armed = False
-        self.expected += 1
-        self._last_receipt = Message(MessageKind.RECEIPT, frame_index)
-        return [("wire", self._last_receipt)]
-
-
-# ---------------------------------------------------------------------------
-# full simulated session
-# ---------------------------------------------------------------------------
 
 
 class SessionStats(NamedTuple):
@@ -246,7 +85,7 @@ def run_session(
     the same window are ignored) or times out empty into an erasure.  On
     the lossless link no verdict changes the message flow, so the windows
     close at times known in closed form and the final RECEIPT adds one
-    hop.  The session runs in two passes over runs of `noise.EVENT_CHUNK`
+    hop.  The session runs in two passes over runs of `sampler.EVENT_CHUNK`
     frames: the first lays out the timeline, keeping one detection time
     per frame, and the second draws the run's detections in one batch.
     Every generator is consumed in frame order, so the outputs do not
@@ -260,10 +99,10 @@ def run_session(
         if d not in DIBIT_TO_BELL:
             raise ConfigError(f"dibit out of range: {d!r}")
     n = len(dibits)
-    walk = noise.PhaseWalk(drift_cfg, substream(master_seed, "protocol.drift"))
+    walk = sampler.PhaseWalk(drift_cfg, substream(master_seed, "protocol.drift"))
     rng_q = substream(master_seed, "protocol.quantum")
     rng_arr = substream(master_seed, "protocol.arrivals")
-    runs = [(a, min(a + noise.EVENT_CHUNK, n)) for a in range(0, n, noise.EVENT_CHUNK)]
+    runs = [(a, min(a + sampler.EVENT_CHUNK, n)) for a in range(0, n, sampler.EVENT_CHUNK)]
 
     # classical pass: each frame's detection time, NaN for an empty window
     times = np.empty(n)
@@ -281,11 +120,11 @@ def run_session(
             "session time overflows; lower message_latency_s, encoder_settle_s or frame_window_s"
         )
     # Every period boundary up to the last window close is a recalibration,
-    # by the walk's own floor rule, whether or not a detection follows it.
-    periods = last_close / drift_cfg.recalibration_period_s if n else 0.0
-    recalibrations = math.floor(periods) if math.isfinite(periods) else 0
+    # by the walk's own rule, whether or not a detection follows it.
+    resets = walk.resets_by(last_close) if n else 0.0
+    recalibrations = int(resets) if math.isfinite(resets) else 0
     elapsed = op_time + recalibrations * timing.recalibration_pause_s
-    if not (math.isfinite(periods) and math.isfinite(elapsed)):
+    if not (math.isfinite(resets) and math.isfinite(elapsed)):
         raise ConfigError(
             "recalibration pauses overflow the session time; raise recalibration_period_s "
             "or lower recalibration_pause_s"
@@ -298,7 +137,7 @@ def run_session(
         run_times, run_verdict = times[a:b], verdict[a:b]
         detected = ~np.isnan(run_times)
         sent = _DIBIT_CLASS[np.array(dibits[a:b], dtype=np.intp)[detected]]
-        outcome = noise.sample_detections(sent, run_times[detected], walk, source_cfg, rng_q)
+        outcome = sampler.sample_detections(sent, run_times[detected], walk, source_cfg, rng_q)
         run_verdict[detected] = OUTCOME_VERDICT[outcome]
         counts += np.bincount(run_verdict, minlength=len(VERDICTS))
     del times

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fibersdc
-from fibersdc import noise
+from fibersdc import noise, sampler
 from fibersdc.capacity import load_counts
 from fibersdc.cli import command_settings, main
 from fibersdc.imagecodec import ImageRaster, read_ppm, write_ppm
@@ -174,7 +174,7 @@ def test_characterize_output_does_not_depend_on_chunk_size(tmp_path, monkeypatch
     argv = ["characterize", "--seed", "5", "--seconds-per-state", "1",
             "--set", "recalibration_period_s=0.35"]
     assert main(argv + ["--outdir", str(tmp_path / "default")]) == 0
-    monkeypatch.setattr(noise, "EVENT_CHUNK", chunk)
+    monkeypatch.setattr(sampler, "EVENT_CHUNK", chunk)
     assert main(argv + ["--outdir", str(tmp_path / "small")]) == 0
     for name in ("events.csv", "counts.txt"):
         default = (tmp_path / "default" / name).read_bytes()

@@ -24,7 +24,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fibersdc"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Every source file of the package, its subpackages included.
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,28 +48,39 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["2: np", "3: c"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 # Each command loads the layers it runs and no other.  No command loads
-# the state algebra, the kernel's oracle, or `dataclasses`; the settings
-# load only for the commands that take them, and numpy for the commands
-# that use arrays.  `characterize` writes its counts through the sampler
-# layer and loads no capacity layer.
-ORACLE = ["fibersdc.states", "fibersdc.interferometer"]
+# the state algebra, the kernel's oracle, the wire codec and state
+# machines, another command's body, or `dataclasses`; the settings load
+# only for the commands that take them, and numpy for the commands that
+# use arrays.  `characterize` writes its counts through the timed-run
+# layer and loads no capacity layer; `transfer` draws through the sampler
+# and loads no timed-run layer.
+COMMANDS = ["calibrate", "capacity", "characterize", "transfer"]
+
+
+def never(command: str) -> list[str]:
+    """What no command loads, plus the other commands' bodies."""
+    others = [f"fibersdc.commands.{name}" for name in COMMANDS if name != command]
+    return ["fibersdc.states", "fibersdc.interferometer", "fibersdc.wire", "dataclasses",
+            *others]
+
+
 FOOTPRINTS = [
     (["calibrate", "--grid", "2"],
-     [*ORACLE, "fibersdc.configs", "fibersdc.noise", "fibersdc.protocol",
-      "fibersdc.imagecodec", "fibersdc.capacity", "numpy", "dataclasses"]),
+     [*never("calibrate"), "fibersdc.configs", "fibersdc.noise", "fibersdc.sampler",
+      "fibersdc.protocol", "fibersdc.imagecodec", "fibersdc.capacity", "numpy"]),
     (["capacity", "--resamples", "10"],
-     [*ORACLE, "fibersdc.configs", "fibersdc.noise", "fibersdc.protocol",
-      "fibersdc.imagecodec", "dataclasses"]),
+     [*never("capacity"), "fibersdc.configs", "fibersdc.noise", "fibersdc.sampler",
+      "fibersdc.protocol", "fibersdc.imagecodec"]),
     (["characterize", "--seconds-per-state", "0.01"],
-     [*ORACLE, "fibersdc.protocol", "fibersdc.imagecodec", "fibersdc.capacity",
-      "dataclasses"]),
-    (["transfer"], [*ORACLE, "fibersdc.capacity", "dataclasses"]),
+     [*never("characterize"), "fibersdc.protocol", "fibersdc.imagecodec",
+      "fibersdc.capacity"]),
+    (["transfer"], [*never("transfer"), "fibersdc.noise", "fibersdc.capacity"]),
 ]
 
 
@@ -96,7 +109,7 @@ sys.exit(code)
 def test_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):
     stdout = run_python(_RUN_AND_LIST_MODULES, *argv, "--outdir", str(tmp_path))
     loaded = set(stdout.rsplit("modules: ", 1)[1].split())
-    assert "fibersdc.cli" in loaded
+    assert {"fibersdc.cli", f"fibersdc.commands.{argv[0]}"} <= loaded
     assert sorted(loaded.intersection(unloaded)) == []
     # The package hashes without OpenSSL; only `numpy.random` loads it,
     # through `secrets`, when `cli.main` is called directly as here.  So a
@@ -121,7 +134,7 @@ def test_the_kernel_loads_numpy_when_an_array_is_first_read():
 
 
 CALLER_SOURCES = [
-    *sorted(PACKAGE.glob("*.py")),
+    *SOURCES,
     *sorted((ROOT / "demos").glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
@@ -186,14 +199,14 @@ def test_every_public_function_has_a_caller():
 
 def test_every_public_name_is_read():
     readers = [
-        *sorted(PACKAGE.glob("*.py")),
+        *SOURCES,
         *sorted((ROOT / "demos").glob("*.py")),
         *sorted((ROOT / "tests").glob("*.py")),
     ]
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in readers]
     unread = [
         f"{path.stem}.{name}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in SOURCES
         for name in public_definitions(ast.parse(path.read_text(encoding="utf-8")))
         if not any(references(tree, name) for tree in trees)
     ]

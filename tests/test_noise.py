@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fibersdc import noise
+from fibersdc import sampler
 from fibersdc.configs import (
     CHARACTERIZATION_DRIFT,
     CHARACTERIZATION_SOURCE,
@@ -20,15 +20,14 @@ from fibersdc.kernel import (
 )
 from fibersdc.noise import (
     DriftConfig,
-    PhaseWalk,
     SourceConfig,
     append_events,
     generate_event_stream,
     iter_event_chunks,
     open_event_log,
-    sample_detections,
     tally_verdicts,
 )
+from fibersdc.sampler import PhaseWalk, sample_detections
 from fibersdc.seeds import substream
 
 
@@ -220,7 +219,7 @@ def test_event_stream_rate_and_ordering():
 def test_arrivals_match_a_one_at_a_time_reference(monkeypatch, chunk):
     # Reference: one gap per arrival; the arrival at or past an entry's end
     # is dropped and the next entry starts at that end.
-    monkeypatch.setattr(noise, "EVENT_CHUNK", chunk)
+    monkeypatch.setattr(sampler, "EVENT_CHUNK", chunk)
     schedule = [(BELL_ORDER[0], 0.2), (BELL_ORDER[1], 0.0), (BELL_ORDER[2], 0.15)]
     source = CHARACTERIZATION_SOURCE
     events = generate_event_stream(
@@ -322,7 +321,7 @@ def test_characterization_accuracies_near_reference():
 
 
 def test_event_log_writes_the_header_columns_and_one_row_per_event(tmp_path, monkeypatch):
-    monkeypatch.setattr(noise, "EVENT_CHUNK", 64)  # several appended chunks
+    monkeypatch.setattr(sampler, "EVENT_CHUNK", 64)  # several appended chunks
     chunks = list(iter_event_chunks(
         [(BELL_ORDER[0], 0.5), (BELL_ORDER[3], 0.5)],
         CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT, substream(55, "test.log"),

@@ -5,31 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibersdc import noise
+from fibersdc import sampler
 from fibersdc.configs import (
     DEFAULT_INTERFEROMETER,
     DEFAULT_TIMING,
     TRANSFER_DRIFT,
     TRANSFER_SOURCE,
+    DriftConfig,
+    SourceConfig,
 )
 from fibersdc.errors import ConfigError, ProtocolError
 from fibersdc.imagecodec import ImageRaster, raster_to_dibits, read_ppm, write_ppm
 from fibersdc.interferometer import classify
 from fibersdc.kernel import BELL_TO_DIBIT, DIBIT_TO_BELL, OUTCOMES, verdict_label
-from fibersdc.noise import DriftConfig, PhaseWalk, SourceConfig
-from fibersdc.protocol import (
+from fibersdc.protocol import TimingConfig, _window_closes, run_session
+from fibersdc.sampler import PhaseWalk
+from fibersdc.seeds import substream
+from fibersdc.wire import (
     MAGIC,
     Message,
     MessageKind,
     ReceiverMachine,
     SenderMachine,
-    TimingConfig,
-    _window_closes,
     decode_message,
     encode_message,
-    run_session,
 )
-from fibersdc.seeds import substream
 
 CLEAN_SOURCE = SourceConfig(source_fidelity=1.0, accidental_rate_hz=0.0)
 NO_DRIFT = DriftConfig(sigma_rad_per_sqrt_s=0.0)
@@ -47,6 +47,11 @@ def test_message_roundtrip():
     decoded, end = decode_message(wire)
     assert decoded == msg
     assert end == len(wire)
+    last = Message(MessageKind.SEND_REQUEST, 2**32 - 1)
+    assert decode_message(encode_message(last)) == (last, 9)
+    for frame in (2**32, -1):
+        with pytest.raises(ProtocolError, match=f"frame index {frame}"):
+            encode_message(Message(MessageKind.SEND_REQUEST, frame))
 
 
 def test_decode_splits_concatenated_messages():
@@ -79,6 +84,11 @@ def test_decode_rejects_bad_magic_and_kind():
     wire[4] = 200
     with pytest.raises(ProtocolError):
         decode_message(bytes(wire))
+    # A negative offset would count from the end of the buffer.
+    good = encode_message(Message(MessageKind.SEND_REQUEST, 1))
+    for offset in (-9, -1):
+        with pytest.raises(ProtocolError, match="offset"):
+            decode_message(good, offset)
 
 
 # Wire bytes built from pieces that reach every branch of the decoder:
@@ -207,6 +217,12 @@ def test_zero_frame_session_is_immediately_done():
     assert sender.start() == []
     assert sender.done
     assert ReceiverMachine(0).done
+    # The last frame index must fit the wire's u32.
+    assert SenderMachine(2**32).start() == [("wire", Message(MessageKind.SEND_REQUEST, 0))]
+    for machine in (SenderMachine, ReceiverMachine):
+        for n_frames in (2**32 + 1, 2**33, -1):
+            with pytest.raises(ConfigError, match="n_frames"):
+                machine(n_frames)
 
 
 def test_sender_ignores_duplicate_ack_and_stale_receipt():
@@ -428,7 +444,7 @@ def _frame_by_frame(dibits, source, drift, timing, seed):
             op_time += gap
             phases = walk.advance(np.array([op_time]))[0]
             u = rng_q.random(5)
-            outcome = noise._sample_outcomes(DIBIT_TO_BELL[dibit].index, phases, source, u)
+            outcome = sampler._sample_outcomes(DIBIT_TO_BELL[dibit].index, phases, source, u)
             verdict = classify(OUTCOMES[int(outcome)])
         counts[verdict_label(verdict)] = counts.get(verdict_label(verdict), 0) + 1
         received.append(0 if verdict is None else BELL_TO_DIBIT[verdict])
@@ -489,7 +505,7 @@ def test_session_does_not_depend_on_the_run_length(monkeypatch):
     edges = [first_timeout, first_timeout + 1, int(new_period[0])]
     results = []
     for chunk in [1, 7, 64, n, n + 1, *edges]:
-        monkeypatch.setattr(noise, "EVENT_CHUNK", chunk)
+        monkeypatch.setattr(sampler, "EVENT_CHUNK", chunk)
         results.append(
             run_session(dibits, slow, drift, DEFAULT_INTERFEROMETER, DEFAULT_TIMING, 17)
         )

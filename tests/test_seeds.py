@@ -12,10 +12,11 @@ from fibersdc.seeds import sha256, substream, substream_seed
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fibersdc"
 
-# Every substream name the package draws from, as its sources spell it.
+# Every substream name the package and its subpackages draw from, as
+# their sources spell it.
 SUBSTREAMS = sorted({
     name
-    for path in PACKAGE.glob("*.py")
+    for path in PACKAGE.rglob("*.py")
     for name in re.findall(r'substream\([^,()]+, "([^"]+)"\)', path.read_text(encoding="utf-8"))
 })
 
