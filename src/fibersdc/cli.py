@@ -12,24 +12,26 @@ Every run writes a manifest (subcommand, resolved settings, their hash,
 seed, package version, random-stream version, no timestamps), so
 rerunning with the same seed and settings reproduces every output byte
 for byte.  `characterize` and `transfer` take settings, the fields of
-their default configs (`command_settings`), from an optional key=value
-config file plus repeatable --set overrides; `calibrate` and `capacity`
-depend on no setting and take neither option.  The output directory
-falls back to $FIBERSDC_OUTDIR, then the current directory.  Exit codes:
-0 success, 2 configuration problem, 1 anything else.
+their default configs (`configs.command_settings`), from an optional
+key=value config file plus repeatable --set overrides, merged by
+`configs.merged_settings`; `calibrate` and `capacity` depend on no
+setting and take neither option.  The output directory falls back to
+$FIBERSDC_OUTDIR, then the current directory.  Exit codes: 0 success,
+2 configuration problem, 1 anything else.
 
 A command loads only what it runs.  The parser registers every
 subcommand by name and help, and only the invoked one builds its
 options.  Each command's body is its own module,
 `fibersdc.commands.<name>`, which `main` imports after parsing, so a
 process compiles one body and the layers that body imports.  The
-settings merge and the settings options load `configs`, so only
-`characterize` and `transfer` load it.  `calibrate` loads the kernel and
-no numpy (its sweep needs only `math`); `capacity` the capacity layer;
-`characterize` the timed run (`noise`), which also writes the counts,
-and the sampler; `transfer` the session (`protocol`), the sampler and
-the image codec, and neither the timed run nor the wire codec.  No
-command loads the state algebra or `dataclasses`.
+settings merge lives in `configs`, which the settings options import
+when they are built, so only `characterize` and `transfer` load or
+compile it.  `calibrate` loads the kernel and no numpy (its sweep needs
+only `math`); `capacity` the capacity layer; `characterize` the timed
+run (`noise`), which also writes the counts, and the sampler; `transfer`
+the session (`protocol`), the sampler and the image codec, and neither
+the timed run nor the wire codec.  No command loads the state algebra
+or `dataclasses`.
 """
 
 from __future__ import annotations
@@ -45,65 +47,6 @@ from .errors import ConfigError
 from .seeds import STREAM_VERSION, sha256
 
 OUTDIR_ENV = "FIBERSDC_OUTDIR"
-
-
-def command_settings(command: str) -> tuple:
-    """Default configs of a command that takes settings, `characterize`
-    or `transfer`; their fields are the keys it accepts."""
-    from . import configs
-
-    return {
-        "characterize": (configs.CHARACTERIZATION_SOURCE, configs.CHARACTERIZATION_DRIFT),
-        "transfer": (configs.TRANSFER_SOURCE, configs.TRANSFER_DRIFT, configs.DEFAULT_TIMING),
-    }[command]
-
-
-def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
-    """`defaults` with the key=value lines of `config_file` (if not None)
-    applied, then the `overrides` (KEY=VALUE strings, as given to --set).
-
-    A key that no default config has is rejected.  Each config is rebuilt
-    with its `_replace`, so its own checks run on the merged values.
-    """
-    owner = {name: i for i, cfg in enumerate(defaults) for name in cfg._fields}
-    changes: list[dict[str, float]] = [{} for _ in defaults]
-
-    def put(where: str, text: str) -> None:
-        if "=" not in text:
-            raise ConfigError(f"{where}expected key=value, got {text!r}")
-        key, val = (part.strip() for part in text.split("=", 1))
-        if key not in owner:
-            raise ConfigError(f"{where}unknown setting {key!r}")
-        try:
-            changes[owner[key]][key] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"{where}bad number for {key}: {val!r}") from exc
-
-    if config_file is not None:
-        try:
-            text = Path(config_file).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {config_file}: {exc}") from exc
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                put(f"{config_file}:{lineno}: ", line)
-    for pair in overrides:
-        put("--set: ", pair)
-    return tuple(cfg._replace(**kw) for cfg, kw in zip(defaults, changes))
-
-
-def merged_settings(args) -> tuple:
-    """The invoked command's default configs, merged with its --config
-    file and --set overrides."""
-    return merge_settings(command_settings(args.command), args.config, args.set or ())
-
-
-def resolved_settings(configs: tuple, **extras) -> dict[str, str]:
-    """Every field of the merged configs and each extra input, as repr."""
-    out = {name: repr(value) for cfg in configs for name, value in zip(cfg._fields, cfg)}
-    out.update((k, repr(v)) for k, v in extras.items())
-    return out
 
 
 def _settings_body(settings: dict[str, str]) -> str:
@@ -167,6 +110,8 @@ class _Subcommand(argparse.ArgumentParser):
 
 
 def _settings_options(p: argparse.ArgumentParser, command: str) -> None:
+    from .configs import command_settings
+
     keys = ", ".join(name for cfg in command_settings(command) for name in cfg._fields)
     p.add_argument("--config", help="key=value settings file")
     p.add_argument(

@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from ..cli import merged_settings, output_dir, resolved_settings, settings_digest, write_report
+from ..cli import output_dir, settings_digest, write_report
+from ..configs import merged_settings, resolved_settings
 from ..errors import ConfigError
 from ..kernel import BELL_ORDER
 from ..noise import append_events, iter_event_chunks, open_event_log, save_counts, tally_verdicts

@@ -6,8 +6,8 @@ so neither the wire codec and state machines (`fibersdc.wire`) nor the
 timed run (`fibersdc.noise`) load.
 """
 
-from ..cli import merged_settings, output_dir, resolved_settings, write_report
-from ..configs import DEFAULT_INTERFEROMETER
+from ..cli import output_dir, write_report
+from ..configs import DEFAULT_INTERFEROMETER, merged_settings, resolved_settings
 from ..imagecodec import (
     dibits_to_raster,
     image_fidelity,

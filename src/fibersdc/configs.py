@@ -11,9 +11,11 @@ The four settings classes live here, not in the layers that read them:
 
 Each layer re-exports the classes it reads, so
 `from fibersdc.noise import SourceConfig` still works.  This module
-imports nothing but `math`, `typing` and `fibersdc.errors`, so the
-command line can build its parser and merge settings without loading
-the simulator.
+imports nothing but `math`, `pathlib`, `typing` and `fibersdc.errors`,
+so the command line can build its parser and merge settings without
+loading the simulator.  It also holds the one settings merge,
+`merged_settings`, of `characterize` and `transfer`, the only commands
+that load it.
 
 Each class is a `typing.NamedTuple` of its fields under a subclass that
 checks them (`errors.CheckedRecord`): an instance built by keyword or
@@ -36,6 +38,7 @@ Two operating points are bundled:
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CheckedRecord, ConfigError, require_finite
@@ -178,3 +181,60 @@ DEFAULT_INTERFEROMETER = InterferometerConfig()
 DEFAULT_TIMING = TimingConfig()
 
 SECONDS_PER_STATE = 5.0
+
+
+def command_settings(command: str) -> tuple:
+    """Default configs of a command that takes settings, `characterize`
+    or `transfer`; their fields are the keys it accepts."""
+    return {
+        "characterize": (CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT),
+        "transfer": (TRANSFER_SOURCE, TRANSFER_DRIFT, DEFAULT_TIMING),
+    }[command]
+
+
+def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
+    """`defaults` with the key=value lines of `config_file` (if not None)
+    applied, then the `overrides` (KEY=VALUE strings, as given to --set).
+
+    A key that no default config has is rejected.  Each config is rebuilt
+    with its `_replace`, so its own checks run on the merged values.
+    """
+    owner = {name: i for i, cfg in enumerate(defaults) for name in cfg._fields}
+    changes: list[dict[str, float]] = [{} for _ in defaults]
+
+    def put(where: str, text: str) -> None:
+        if "=" not in text:
+            raise ConfigError(f"{where}expected key=value, got {text!r}")
+        key, val = (part.strip() for part in text.split("=", 1))
+        if key not in owner:
+            raise ConfigError(f"{where}unknown setting {key!r}")
+        try:
+            changes[owner[key]][key] = float(val)
+        except ValueError as exc:
+            raise ConfigError(f"{where}bad number for {key}: {val!r}") from exc
+
+    if config_file is not None:
+        try:
+            text = Path(config_file).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {config_file}: {exc}") from exc
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                put(f"{config_file}:{lineno}: ", line)
+    for pair in overrides:
+        put("--set: ", pair)
+    return tuple(cfg._replace(**kw) for cfg, kw in zip(defaults, changes))
+
+
+def merged_settings(args) -> tuple:
+    """The invoked command's default configs, merged with its --config
+    file and --set overrides."""
+    return merge_settings(command_settings(args.command), args.config, args.set or ())
+
+
+def resolved_settings(configs: tuple, **extras) -> dict[str, str]:
+    """Every field of the merged configs and each extra input, as repr."""
+    out = {name: repr(value) for cfg in configs for name, value in zip(cfg._fields, cfg)}
+    out.update((k, repr(v)) for k, v in extras.items())
+    return out

@@ -224,7 +224,7 @@ def _phase_monomial(which: BellState, alpha: complex, beta: complex) -> complex:
     alpha and beta are the per-traversal phase factors of the short and
     long loop, raised to the class's `LOOP_TRAVERSALS`.
     """
-    short, long = LOOP_TRAVERSALS[which.index].tolist()
+    short, long = LOOP_TRAVERSALS[which.index]
     return alpha**short * beta**long
 
 
@@ -254,7 +254,7 @@ def evolve_bsm(state: TwoPhotonState, config: InterferometerConfig) -> TwoPhoton
         c = overlap(make_bell(which), state)
         if abs(c) < 1e-15:
             continue
-        v = CAL_DEPTH.item(which.index)
+        v = CAL_DEPTH[which.index]
         u = 1.0 - v
         m = _phase_monomial(which, alpha, beta)
         f = u + v * m

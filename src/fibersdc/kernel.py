@@ -11,15 +11,15 @@ mixture
 
 with T_k and L_k the outcome distributions of the target and leak
 vectors, v = CAL_DEPTH[k] and theta_k the phase of the class's
-path-family monomial.  `kernel_distribution` evaluates it with numpy on
-arrays of phases, for the event sampler and the transfer session;
-`mean_diagonal` scores a point of the calibration sweep with `math`.
+path-family monomial.  `leak_weight` evaluates w with numpy, for the
+event sampler, which then draws from T_k or L_k; `kernel_distribution`
+the whole mixture; `mean_diagonal` scores a calibration point in `math`.
 
 This module holds the kernel and what runs around it: the Bell classes,
-the dibit maps, the outcome and verdict tables.  The tables are stored
-in `data/kernel_tables.txt` as `repr` floats, read at import and made
-arrays on first use, so the module loads without numpy; the tests
-rebuild every one of them bit for bit from the state algebra.
+the dibit maps, the outcome and verdict tables.  The tables are plain
+tuples, stored in `data/kernel_tables.txt` as `repr` floats and read at
+import, so the module loads no numpy; the tests rebuild every one of
+them bit for bit from the state algebra.
 """
 
 from __future__ import annotations
@@ -121,20 +121,21 @@ VERDICTS = (*BELL_ORDER, None)
 # calibrated signature is (1-2v)^2.  Fitted jointly with
 # `interferometer.LEAK_TO_PHI_MINUS` to bench confusion rates; PHI_MINUS
 # and PSI_PLUS traverse path pairs that nearly share loops and so are the
-# least sensitive.  `CAL_DEPTH` is this as an array.
-_CAL_DEPTH = (0.0644, 0.2031, 0.2359, 0.0643)
+# least sensitive.
+CAL_DEPTH = (0.0644, 0.2031, 0.2359, 0.0643)
 
 # Net loop traversals (short, long), indexed like BELL_ORDER, separating
 # the two interfering path families of each class: both loops twice for
 # PHI_MINUS, the short loop twice for PHI_PLUS and PSI_MINUS, the long
-# loop twice for PSI_PLUS.  `LOOP_TRAVERSALS` is this as an array.
-_LOOP_TRAVERSALS = ((2.0, 2.0), (2.0, 0.0), (2.0, 0.0), (0.0, 2.0))
+# loop twice for PSI_PLUS.
+LOOP_TRAVERSALS = ((2.0, 2.0), (2.0, 0.0), (2.0, 0.0), (0.0, 2.0))
 
 
-def _read_tables() -> tuple[tuple, tuple, tuple, tuple]:
-    """OUTCOMES, each one's verdict index and probabilities, and the branch
-    verdict rows, from the table file, opened by path: `importlib.resources`
-    would cost about a millisecond of every command's start-up."""
+def _read_tables() -> tuple[tuple, ...]:
+    """The tables below, from the table file, opened by path:
+    `importlib.resources` would cost about a millisecond of every
+    command's start-up.  The outcome rows end in one column per
+    distribution: the accidentals, then each class's target and leak."""
     path = os.path.join(os.path.dirname(__file__), "data", "kernel_tables.txt")
     sections: dict[str, list[list[str]]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -145,54 +146,30 @@ def _read_tables() -> tuple[tuple, tuple, tuple, tuple]:
             elif fields:
                 rows.append(fields)
     outcomes = sections["outcomes"]
+    columns = tuple(zip(*(map(float, row[6:]) for row in outcomes)))
+    verdict_rows = [tuple(map(float, row)) for row in sections["branch_verdicts"]]
     return (
         tuple(DetectionOutcome(*row[:4], int(row[4])) for row in outcomes),
         tuple(int(row[5]) for row in outcomes),
-        tuple(tuple(map(float, row[6:])) for row in outcomes),
-        tuple(tuple(map(float, row)) for row in sections["branch_verdicts"]),
+        columns[0],
+        tuple(zip(columns[1::2], columns[2::2])),
+        tuple(zip(verdict_rows[0::2], verdict_rows[1::2])),
     )
 
 
-OUTCOMES, _OUTCOME_VERDICT, _OUTCOME_VALUES, _BRANCH_VERDICTS = _read_tables()
-"""OUTCOMES: every signature the detectors can report, in sorted order:
-two clicks on any of the four detectors, 0 to 3 time bins apart."""
+# OUTCOMES: every signature the detectors can report, in sorted order: two
+# clicks on any of the four detectors, 0 to 3 time bins apart.  OUTCOME_VERDICT:
+# each one's index into VERDICTS.  UNCORRELATED_DIST: two uncorrelated clicks,
+# an accidental.  BRANCH_OUTCOMES[k][b]: T_k (b = 0) and L_k (b = 1), class k's
+# target and leak distributions, whose supports are disjoint; BRANCH_VERDICTS
+# the same over VERDICTS.
+OUTCOMES, OUTCOME_VERDICT, UNCORRELATED_DIST, BRANCH_OUTCOMES, BRANCH_VERDICTS = _read_tables()
 
 # Per class: 2 v (1 - v), its traversals, and its own verdict's target and leak probabilities.
 _DIAGONAL = [
-    (2.0 * v * (1.0 - v), *_LOOP_TRAVERSALS[k], _BRANCH_VERDICTS[2 * k][k],
-     _BRANCH_VERDICTS[2 * k + 1][k])
-    for k, v in enumerate(_CAL_DEPTH)
+    (2.0 * v * (1.0 - v), *LOOP_TRAVERSALS[k], BRANCH_VERDICTS[k][0][k], BRANCH_VERDICTS[k][1][k])
+    for k, v in enumerate(CAL_DEPTH)
 ]
-
-# Array constants, built together on first use so that a run reading none
-# loads no numpy: CAL_DEPTH and LOOP_TRAVERSALS (the tuples above),
-# OUTCOME_VERDICT (each outcome's index into VERDICTS), UNCORRELATED_DIST
-# (two uncorrelated clicks, an accidental), BRANCH_OUTCOMES (T_k and L_k,
-# shape (4, 2, len(OUTCOMES)): class k's target and leak distributions,
-# whose supports are disjoint) and BRANCH_VERDICTS (the same over VERDICTS).
-_ARRAY_NAMES = ("CAL_DEPTH", "LOOP_TRAVERSALS", "OUTCOME_VERDICT", "UNCORRELATED_DIST",
-                "BRANCH_OUTCOMES", "BRANCH_VERDICTS")
-
-
-def __getattr__(name: str):
-    """An array constant, all of them built on the first access (PEP 562).
-    The module's own functions read them through this call too."""
-    if name not in _ARRAY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    g = globals()
-    if name not in g:
-        import numpy as np
-
-        values = np.array(_OUTCOME_VALUES)
-        g.update(
-            CAL_DEPTH=np.array(_CAL_DEPTH),
-            LOOP_TRAVERSALS=np.array(_LOOP_TRAVERSALS),
-            OUTCOME_VERDICT=np.array(_OUTCOME_VERDICT),
-            UNCORRELATED_DIST=values[:, 0].copy(),
-            BRANCH_OUTCOMES=values[:, 1:].T.reshape(len(BELL_ORDER), 2, len(OUTCOMES)).copy(),
-            BRANCH_VERDICTS=np.array(_BRANCH_VERDICTS).reshape(len(BELL_ORDER), 2, -1),
-        )
-    return g[name]
 
 
 def leak_weight(which, phi0, phi1):
@@ -205,9 +182,11 @@ def leak_weight(which, phi0, phi1):
     """
     import numpy as np
 
-    v = __getattr__("CAL_DEPTH")[which]
-    traversals = __getattr__("LOOP_TRAVERSALS")
-    theta = traversals[which, 0] * phi0 + traversals[which, 1] * phi1
+    v = np.take(CAL_DEPTH, which)
+    # One take per loop: taking whole rows builds an (n, 2) temporary, and
+    # that raised characterize's peak RSS by about 0.09 MB (median of 20 runs).
+    short, long = zip(*LOOP_TRAVERSALS)
+    theta = np.take(short, which) * phi0 + np.take(long, which) * phi1
     return 2.0 * v * (1.0 - v) * (1.0 - np.cos(theta))
 
 
@@ -218,9 +197,11 @@ def kernel_distribution(which, phi0, phi1) -> np.ndarray:
     Equals `measurement_distribution(evolve_bsm(make_bell(...), ...))`
     without building a state; arguments broadcast as in `leak_weight`.
     """
-    table = __getattr__("BRANCH_OUTCOMES")
+    import numpy as np
+
+    branches = np.take(BRANCH_OUTCOMES, which, axis=0)
     w = leak_weight(which, phi0, phi1)[..., None]
-    return (1.0 - w) * table[which, 0] + w * table[which, 1]
+    return (1.0 - w) * branches[..., 0, :] + w * branches[..., 1, :]
 
 
 def mean_diagonal(phi0: float, phi1: float) -> float:

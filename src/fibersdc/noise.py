@@ -46,7 +46,7 @@ class EventChunk:
     def verdict(self) -> np.ndarray:
         """Each event's verdict, index into VERDICTS (the last one
         ambiguous): a function of its outcome."""
-        return OUTCOME_VERDICT[self.outcome]
+        return np.take(OUTCOME_VERDICT, self.outcome)
 
 
 def iter_event_chunks(
@@ -145,7 +145,7 @@ _ROW_TAILS = [
     f",{b.label},{o.first_port},{o.first_pol},{o.second_port},{o.second_pol},"
     f"{o.dt_bins},{verdict_label(VERDICTS[v])}\n"
     for b in BELL_ORDER
-    for o, v in zip(OUTCOMES, OUTCOME_VERDICT.tolist())
+    for o, v in zip(OUTCOMES, OUTCOME_VERDICT)
 ]
 
 

@@ -138,7 +138,7 @@ def run_session(
         detected = ~np.isnan(run_times)
         sent = _DIBIT_CLASS[np.array(dibits[a:b], dtype=np.intp)[detected]]
         outcome = sampler.sample_detections(sent, run_times[detected], walk, source_cfg, rng_q)
-        run_verdict[detected] = OUTCOME_VERDICT[outcome]
+        run_verdict[detected] = np.take(OUTCOME_VERDICT, outcome)
         counts += np.bincount(run_verdict, minlength=len(VERDICTS))
     del times
     erasures = verdict == _AMBIGUOUS

@@ -28,7 +28,7 @@ import numpy as np
 
 from .configs import DriftConfig, SourceConfig
 from .errors import ConfigError
-from .kernel import BELL_ORDER, BRANCH_OUTCOMES, OUTCOMES, UNCORRELATED_DIST, leak_weight
+from .kernel import BELL_ORDER, BRANCH_OUTCOMES, UNCORRELATED_DIST, leak_weight
 
 EVENT_CHUNK = 2048
 """Arrival gaps drawn per sampling step of `noise.iter_event_chunks`, and frames
@@ -102,7 +102,7 @@ def _sampling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     table: group g holds g + its CDF over its support, so one search finds
     any group's outcome.  Group 2k + b is class k's target (b = 0) or leak
     (b = 1) branch; the last group is the accidentals."""
-    dists = [*BRANCH_OUTCOMES.reshape(-1, len(OUTCOMES)).tolist(), UNCORRELATED_DIST.tolist()]
+    dists = [*(dist for branches in BRANCH_OUTCOMES for dist in branches), UNCORRELATED_DIST]
     cdf, outcome, last = [], [], []
     for g, dist in enumerate(dists):
         support = [i for i, p in enumerate(dist) if p > 0]

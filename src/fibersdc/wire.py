@@ -24,6 +24,7 @@ exchange never varies, in closed form; it does not load this module.
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 from typing import NamedTuple
 
@@ -45,10 +46,19 @@ class Message(NamedTuple):
     frame_index: int
 
 
+def _integer(value, error: type[Exception], what: str) -> int:
+    """`value` as an int by `operator.index`, or `error` naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None
+
+
 def encode_message(msg: Message) -> bytes:
-    if not 0 <= msg.frame_index < _MAX_FRAMES:
-        raise ProtocolError(f"frame index {msg.frame_index} does not fit a u32")
-    return _HEADER.pack(MAGIC, int(msg.kind), msg.frame_index)
+    frame = _integer(msg.frame_index, ProtocolError, "frame index")
+    if not 0 <= frame < _MAX_FRAMES:
+        raise ProtocolError(f"frame index {frame} does not fit a u32")
+    return _HEADER.pack(MAGIC, int(msg.kind), frame)
 
 
 def decode_message(buffer: bytes, offset: int = 0) -> tuple[Message, int] | None:
@@ -67,9 +77,11 @@ def decode_message(buffer: bytes, offset: int = 0) -> tuple[Message, int] | None
     return Message(mk, frame), offset + _HEADER.size
 
 
-def _check_frames(n_frames: int) -> None:
-    if not 0 <= n_frames <= _MAX_FRAMES:
-        raise ConfigError(f"n_frames must be in [0, 2**32], got {n_frames}")
+def _frame_count(n_frames) -> int:
+    n = _integer(n_frames, ConfigError, "n_frames")
+    if not 0 <= n <= _MAX_FRAMES:
+        raise ConfigError(f"n_frames must be in [0, 2**32], got {n}")
+    return n
 
 
 class SenderMachine:
@@ -77,8 +89,7 @@ class SenderMachine:
     bytes and ("transmit", frame_index) to fire the quantum encoder."""
 
     def __init__(self, n_frames: int):
-        _check_frames(n_frames)
-        self.n_frames = n_frames
+        self.n_frames = _frame_count(n_frames)
         self.frame = 0
         self.awaiting = "start"  # start -> ack -> receipt -> (ack ...) -> done
         self._last_wire: Message | None = None
@@ -140,8 +151,7 @@ class ReceiverMachine:
     window, and closing the window issues its RECEIPT."""
 
     def __init__(self, n_frames: int):
-        _check_frames(n_frames)
-        self.n_frames = n_frames
+        self.n_frames = _frame_count(n_frames)
         self.expected = 0
         self.armed = False
         self._last_receipt: Message | None = None

@@ -9,7 +9,8 @@ import pytest
 import fibersdc
 from fibersdc import noise, sampler
 from fibersdc.capacity import load_counts
-from fibersdc.cli import command_settings, main
+from fibersdc.cli import main
+from fibersdc.configs import command_settings
 from fibersdc.imagecodec import ImageRaster, read_ppm, write_ppm
 from fibersdc.interferometer import InterferometerConfig, verdict_distribution
 from fibersdc.kernel import BELL_ORDER

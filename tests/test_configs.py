@@ -2,7 +2,7 @@
 
 A settings class is a `NamedTuple` under a checking subclass, so a value
 can arrive by keyword, by position, through `_make` or `_replace`, through
-the command line's `merge_settings`, or (for the analyzer phases) through
+the settings merge `configs.merge_settings`, or (for the analyzer phases) through
 `with_phases`.  Each route must reject a NaN, an infinity and an
 out-of-range value with a `ConfigError` that names the key.
 """
@@ -11,8 +11,13 @@ import math
 
 import pytest
 
-from fibersdc.cli import merge_settings
-from fibersdc.configs import DriftConfig, InterferometerConfig, SourceConfig, TimingConfig
+from fibersdc.configs import (
+    DriftConfig,
+    InterferometerConfig,
+    SourceConfig,
+    TimingConfig,
+    merge_settings,
+)
 from fibersdc.errors import ConfigError
 
 CLASSES = [SourceConfig, DriftConfig, TimingConfig, InterferometerConfig]

@@ -5,10 +5,11 @@ No linter is among the test dependencies, so the first check reads each
 module's syntax tree: a name an import binds must be read somewhere in
 the module.  `__init__.py` is skipped, since it resolves the public API
 by name.  The second runs each command in a fresh interpreter and reads
-`sys.modules` after it, and checks that the kernel loads numpy only when
-one of its arrays is first read.  The third reads the syntax trees of the
-package, the demos and the acceptance tests: each public function must
-be referred to there, outside its own definition.  The fourth widens the
+`sys.modules` after it, and checks that the kernel loads no numpy when
+its tables are read and a calibration point is scored.  The third reads
+the syntax trees of the package, the demos and the acceptance tests:
+each public function must be referred to there, outside its own
+definition.  The fourth widens the
 third to every public name a module defines at its top level, read by
 the package, the demos or any test.
 """
@@ -120,17 +121,19 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):
         assert "_hashlib" not in loaded
 
 
-_KERNEL_THEN_AN_ARRAY = """
+_KERNEL_TABLES_AND_SCORE = """
 import sys
 import fibersdc.kernel as kernel
-print("numpy" in sys.modules)
-kernel.BRANCH_OUTCOMES
+for name in ("CAL_DEPTH", "LOOP_TRAVERSALS", "OUTCOMES", "OUTCOME_VERDICT",
+             "UNCORRELATED_DIST", "BRANCH_OUTCOMES", "BRANCH_VERDICTS"):
+    getattr(kernel, name)
+kernel.mean_diagonal(0.3, 0.7)
 print("numpy" in sys.modules)
 """
 
 
-def test_the_kernel_loads_numpy_when_an_array_is_first_read():
-    assert run_python(_KERNEL_THEN_AN_ARRAY).split() == ["False", "True"]
+def test_the_kernel_loads_no_numpy_whatever_is_read():
+    assert run_python(_KERNEL_TABLES_AND_SCORE).split() == ["False"]
 
 
 CALLER_SOURCES = [

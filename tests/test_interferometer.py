@@ -321,9 +321,10 @@ def test_distributions_vary_continuously_in_phase():
 
 
 def test_kernel_branches_are_disjoint_distributions():
-    assert BRANCH_OUTCOMES.shape == (4, 2, len(OUTCOMES))
-    assert np.allclose(BRANCH_OUTCOMES.sum(axis=-1), 1.0, atol=1e-12)
-    assert not np.any((BRANCH_OUTCOMES[:, 0] > 0) & (BRANCH_OUTCOMES[:, 1] > 0))
+    branches = np.array(BRANCH_OUTCOMES)
+    assert branches.shape == (4, 2, len(OUTCOMES))
+    assert np.allclose(branches.sum(axis=-1), 1.0, atol=1e-12)
+    assert not np.any((branches[:, 0] > 0) & (branches[:, 1] > 0))
 
 
 def _tabulate(pairs, size):
@@ -349,14 +350,14 @@ def test_kernel_tables_equal_sums_in_order():
     # inverse-CDF table: each bin must be the sum of its terms in order.
     index = {o: i for i, o in enumerate(OUTCOMES)}
     want = _tabulate(((index[o], 1.0 / len(CLICK_PAIRS)) for o in CLICK_PAIRS), len(OUTCOMES))
-    assert UNCORRELATED_DIST.tolist() == want
+    assert list(UNCORRELATED_DIST) == want
     for k, b in enumerate(BELL_ORDER):
         for branch, state in enumerate((TARGET_STATES[b], LEAK_STATES[b])):
             dist = measurement_distribution(state)
             want = _tabulate(((index[o], p) for o, p in dist.items()), len(OUTCOMES))
-            assert BRANCH_OUTCOMES[k, branch].tolist() == want
-            verdicts = _tabulate(zip(OUTCOME_VERDICT.tolist(), want), len(VERDICTS))
-            assert BRANCH_VERDICTS[k, branch].tolist() == verdicts
+            assert list(BRANCH_OUTCOMES[k][branch]) == want
+            verdicts = _tabulate(zip(OUTCOME_VERDICT, want), len(VERDICTS))
+            assert list(BRANCH_VERDICTS[k][branch]) == verdicts
 
 
 def rebuild_kernel_tables() -> dict:
@@ -428,7 +429,7 @@ def test_stored_kernel_tables_equal_the_state_algebras():
     rebuilt = rebuild_kernel_tables()
     assert kernel.OUTCOMES == rebuilt.pop("OUTCOMES")
     for name, want in rebuilt.items():
-        got = getattr(kernel, name)
+        got = np.array(getattr(kernel, name))
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
 
@@ -455,7 +456,7 @@ def test_kernel_matches_state_algebra_at_random_phases():
     phases = rng.uniform(-4 * np.pi, 4 * np.pi, size=(300, 2))
     cfg = InterferometerConfig()
     # One column per verdict, marking the outcomes classified as it.
-    by_verdict = np.eye(len(VERDICTS))[OUTCOME_VERDICT]
+    by_verdict = np.eye(len(VERDICTS))[list(OUTCOME_VERDICT)]
     diagonal = np.zeros(len(phases))
     worst = 0.0
     for which in BELL_ORDER:
@@ -493,7 +494,7 @@ def test_mean_diagonal_is_the_leak_weight_mixture(n):
     want = 0.0
     for k in range(len(BELL_ORDER)):
         w = leak_weight(k, phi0, phi1)
-        want += (1.0 - w) * BRANCH_VERDICTS[k, 0, k] + w * BRANCH_VERDICTS[k, 1, k]
+        want += (1.0 - w) * BRANCH_VERDICTS[k][0][k] + w * BRANCH_VERDICTS[k][1][k]
     want /= 4.0
     got = np.array([mean_diagonal(p0, p1) for p0, p1 in zip(phi0.tolist(), phi1.tolist())])
     assert np.all(np.abs(got - want) <= 4 * np.spacing(want))

@@ -176,7 +176,7 @@ def test_noiseless_detection_is_always_correct():
     cfg = SourceConfig(source_fidelity=1.0, accidental_rate_hz=0.0)
     sent = np.repeat([which.index for which in BELL_ORDER], 40)
     outcome = _detections_at_zero_phase(sent, cfg, 31)
-    verdicts = [VERDICTS[v] for v in OUTCOME_VERDICT[outcome].tolist()]
+    verdicts = [VERDICTS[OUTCOME_VERDICT[o]] for o in outcome.tolist()]
     assert verdicts == [BELL_ORDER[k] for k in sent.tolist()]
 
 
@@ -192,7 +192,7 @@ def test_sampled_outcomes_follow_the_kernel_mixture():
     kernel = [kernel_distribution(b.index, 0.7, 0.7) for b in BELL_ORDER]
     others = sum(kernel[b.index] for b in BELL_ORDER if b is not sent) / 3.0
     pair = source.source_fidelity * kernel[sent.index] + (1 - source.source_fidelity) * others
-    want = (source.accidental_fraction * UNCORRELATED_DIST
+    want = (source.accidental_fraction * np.array(UNCORRELATED_DIST)
             + (1 - source.accidental_fraction) * pair)
     assert n > 80_000
     assert np.all(np.abs(seen - want) <= 5 * np.sqrt(want * (1 - want) / n))

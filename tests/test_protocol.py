@@ -49,7 +49,7 @@ def test_message_roundtrip():
     assert end == len(wire)
     last = Message(MessageKind.SEND_REQUEST, 2**32 - 1)
     assert decode_message(encode_message(last)) == (last, 9)
-    for frame in (2**32, -1):
+    for frame in (2**32, -1, 2.5):
         with pytest.raises(ProtocolError, match=f"frame index {frame}"):
             encode_message(Message(MessageKind.SEND_REQUEST, frame))
 
@@ -220,7 +220,7 @@ def test_zero_frame_session_is_immediately_done():
     # The last frame index must fit the wire's u32.
     assert SenderMachine(2**32).start() == [("wire", Message(MessageKind.SEND_REQUEST, 0))]
     for machine in (SenderMachine, ReceiverMachine):
-        for n_frames in (2**32 + 1, 2**33, -1):
+        for n_frames in (2**32 + 1, 2**33, -1, 2.5):
             with pytest.raises(ConfigError, match="n_frames"):
                 machine(n_frames)
 
