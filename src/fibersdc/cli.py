@@ -19,28 +19,32 @@ setting and take neither option.  The output directory falls back to
 $FIBERSDC_OUTDIR, then the current directory.  Exit codes: 0 success,
 2 configuration problem, 1 anything else.
 
-A command loads only what it runs.  The parser registers every
-subcommand by name and help, and only the invoked one builds its
-options.  Each command's body is its own module,
-`fibersdc.commands.<name>`, which `main` imports after parsing, so a
-process compiles one body and the layers that body imports.  The
-settings merge lives in `configs`, which the settings options import
-when they are built, so only `characterize` and `transfer` load or
+A command loads only what it runs.  Each command's options are one
+table (`_options`), the only statement of the grammar.  `main` parses a
+well-formed command line, the command and its exact option names, with
+a plain loop over that table; only what the loop declines (help,
+`--version`, an abbreviation, any error) builds the argparse parser
+from the same table, so argparse loads only then.  Each command's body
+is its own module, `fibersdc.commands.<name>`, which `main` imports
+after parsing, so a process compiles one body and the layers that body
+imports.  The settings and their merge live in `configs`, which only
+the tables of `characterize` and `transfer` read (the `--set` help and
+the `--seconds-per-state` default), so only those two commands load or
 compile it.  `calibrate` loads the kernel and no numpy (its sweep needs
 only `math`); `capacity` the capacity layer; `characterize` the timed
 run (`noise`), which also writes the counts, and the sampler; `transfer`
 the session (`protocol`), the sampler and the image codec, and neither
-the timed run nor the wire codec.  No command loads the state algebra
-or `dataclasses`.
+the timed run nor the wire codec.  No command loads the state algebra,
+`dataclasses` or `argparse`.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from importlib import import_module
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import ConfigError
@@ -93,101 +97,119 @@ def output_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its options with `add_options`
-    when it first parses: a run builds the options of its own command
-    only, and the other commands stay a name and a help line."""
-
-    def __init__(self, *args, add_options, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_options = add_options
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_options is not None:
-            self._add_options(self)
-            self._add_options = None
-        return super().parse_known_args(args, namespace)
-
-
-def _settings_options(p: argparse.ArgumentParser, command: str) -> None:
-    from .configs import command_settings
-
-    keys = ", ".join(name for cfg in command_settings(command) for name in cfg._fields)
-    p.add_argument("--config", help="key=value settings file")
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help=f"override one setting (repeatable); keys: {keys}",
-    )
-
-
 def _seed(text: str) -> int:
     """`--seed`: a non-negative integer.  A non-integer gets argparse's
     own `type=int` message."""
     try:
         seed = int(text)
+        problem = "must be a non-negative integer, got" if seed < 0 else None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+        problem = "invalid int value:"
+    if problem:
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"{problem} {text!r}")
     return seed
 
 
-def _run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or .)")
-    p.add_argument("--seed", type=_seed, default=1, help="master seed (default 1)")
+# The commands, in help order, and their help lines.
+COMMANDS = {
+    "characterize": "measure the verdict channel",
+    "capacity": "capacity of a count matrix",
+    "calibrate": "sweep static phase offsets",
+    "transfer": "send a four-gray image",
+}
+
+_RUN_OPTIONS = (
+    ("--outdir", str, None, f"output directory (default ${OUTDIR_ENV} or .)"),
+    ("--seed", _seed, 1, "master seed (default 1)"),
+)
 
 
-def _characterize_options(p: argparse.ArgumentParser) -> None:
-    from .configs import SECONDS_PER_STATE
+def _options(command: str) -> tuple:
+    """`command`'s options in help order, each (flag, converter, default,
+    help); `--set` appends its values.  No default is a string: argparse
+    would convert one."""
+    if command == "capacity":
+        return (
+            *_RUN_OPTIONS,
+            ("--counts", str, None, "count matrix file (default: bundled reference)"),
+            ("--resamples", int, 1000, "bootstrap resamples"),
+        )
+    if command == "calibrate":
+        return (*_RUN_OPTIONS, ("--grid", int, 25, "grid points per phase axis"))
+    from .configs import SECONDS_PER_STATE, command_settings
 
-    _settings_options(p, "characterize")
-    _run_options(p)
-    p.add_argument(
-        "--seconds-per-state",
-        type=float,
-        default=SECONDS_PER_STATE,
-        help="timed run length per sent class",
+    keys = ", ".join(name for cfg in command_settings(command) for name in cfg._fields)
+    settings = (
+        ("--config", str, None, "key=value settings file"),
+        ("--set", str, None, f"override one setting (repeatable); keys: {keys}"),
     )
+    if command == "characterize":
+        last = ("--seconds-per-state", float, SECONDS_PER_STATE, "timed run length per sent class")
+    else:
+        last = ("--image", str, None, "P3 PPM in the four-gray palette (default: bundled demo)")
+    return (*settings, *_RUN_OPTIONS, last)
 
 
-def _capacity_options(p: argparse.ArgumentParser) -> None:
-    _run_options(p)
-    p.add_argument("--counts", help="count matrix file (default: bundled reference)")
-    p.add_argument("--resamples", type=int, default=1000, help="bootstrap resamples")
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for `argv`, parsed without argparse,
+    or None to leave `argv` to argparse.  This takes a command and then
+    only its exact option names, as `--name value` or `--name=value`;
+    the last value wins and an absent option takes its default.  It
+    declines anything else (no command, an abbreviation, `-h`, `--`, a
+    missing value, a separate value starting with `-`) and any value the
+    converter rejects, so argparse reports it."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = _options(argv[0])
+    converters = {flag: convert for flag, convert, _, _ in options}
+    values = {flag: default for flag, _, default, _ in options}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, equals, text = arg.partition("=")
+        if flag not in converters:
+            return None
+        if not equals:
+            text = next(rest, "-")
+            if text.startswith("-"):
+                return None
+        try:
+            value = converters[flag](text)
+        except Exception:  # argparse converts it again, then reports or raises it
+            return None
+        values[flag] = [*(values[flag] or ()), value] if flag == "--set" else value
+    dests = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=argv[0], **dests)
 
 
-def _calibrate_options(p: argparse.ArgumentParser) -> None:
-    _run_options(p)
-    p.add_argument("--grid", type=int, default=25, help="grid points per phase axis")
+def build_parser():
+    """The argparse parser of every command's options: it parses what
+    `_plain_args` declines, and gives the help, `--version` and every
+    error message."""
+    import argparse
 
-
-def _transfer_options(p: argparse.ArgumentParser) -> None:
-    _settings_options(p, "transfer")
-    _run_options(p)
-    p.add_argument("--image", help="P3 PPM in the four-gray palette (default: bundled demo)")
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibersdc",
         description="Simulated dense coding over a fiber Bell-class analyzer.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    for name, add_options, help in [
-        ("characterize", _characterize_options, "measure the verdict channel"),
-        ("capacity", _capacity_options, "capacity of a count matrix"),
-        ("calibrate", _calibrate_options, "sweep static phase offsets"),
-        ("transfer", _transfer_options, "send a four-gray image"),
-    ]:
-        sub.add_parser(name, help=help, add_options=add_options)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for flag, convert, default, text in _options(name):
+            if flag == "--set":
+                p.add_argument(flag, action="append", metavar="KEY=VALUE", help=text)
+            else:
+                p.add_argument(flag, type=convert, default=default, help=text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         command = import_module(f"{__package__}.commands.{args.command}")
         return command.run(args)

@@ -58,11 +58,16 @@ def encode_message(msg: Message) -> bytes:
     frame = _integer(msg.frame_index, ProtocolError, "frame index")
     if not 0 <= frame < _MAX_FRAMES:
         raise ProtocolError(f"frame index {frame} does not fit a u32")
-    return _HEADER.pack(MAGIC, int(msg.kind), frame)
+    try:
+        kind = MessageKind(msg.kind)
+    except ValueError:
+        raise ProtocolError(f"unknown message kind {msg.kind!r}") from None
+    return _HEADER.pack(MAGIC, kind, frame)
 
 
 def decode_message(buffer: bytes, offset: int = 0) -> tuple[Message, int] | None:
     """Decode one message starting at offset, or None if incomplete."""
+    offset = _integer(offset, ProtocolError, "offset")
     if offset < 0:
         raise ProtocolError(f"negative offset {offset}")
     if len(buffer) - offset < _HEADER.size:

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibersdc
 from fibersdc import noise, sampler
 from fibersdc.capacity import load_counts
-from fibersdc.cli import main
+from fibersdc.cli import COMMANDS, _options, _plain_args, build_parser, main
 from fibersdc.configs import command_settings
 from fibersdc.imagecodec import ImageRaster, read_ppm, write_ppm
 from fibersdc.interferometer import InterferometerConfig, verdict_distribution
@@ -515,6 +517,126 @@ def test_manifest_has_no_timestamps(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# command-line parsing
+# ---------------------------------------------------------------------------
+
+
+def _values(args):
+    """`vars(args)` with each value as its repr, so that types are compared
+    and a NaN equals itself; None for no namespace."""
+    return None if args is None else {key: repr(value) for key, value in vars(args).items()}
+
+
+def _argparse_args(argv):
+    return _values(build_parser().parse_args(argv))
+
+
+def _plain(argv):
+    return _values(_plain_args(argv))
+
+
+# Command lines drawn from the grammar: mostly the command's own exact
+# option names, and also other commands' names, abbreviations, unknown
+# names, `-h` and `--`, each alone, with an `=` value or with a separate
+# value, and stray values.
+_FLAGS = sorted({flag for command in COMMANDS for flag, *_ in _options(command)})
+_ODD_NAMES = st.one_of(
+    st.sampled_from(_FLAGS),
+    st.builds(lambda flag, n: flag[:n], st.sampled_from(_FLAGS), st.integers(3, 12)),
+    st.sampled_from(["--bogus", "-h", "--help", "--", "--version", "-s"]),
+)
+_VALUES = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.sampled_from(["", "x", "0.5", "nan", "1e400", "grid=3", "a=b=c", " 7"]),
+    st.sampled_from(["-", "-x", "-1.5", "--grid", "--seed=2"]),
+    st.text(max_size=4),
+)
+
+
+def _with_value(names, values):
+    """`--name value` or `--name=value`."""
+    pairs = st.tuples(names, values)
+    return st.one_of(pairs, pairs.map(lambda pair: ("=".join(pair),)))
+
+
+def _tokens(names):
+    return st.one_of(_with_value(names, _VALUES), st.tuples(names), st.tuples(_VALUES))
+
+
+def _argv(head, tokens):
+    return [*head, *(arg for token in tokens for arg in token)]
+
+
+def _command_line(command):
+    """`command`, mostly its own options with a number or any value, and
+    at most one odd token anywhere among them."""
+    own = st.sampled_from([flag for flag, *_ in _options(command)])
+    usual = _with_value(own, st.one_of(st.integers(0, 300).map(str), _VALUES))
+    return st.builds(
+        lambda tokens, odd, at: _argv([command], tokens[:at] + odd + tokens[at:]),
+        st.lists(usual, max_size=4),
+        st.lists(_tokens(st.one_of(own, _ODD_NAMES)), max_size=1),
+        st.integers(0, 4),
+    )
+
+
+_ARGV = st.one_of(
+    st.sampled_from(list(COMMANDS)).flatmap(_command_line),
+    st.builds(
+        _argv,
+        st.sampled_from([(), ("bogus",), ("cal",), ("-h",), ("--version",)]),
+        st.lists(_tokens(_ODD_NAMES), max_size=3),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ARGV)
+def test_the_plain_parse_agrees_with_argparse_wherever_it_accepts(argv):
+    plain = _plain(argv)
+    if plain is not None:
+        assert plain == _argparse_args(argv)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["calibrate"], {"grid": "25", "seed": "1", "outdir": "None"}),
+    (["calibrate", "--seed=5"], {"seed": "5"}),
+    (["calibrate", "--grid", "3", "--grid=4", "--seed", "2", "--seed=7"],
+     {"grid": "4", "seed": "7"}),
+    (["capacity", "--outdir", ""], {"outdir": "''", "resamples": "1000"}),
+    (["characterize", "--set", "a=1", "--set=b=2", "--seconds-per-state", "nan"],
+     {"set": "['a=1', 'b=2']", "seconds_per_state": "nan", "config": "None"}),
+    (["transfer", "--outdir=-x", "--image", "in.ppm"],
+     {"outdir": "'-x'", "image": "'in.ppm'", "set": "None"}),
+])
+def test_the_plain_parse_takes_exact_names_and_the_last_value(argv, want):
+    plain = _plain(argv)
+    assert plain == _argparse_args(argv)
+    assert plain["command"] == repr(argv[0])
+    assert {key: plain[key] for key in want} == want
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--version"], ["calibrate", "-h"], ["calibrate", "--"],
+    ["capacity", "--res", "10"], ["calibrate", "--grid"], ["calibrate", "--seed", "-1"],
+    ["calibrate", "--seed", "x"], ["calibrate", "--set", "grid=3"], ["calibrate", "3"],
+])
+def test_the_plain_parse_leaves_the_rest_to_argparse(argv):
+    assert _plain_args(argv) is None
+
+
+def test_an_abbreviation_resolves_through_argparse(tmp_path):
+    assert main(["capacity", "--res", "10", "--outdir", str(tmp_path)]) == 0
+    assert "resamples=10\n" in (tmp_path / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_no_option_default_is_a_string(command):
+    # argparse passes a string default through the option's converter.
+    assert not any(isinstance(default, str) for _, _, default, _ in _options(command))
+
+
+# ---------------------------------------------------------------------------
 # documentation and package surface
 # ---------------------------------------------------------------------------
 
@@ -597,8 +719,8 @@ options:
 
 @pytest.mark.parametrize("command", sorted(HELP))
 def test_help_text_is_unchanged(monkeypatch, capsys, command):
-    # Each command builds its options only when it runs; its help and the
-    # top-level help must read as when every parser was built up front.
+    # The help is argparse's, from a parser built out of the option tables
+    # (`cli._options`), which the plain parse of a run reads as well.
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as done:
         main([command, "--help"] if command else ["--help"])

@@ -56,11 +56,13 @@ def test_module_has_no_unused_imports(path):
 
 # Each command loads the layers it runs and no other.  No command loads
 # the state algebra, the kernel's oracle, the wire codec and state
-# machines, another command's body, or `dataclasses`; the settings load
-# only for the commands that take them, and numpy for the commands that
-# use arrays.  `characterize` writes its counts through the timed-run
-# layer and loads no capacity layer; `transfer` draws through the sampler
-# and loads no timed-run layer.
+# machines, another command's body, `dataclasses`, or argparse and the
+# `gettext` and `locale` it loads: a well-formed command line is parsed
+# without it, and argparse is left to help, `--version`, abbreviations
+# and errors.  The settings load only for the commands that take them,
+# and numpy for the commands that use arrays.  `characterize` writes its
+# counts through the timed-run layer and loads no capacity layer;
+# `transfer` draws through the sampler and loads no timed-run layer.
 COMMANDS = ["calibrate", "capacity", "characterize", "transfer"]
 
 
@@ -68,7 +70,7 @@ def never(command: str) -> list[str]:
     """What no command loads, plus the other commands' bodies."""
     others = [f"fibersdc.commands.{name}" for name in COMMANDS if name != command]
     return ["fibersdc.states", "fibersdc.interferometer", "fibersdc.wire", "dataclasses",
-            *others]
+            "argparse", "gettext", "locale", *others]
 
 
 FOOTPRINTS = [

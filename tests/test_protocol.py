@@ -52,6 +52,9 @@ def test_message_roundtrip():
     for frame in (2**32, -1, 2.5):
         with pytest.raises(ProtocolError, match=f"frame index {frame}"):
             encode_message(Message(MessageKind.SEND_REQUEST, frame))
+    for kind in (5, 300):
+        with pytest.raises(ProtocolError, match=f"message kind {kind}"):
+            encode_message(Message(kind, 0))
 
 
 def test_decode_splits_concatenated_messages():
@@ -84,9 +87,10 @@ def test_decode_rejects_bad_magic_and_kind():
     wire[4] = 200
     with pytest.raises(ProtocolError):
         decode_message(bytes(wire))
-    # A negative offset would count from the end of the buffer.
+    # A negative offset would count from the end of the buffer; a float is
+    # no index.
     good = encode_message(Message(MessageKind.SEND_REQUEST, 1))
-    for offset in (-9, -1):
+    for offset in (-9, -1, 0.0):
         with pytest.raises(ProtocolError, match="offset"):
             decode_message(good, offset)
 
