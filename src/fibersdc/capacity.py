@@ -187,8 +187,15 @@ def bootstrap_spread(counts, resamples: int, rng: np.random.Generator) -> tuple[
     m = _as_matrix(counts)
     if resamples < 2:
         raise ConfigError("need at least 2 resamples")
+    # Exact row totals in Python ints: whole counts, each total within
+    # int64, as `load_counts` requires of a file.
+    rows = np.asarray(counts).tolist()
+    if any(v != int(v) for row in rows for v in row):
+        raise ConfigError("counts must be whole numbers")
+    totals = [sum(map(int, row)) for row in rows]
+    if max(totals) > np.iinfo(np.int64).max:
+        raise ConfigError("count row totals must fit in int64")
     P = estimate_conditionals(m)
-    totals = np.sum(counts, axis=1).astype(np.int64)  # exact for integer counts
     # running count, mean and sum of squared deviations of the capacities
     n, mean, m2 = 0, 0.0, 0.0
     nonconverged = 0

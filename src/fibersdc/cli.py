@@ -1,5 +1,5 @@
-"""Command-line front end: the parser, `main` and the helpers the
-commands share.
+"""Command-line front end: the parser and `main`, which owns each run's
+output directory, report and manifest.
 
 Four subcommands cover the package's workflows:
 
@@ -11,7 +11,10 @@ Four subcommands cover the package's workflows:
 Every run writes a manifest (subcommand, resolved settings, their hash,
 seed, package version, random-stream version, no timestamps), so
 rerunning with the same seed and settings reproduces every output byte
-for byte.  `characterize` and `transfer` take settings, the fields of
+for byte.  `main` creates the output directory, runs the command's body,
+which writes its own files there and returns its report, and then writes
+the report and the manifest and echoes the report, so a failed run
+writes neither.  `characterize` and `transfer` take settings, the fields of
 their default configs (`configs.command_settings`), from an optional
 key=value config file plus repeatable --set overrides, merged by
 `configs.merged_settings`; `calibrate` and `capacity` depend on no
@@ -212,7 +215,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         command = import_module(f"{__package__}.commands.{args.command}")
-        return command.run(args)
+        outdir = output_dir(args)
+        name, lines, settings = command.run(args, outdir)
+        write_report(args, outdir, name, lines, settings)
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

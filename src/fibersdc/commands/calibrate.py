@@ -7,13 +7,11 @@ command loads no numpy.
 
 import math
 
-from ..cli import output_dir, write_report
 from ..errors import ConfigError
 from ..kernel import mean_diagonal
 
 
-def run(args) -> int:
-    outdir = output_dir(args)
+def run(args, outdir):
     n = args.grid
     if n < 2:
         raise ConfigError("--grid must be at least 2")
@@ -37,5 +35,4 @@ def run(args) -> int:
         f"best_phi0_rad={best[1]:.9f}",
         f"best_phi1_rad={best[2]:.9f}",
     ]
-    write_report(args, outdir, "calibration_report.txt", lines, {"grid": repr(n)})
-    return 0
+    return "calibration_report.txt", lines, {"grid": repr(n)}

@@ -15,12 +15,10 @@ from ..capacity import (
     load_reference_counts,
     mutual_information,
 )
-from ..cli import output_dir, write_report
 from ..seeds import substream
 
 
-def run(args) -> int:
-    outdir = output_dir(args)
+def run(args, outdir):
     if args.counts:
         counts = load_counts(args.counts)
         counts_name = str(args.counts)
@@ -46,5 +44,4 @@ def run(args) -> int:
     for b, p in zip(BELL_ORDER, result.input_distribution):
         lines.append(f"optimal_input_{b.label}={p:.9f}")
     settings = {"counts": counts_name, "resamples": repr(args.resamples)}
-    write_report(args, outdir, "capacity_report.txt", lines, settings)
-    return 0
+    return "capacity_report.txt", lines, settings

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..cli import output_dir, settings_digest, write_report
+from ..cli import settings_digest
 from ..configs import merged_settings, resolved_settings
 from ..errors import ConfigError
 from ..kernel import BELL_ORDER
@@ -19,8 +19,7 @@ from ..noise import append_events, iter_event_chunks, open_event_log, save_count
 from ..seeds import substream
 
 
-def run(args) -> int:
-    outdir = output_dir(args)
+def run(args, outdir):
     source, drift = merged_settings(args)
     seconds = args.seconds_per_state
     if not (math.isfinite(seconds) and seconds > 0):
@@ -54,5 +53,4 @@ def run(args) -> int:
     for i, b in enumerate(BELL_ORDER):
         row = " ".join(f"{v:.6f}" for v in P[i])
         lines.append(f"conditionals_{b.label}={row}")
-    write_report(args, outdir, "characterization_report.txt", lines, settings)
-    return 0
+    return "characterization_report.txt", lines, settings

@@ -6,7 +6,6 @@ so neither the wire codec and state machines (`fibersdc.wire`) nor the
 timed run (`fibersdc.noise`) load.
 """
 
-from ..cli import output_dir, write_report
 from ..configs import DEFAULT_INTERFEROMETER, merged_settings, resolved_settings
 from ..imagecodec import (
     dibits_to_raster,
@@ -20,8 +19,7 @@ from ..imagecodec import (
 from ..protocol import run_session
 
 
-def run(args) -> int:
-    outdir = output_dir(args)
+def run(args, outdir):
     source, drift, timing = merged_settings(args)
     if args.image:
         image = read_ppm(args.image)
@@ -51,5 +49,4 @@ def run(args) -> int:
     for label in sorted(stats.verdict_counts):
         lines.append(f"verdicts_{label}={stats.verdict_counts[label]}")
     settings = resolved_settings((source, drift, timing), image=image_name)
-    write_report(args, outdir, "transfer_report.txt", lines, settings)
-    return 0
+    return "transfer_report.txt", lines, settings

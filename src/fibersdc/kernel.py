@@ -12,8 +12,8 @@ mixture
 with T_k and L_k the outcome distributions of the target and leak
 vectors, v = CAL_DEPTH[k] and theta_k the phase of the class's
 path-family monomial.  `leak_weight` evaluates w with numpy, for the
-event sampler, which then draws from T_k or L_k; `kernel_distribution`
-the whole mixture; `mean_diagonal` scores a calibration point in `math`.
+event sampler, which then draws from T_k or L_k; `mean_diagonal` scores
+a calibration point in `math`.
 
 This module holds the kernel and what runs around it: the Bell classes,
 the dibit maps, the outcome and verdict tables.  The tables are plain
@@ -30,8 +30,6 @@ from math import cos
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .states import PhotonMode
 
 
@@ -188,20 +186,6 @@ def leak_weight(which, phi0, phi1):
     short, long = zip(*LOOP_TRAVERSALS)
     theta = np.take(short, which) * phi0 + np.take(long, which) * phi1
     return 2.0 * v * (1.0 - v) * (1.0 - np.cos(theta))
-
-
-def kernel_distribution(which, phi0, phi1) -> np.ndarray:
-    """Outcome distribution over OUTCOMES of class `which` (an index into
-    BELL_ORDER) at loop phases (phi0, phi1), on the last axis.
-
-    Equals `measurement_distribution(evolve_bsm(make_bell(...), ...))`
-    without building a state; arguments broadcast as in `leak_weight`.
-    """
-    import numpy as np
-
-    branches = np.take(BRANCH_OUTCOMES, which, axis=0)
-    w = leak_weight(which, phi0, phi1)[..., None]
-    return (1.0 - w) * branches[..., 0, :] + w * branches[..., 1, :]
 
 
 def mean_diagonal(phi0: float, phi1: float) -> float:

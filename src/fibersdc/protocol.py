@@ -8,7 +8,8 @@ which closes at the first detection or times out into an erasure.
 `run_session` models a lossless link, on which the exchange never
 varies, so it computes the session's timeline in closed form rather than
 replaying the messages, and loads neither the codec nor the state
-machines.  Its detections come from `fibersdc.sampler`.
+machines.  It lays out and draws the frames one run at a time, in one
+loop; its detections come from `fibersdc.sampler`.
 """
 
 from __future__ import annotations
@@ -85,15 +86,17 @@ def run_session(
     the same window are ignored) or times out empty into an erasure.  On
     the lossless link no verdict changes the message flow, so the windows
     close at times known in closed form and the final RECEIPT adds one
-    hop.  The session runs in two passes over runs of `sampler.EVENT_CHUNK`
-    frames: the first lays out the timeline, keeping one detection time
-    per frame, and the second draws the run's detections in one batch.
-    Every generator is consumed in frame order, so the outputs do not
-    depend on the run length.  Phase drift advances on operating time, and
-    each recalibration period that ends before the last window closes
-    inserts a fixed pause; the analyzer sits at the walk's phases,
-    whatever offsets `interf_cfg` holds.  Everything is reproducible from
-    the master seed.
+    hop.  One loop takes the frames in runs of `sampler.EVENT_CHUNK`: it
+    draws a run's arrival gaps, lays out its window closes, refuses a
+    session time or recalibration pauses that overflow, and then draws
+    the run's detections in one batch.  Every generator is consumed in
+    frame order, so the outputs do not depend on the run length, and of
+    two overflows in different runs the first met in frame order is
+    reported.  Phase drift advances on operating time, and each
+    recalibration period that ends before the last window closes inserts
+    a fixed pause; the analyzer sits at the walk's phases, whatever
+    offsets `interf_cfg` holds.  Everything is reproducible from the
+    master seed.
     """
     for d in dibits:
         if d not in DIBIT_TO_BELL:
@@ -102,46 +105,39 @@ def run_session(
     walk = sampler.PhaseWalk(drift_cfg, substream(master_seed, "protocol.drift"))
     rng_q = substream(master_seed, "protocol.quantum")
     rng_arr = substream(master_seed, "protocol.arrivals")
-    runs = [(a, min(a + sampler.EVENT_CHUNK, n)) for a in range(0, n, sampler.EVENT_CHUNK)]
-
-    # classical pass: each frame's detection time, NaN for an empty window
-    times = np.empty(n)
-    last_close, timeout_count = None, 0
-    for a, b in runs:
+    verdict = np.full(n, _AMBIGUOUS, dtype=np.int8)
+    last_close, timeout_count, recalibrations, elapsed = None, 0, 0, 0.0
+    for a in range(0, n, sampler.EVENT_CHUNK):
+        b = min(a + sampler.EVENT_CHUNK, n)
         gap = rng_arr.exponential(1.0 / source_cfg.total_rate_hz, b - a)
         closes = _window_closes(gap, timing, last_close)
         last_close = float(closes[-1])
-        timed_out = gap >= timing.frame_window_s
-        timeout_count += int(timed_out.sum())
-        times[a:b] = np.where(timed_out, np.nan, closes)
-    op_time = last_close + timing.message_latency_s if n else 0.0
-    if not math.isfinite(op_time):
-        raise ConfigError(
-            "session time overflows; lower message_latency_s, encoder_settle_s or frame_window_s"
-        )
-    # Every period boundary up to the last window close is a recalibration,
-    # by the walk's own rule, whether or not a detection follows it.
-    resets = walk.resets_by(last_close) if n else 0.0
-    recalibrations = int(resets) if math.isfinite(resets) else 0
-    elapsed = op_time + recalibrations * timing.recalibration_pause_s
-    if not (math.isfinite(resets) and math.isfinite(elapsed)):
-        raise ConfigError(
-            "recalibration pauses overflow the session time; raise recalibration_period_s "
-            "or lower recalibration_pause_s"
-        )
-
-    # quantum pass: each run's detections in one draw, in frame order
-    verdict = np.full(n, _AMBIGUOUS, dtype=np.int8)
-    counts = np.zeros(len(VERDICTS), dtype=np.int64)
-    for a, b in runs:
-        run_times, run_verdict = times[a:b], verdict[a:b]
-        detected = ~np.isnan(run_times)
+        # Both overflows are checked before the run is drawn: the walk
+        # never meets an infinite time.
+        op_time = last_close + timing.message_latency_s
+        if not math.isfinite(op_time):
+            raise ConfigError(
+                "session time overflows; lower message_latency_s, encoder_settle_s or "
+                "frame_window_s"
+            )
+        # Every period boundary up to the run's last window close is a
+        # recalibration, by the walk's own rule, whether or not a detection
+        # follows it.
+        resets = float(walk.resets_by(last_close))
+        recalibrations = int(resets) if math.isfinite(resets) else 0
+        elapsed = op_time + recalibrations * timing.recalibration_pause_s
+        if not (math.isfinite(resets) and math.isfinite(elapsed)):
+            raise ConfigError(
+                "recalibration pauses overflow the session time; raise recalibration_period_s "
+                "or lower recalibration_pause_s"
+            )
+        detected = gap < timing.frame_window_s
+        timeout_count += int((~detected).sum())
         sent = _DIBIT_CLASS[np.array(dibits[a:b], dtype=np.intp)[detected]]
-        outcome = sampler.sample_detections(sent, run_times[detected], walk, source_cfg, rng_q)
-        run_verdict[detected] = np.take(OUTCOME_VERDICT, outcome)
-        counts += np.bincount(run_verdict, minlength=len(VERDICTS))
-    del times
+        outcome = sampler.sample_detections(sent, closes[detected], walk, source_cfg, rng_q)
+        verdict[a:b][detected] = np.take(OUTCOME_VERDICT, outcome)
     erasures = verdict == _AMBIGUOUS
+    counts = np.bincount(verdict, minlength=len(VERDICTS)).tolist()
 
     throughput = (2.0 * n / elapsed) if elapsed > 0 else 0.0
     stats = SessionStats(
@@ -151,6 +147,6 @@ def run_session(
         elapsed_s=elapsed,
         throughput_bits_per_s=throughput,
         recalibrations=recalibrations,
-        verdict_counts={verdict_label(v): c for v, c in zip(VERDICTS, counts.tolist()) if c},
+        verdict_counts={verdict_label(v): c for v, c in zip(VERDICTS, counts) if c},
     )
     return SessionResult(_VERDICT_DIBIT[verdict].tolist(), erasures.tolist(), stats)

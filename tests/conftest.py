@@ -2,11 +2,23 @@
 
 The oracle maximizes mutual information by brute force on the input
 simplex (coarse sweep, then a local refinement), sharing no code with the
-iterative solver under test.
+iterative solver under test.  `kernel_mixture` is the kernel's whole
+outcome distribution, built from the pieces the sampler draws from.
 """
 
 import numpy as np
 import pytest
+
+from fibersdc.kernel import BRANCH_OUTCOMES, leak_weight
+
+
+def kernel_mixture(which: int, phi0, phi1) -> np.ndarray:
+    """(1 - w) T_k + w L_k over OUTCOMES, on the last axis, for class index
+    `which` at loop phases (phi0, phi1), with w = `leak_weight` and T_k,
+    L_k the class's `BRANCH_OUTCOMES`: the mixture the sampler draws from."""
+    target, leak = np.array(BRANCH_OUTCOMES[which])
+    w = np.asarray(leak_weight(which, phi0, phi1))[..., None]
+    return (1.0 - w) * target + w * leak
 
 
 def mi_many(points: np.ndarray, channel: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from fibersdc.capacity import (
     channel_capacity,
     estimate_conditionals,
     load_counts,
+    load_reference_counts,
     mutual_information,
     partial_bsm_channel,
 )
@@ -357,6 +358,22 @@ def test_bootstrap_draws_the_exact_integer_row_totals():
 
     bootstrap_spread(counts, 2, Recorder())
     assert totals == [[2**63 - 1, 2**53 + 1, 4, 5]]
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (load_reference_counts() / 1000, "whole numbers"),
+        (np.full((4, 4), 1e300), "int64"),
+        # refused before a row sum overflows the float range
+        (np.full((4, 4), 1e308), "int64"),
+        (np.array([[2**62, 2**62, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]), "int64"),
+    ],
+    ids=["fractional", "beyond-int64", "row-sum-overflows", "row-total-wraps"],
+)
+def test_bootstrap_rejects_counts_a_count_file_could_not_hold(counts, message):
+    with pytest.raises(ConfigError, match=message):
+        bootstrap_spread(counts, 2, substream(1, "bootstrap"))
 
 
 # ---------------------------------------------------------------------------

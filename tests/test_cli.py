@@ -353,6 +353,21 @@ def test_outdir_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "envdir" / "capacity_report.txt").is_file()
 
 
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--grid", "1"],
+    ["capacity", "--resamples", "1"],
+    ["characterize", "--seconds-per-state", "0"],
+    ["transfer", "--image", "absent.ppm"],
+], ids=lambda argv: argv[0])
+def test_a_failed_run_leaves_its_output_directory_created_and_empty(tmp_path, monkeypatch, argv):
+    # The directory is made before the body runs; the report and manifest
+    # only after it succeeds.
+    monkeypatch.chdir(tmp_path)
+    outdir = tmp_path / "out"
+    assert main([*argv, "--outdir", str(outdir)]) == 2
+    assert outdir.is_dir() and list(outdir.iterdir()) == []
+
+
 def test_unknown_setting_is_rejected(tmp_path):
     rc = main([
         "characterize", "--outdir", str(tmp_path), "--set", "warp_factor=9",

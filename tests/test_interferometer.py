@@ -4,6 +4,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from conftest import kernel_mixture
+
 from fibersdc.errors import ConfigError, StateError
 from fibersdc import interferometer, kernel, states
 from fibersdc.interferometer import (
@@ -27,7 +29,6 @@ from fibersdc.kernel import (
     VERDICTS,
     BellState,
     DetectionOutcome,
-    kernel_distribution,
     leak_weight,
     mean_diagonal,
 )
@@ -460,7 +461,7 @@ def test_kernel_matches_state_algebra_at_random_phases():
     diagonal = np.zeros(len(phases))
     worst = 0.0
     for which in BELL_ORDER:
-        outcomes = kernel_distribution(which.index, phases[:, 0], phases[:, 1])
+        outcomes = kernel_mixture(which.index, phases[:, 0], phases[:, 1])
         verdicts = outcomes @ by_verdict
         for i, ((p0, p1), got, got_verdicts) in enumerate(
             zip(phases.tolist(), outcomes, verdicts)
@@ -476,7 +477,7 @@ def test_kernel_matches_state_algebra_at_random_phases():
                 worst,
                 np.abs(got - want).max(),
                 np.abs(got_verdicts - want_verdicts).max(),
-                np.abs(kernel_distribution(which.index, p0, p1) - want).max(),
+                np.abs(kernel_mixture(which.index, p0, p1) - want).max(),
             )
     scores = [mean_diagonal(p0, p1) for p0, p1 in phases.tolist()]
     worst = max(worst, np.abs(np.array(scores) - diagonal).max())

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import kernel_mixture
+
 from fibersdc import sampler
 from fibersdc.configs import (
     CHARACTERIZATION_DRIFT,
@@ -15,7 +17,6 @@ from fibersdc.kernel import (
     OUTCOMES,
     UNCORRELATED_DIST,
     VERDICTS,
-    kernel_distribution,
     verdict_label,
 )
 from fibersdc.noise import (
@@ -189,7 +190,7 @@ def test_sampled_outcomes_follow_the_kernel_mixture():
     outcome = np.concatenate([chunk.outcome for chunk in chunks])
     n = len(outcome)
     seen = np.bincount(outcome, minlength=len(OUTCOMES)) / n
-    kernel = [kernel_distribution(b.index, 0.7, 0.7) for b in BELL_ORDER]
+    kernel = [kernel_mixture(b.index, 0.7, 0.7) for b in BELL_ORDER]
     others = sum(kernel[b.index] for b in BELL_ORDER if b is not sent) / 3.0
     pair = source.source_fidelity * kernel[sent.index] + (1 - source.source_fidelity) * others
     want = (source.accidental_fraction * np.array(UNCORRELATED_DIST)

@@ -421,6 +421,23 @@ def test_session_rejects_bad_dibits():
         )
 
 
+@pytest.mark.parametrize("timing, drift, message", [
+    # The first run's windows close below 1.54e308; the session time
+    # first leaves the float range at frame 2,397, in the second run.
+    (DEFAULT_TIMING._replace(message_latency_s=2.5e304), TRANSFER_DRIFT,
+     "session time overflows"),
+    # The pauses first overflow the elapsed time at frame 2,489.
+    (DEFAULT_TIMING._replace(message_latency_s=1.0, recalibration_pause_s=2.4e298),
+     TRANSFER_DRIFT._replace(recalibration_period_s=1e-6), "recalibration pauses overflow"),
+])
+def test_session_refuses_an_overflow_first_reached_in_a_later_run(timing, drift, message):
+    # Each run is checked before it is drawn, so the walk never meets an
+    # infinite time (whose warning the suite turns into an error).
+    assert sampler.EVENT_CHUNK < 2396
+    with pytest.raises(ConfigError, match=message):
+        run_session([0] * 3000, TRANSFER_SOURCE, drift, DEFAULT_INTERFEROMETER, timing, 1)
+
+
 def _frame_by_frame(dibits, source, drift, timing, seed):
     """A session replayed one frame at a time, each detection drawn on its
     own from the streams `run_session` uses.  Over the lossless link
@@ -519,10 +536,11 @@ def test_session_does_not_depend_on_the_run_length(monkeypatch):
 
 
 # Traced bytes per pixel of reading a generated image and sending it, at
-# most.  Measured 34 B/px on a 400x500 image (numpy 2.4): the parse holds
-# the body text and one int64 per channel, the session one detection time
-# per frame plus its three lists.  Parsing one str per token and drawing
-# the session in one batch took 208 B/px.
+# most.  Measured 34 B/px on a 400x500 image (numpy 2.4), the parse's
+# peak: it holds the body text and one int64 per channel.  The session
+# peaks at 27 B/px, its three lists and one verdict byte per frame.
+# Parsing one str per token and drawing the session in one batch took
+# 208 B/px.
 _TRANSFER_BYTES_PER_PIXEL = 48
 
 
