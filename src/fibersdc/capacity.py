@@ -11,6 +11,7 @@ bits (base-2 logs).
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 import numpy as np
@@ -32,7 +33,10 @@ def _as_matrix(counts) -> np.ndarray:
 def estimate_conditionals(counts) -> np.ndarray:
     """Row-normalize a count matrix into P(verdict | sent)."""
     m = _as_matrix(counts)
-    sums = m.sum(axis=1)
+    with np.errstate(over="ignore"):
+        sums = m.sum(axis=1)
+    if not np.isfinite(sums).all():
+        raise ConfigError("count row totals must be finite")
     if (sums <= 0).any():
         raise ConfigError("every row needs at least one count")
     return m / sums[:, None]
@@ -185,6 +189,10 @@ def bootstrap_spread(counts, resamples: int, rng: np.random.Generator) -> tuple[
     with `resamples`.
     """
     m = _as_matrix(counts)
+    try:
+        resamples = operator.index(resamples)
+    except TypeError:
+        raise ConfigError(f"resamples {resamples!r} is not an integer") from None
     if resamples < 2:
         raise ConfigError("need at least 2 resamples")
     # Exact row totals in Python ints: whole counts, each total within

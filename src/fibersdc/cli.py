@@ -33,12 +33,8 @@ after parsing, so a process compiles one body and the layers that body
 imports.  The settings and their merge live in `configs`, which only
 the tables of `characterize` and `transfer` read (the `--set` help and
 the `--seconds-per-state` default), so only those two commands load or
-compile it.  `calibrate` loads the kernel and no numpy (its sweep needs
-only `math`); `capacity` the capacity layer; `characterize` the timed
-run (`noise`), which also writes the counts, and the sampler; `transfer`
-the session (`protocol`), the sampler and the image codec, and neither
-the timed run nor the wire codec.  No command loads the state algebra,
-`dataclasses` or `argparse`.
+compile it.  What each command loads, and must not, is stated and
+checked once, by `FOOTPRINTS` in tests/test_imports.py.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Timed runs of the detection sampler and what they keep.
 
 `iter_event_chunks` simulates a timed run through a schedule of sent
-classes: coincidences arrive as a Poisson process, and each chunk of
-`sampler.EVENT_CHUNK` arrivals is drawn by `sampler.sample_detections`,
-so memory stays bounded whatever the run length.  Arrival gaps, walk
+classes: coincidences arrive as a Poisson process, their gaps drawn
+`sampler.EVENT_CHUNK` at a time, and each entry's arrivals from one such
+block are drawn by `sampler.sample_detections` as one chunk, so memory
+stays bounded whatever the run length.  Arrival gaps, walk
 increments and the per-event uniforms each come from their own
 generator, spawned from the caller's, and are consumed in a fixed amount
 per arrival or event; the events therefore do not depend on the chunk
@@ -61,7 +62,8 @@ def iter_event_chunks(
     the first arrival at or past the end of a schedule entry closes it,
     and the next entry starts at that end.  The phase walk advances
     between arrivals and recalibrates on its period.  Events come in
-    strictly increasing wall time, in chunks of at most `sampler.EVENT_CHUNK`.
+    strictly increasing wall time, in chunks of at most `sampler.EVENT_CHUNK`
+    events that never span schedule entries.
     """
     for _, duration in schedule:
         if not (math.isfinite(duration) and duration >= 0):
@@ -69,29 +71,22 @@ def iter_event_chunks(
     arrivals, walk_rng, draws = rng.spawn(3)
     walk = sampler.PhaseWalk(drift_cfg, walk_rng)
     mean_gap = 1.0 / source_cfg.total_rate_hz
-    entry, t = 0, 0.0
-    end = schedule[0][1] if schedule else 0.0
-    while entry < len(schedule):
-        gaps = arrivals.exponential(mean_gap, sampler.EVENT_CHUNK)
-        times, truth = [], []
-        pos = 0
-        while pos < len(gaps) and entry < len(schedule):
-            run = np.cumsum(np.concatenate(([t], gaps[pos:])))[1:]
+    t, gaps = 0.0, np.empty(0)  # gaps drawn and not yet used
+    for sent, duration in schedule:
+        end = t + duration
+        while True:
+            if not len(gaps):
+                gaps = arrivals.exponential(mean_gap, sampler.EVENT_CHUNK)
+            run = np.cumsum(np.concatenate(([t], gaps)))[1:]
             k = int(np.searchsorted(run, end))  # arrivals before the entry ends
-            times.append(run[:k])
-            truth.append(np.full(k, schedule[entry][0].index))
-            if k == len(run):
-                t = float(run[-1])
+            if k:
+                truth = np.full(k, sent.index)
+                outcome = sampler.sample_detections(truth, run[:k], walk, source_cfg, draws)
+                yield EventChunk(run[:k], truth, outcome)
+            if k < len(run):  # arrival k closes the entry
                 break
-            pos += k + 1
-            t = end
-            entry += 1
-            if entry < len(schedule):
-                end = t + schedule[entry][1]
-        times, truth = np.concatenate(times), np.concatenate(truth)
-        if len(times):
-            outcome = sampler.sample_detections(truth, times, walk, source_cfg, draws)
-            yield EventChunk(times, truth, outcome)
+            t, gaps = float(run[-1]), gaps[k:]
+        t, gaps = end, gaps[k + 1:]
 
 
 def generate_event_stream(

@@ -4,12 +4,44 @@ The oracle maximizes mutual information by brute force on the input
 simplex (coarse sweep, then a local refinement), sharing no code with the
 iterative solver under test.  `kernel_mixture` is the kernel's whole
 outcome distribution, built from the pieces the sampler draws from.
+`run_python` runs the command line, or any code, in a child interpreter.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fibersdc.cli import OUTDIR_ENV
 from fibersdc.kernel import BRANCH_OUTCOMES, leak_weight
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Child code that ends by running the process entry, `fibersdc.__main__.run`,
+# as `python -m fibersdc` does, on the child's own arguments.
+THROUGH_THE_ENTRY = """
+import runpy, sys
+sys.argv = ["fibersdc", *sys.argv[1:]]
+runpy.run_module("fibersdc", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_python(*argv: str, code: str | None = None, **options) -> subprocess.CompletedProcess:
+    """Run `python -m fibersdc ARGV` in a child, or `python -c CODE ARGV`
+    when `code` is given, with this checkout's `src` first on the path and
+    neither $FIBERSDC_OUTDIR nor PYTHONUNBUFFERED set.  The child's stdout
+    is block-buffered, as on a pipe by default, so output the entry fails
+    to flush is lost.  stdout and stderr are captured as text unless
+    `options`, passed on to `subprocess.run`, say otherwise."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in (OUTDIR_ENV, "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    entry = ["-m", "fibersdc"] if code is None else ["-c", code]
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **options}
+    return subprocess.run([sys.executable, *entry, *argv], env=env, **options)
 
 
 def kernel_mixture(which: int, phi0, phi1) -> np.ndarray:

@@ -90,6 +90,7 @@ def test_estimate_conditionals_normalizes_rows():
         -np.ones((4, 4)),
         np.where(np.eye(4) == 1, np.nan, 1.0),
         np.where(np.eye(4) == 1, np.inf, 1.0),
+        np.full((4, 4), 1e308),  # finite entries whose row totals overflow
     ],
 )
 def test_estimate_conditionals_rejects_bad_input(bad):
@@ -247,9 +248,10 @@ def test_bootstrap_spread_is_sane():
     assert 0.005 < sd < 0.05
 
 
-def test_bootstrap_rejects_too_few_resamples():
-    with pytest.raises(ConfigError):
-        bootstrap_ci(BENCH_COUNTS, resamples=1, rng=substream(2, "bootstrap"))
+@pytest.mark.parametrize("resamples", [1, 2.5])
+def test_bootstrap_rejects_bad_resamples(resamples):
+    with pytest.raises(ConfigError, match="resamples"):
+        bootstrap_ci(BENCH_COUNTS, resamples=resamples, rng=substream(2, "bootstrap"))
 
 
 def test_broadcast_multinomial_draws_like_the_row_loop():

@@ -1,16 +1,14 @@
 """The process entry, `fibersdc.__main__.run`: what `python -m fibersdc`
 and the installed `fibersdc` script call.  The CLI tests call `cli.main`
 in-process; these run the real entry, in a child or with `main` stubbed.
+What each command loads through the entry is checked by `FOOTPRINTS` in
+test_imports.py.
 """
 
 import ast
-import hashlib
-import hmac
 import io
-import json
 import os
 import re
-import subprocess
 import sys
 from importlib import import_module
 from importlib.util import find_spec
@@ -18,6 +16,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from conftest import THROUGH_THE_ENTRY, run_python
 
 import fibersdc.__main__ as entry
 from fibersdc import cli
@@ -50,36 +49,14 @@ def test_the_script_calls_the_function_python_m_runs():
     assert getattr(import_module(module), name) is entry.run
 
 
-def python_m_fibersdc(
-    *argv: str, code: str | None = None, stdout=subprocess.PIPE
-) -> subprocess.CompletedProcess:
-    """Run `python -m fibersdc ARGV` in a child, or `python -c CODE ARGV`
-    when `code` is given, with this checkout's sources first on the path.
-    The child's stdout is block-buffered, as on a pipe by default, so
-    output the entry fails to flush is lost."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    env.pop(cli.OUTDIR_ENV, None)
-    env.pop("PYTHONUNBUFFERED", None)
-    entry_args = ["-m", "fibersdc"] if code is None else ["-c", code]
-    return subprocess.run(
-        [sys.executable, *entry_args, *argv],
-        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
-    )
-
-
 def test_python_m_fibersdc_writes_and_echoes_the_report(tmp_path):
-    done = python_m_fibersdc("calibrate", "--grid", "3", "--outdir", str(tmp_path))
+    done = run_python("calibrate", "--grid", "3", "--outdir", str(tmp_path))
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (tmp_path / "calibration_report.txt").read_text(encoding="utf-8")
 
 
 def test_python_m_fibersdc_exits_2_naming_a_bad_setting(tmp_path):
-    done = python_m_fibersdc(
-        "characterize", "--set", "source_fidelity=nan", "--outdir", str(tmp_path)
-    )
+    done = run_python("characterize", "--set", "source_fidelity=nan", "--outdir", str(tmp_path))
     assert done.returncode == 2
     assert "source_fidelity must be finite" in done.stderr
     assert done.stdout == ""
@@ -155,10 +132,8 @@ def test_the_guard_lists_the_module_behind_every_guaranteed_hash():
     # A release that renames a built-in hash module fails here rather
     # than silently leaving OpenSSL in every command.
     assert [name for name in entry.BUILTIN_HASHES if find_spec(name) is None] == []
-    done = subprocess.run(
-        [sys.executable, "-c", _BUILTIN_HASH_MODULES], capture_output=True, text=True, check=True
-    )
-    assert done.stderr == ""
+    done = run_python(code=_BUILTIN_HASH_MODULES)
+    assert (done.returncode, done.stderr) == (0, "")
     assert sorted(done.stdout.split()) == sorted(entry.BUILTIN_HASHES)
 
 
@@ -171,17 +146,15 @@ print(*{type(hashlib.new(name)).__module__ for name in hashlib.algorithms_guaran
 
 
 _WITH_AN_ATEXIT_HANDLER = """
-import atexit, runpy, sys
+import atexit
 atexit.register(lambda: print("atexit handler ran"))
-sys.argv = ["fibersdc", *sys.argv[1:]]
-runpy.run_module("fibersdc", run_name="__main__", alter_sys=True)
-"""
+""" + THROUGH_THE_ENTRY
 
 
 def test_an_atexit_handler_registered_before_the_entry_runs(tmp_path):
     # Registered ahead of the entry, as coverage and site hooks are; its
     # output, written after the report, is flushed by the entry too.
-    done = python_m_fibersdc(
+    done = run_python(
         "calibrate", "--grid", "3", "--outdir", str(tmp_path), code=_WITH_AN_ATEXIT_HANDLER
     )
     assert (done.returncode, done.stderr) == (0, "")
@@ -190,9 +163,7 @@ def test_an_atexit_handler_registered_before_the_entry_runs(tmp_path):
 
 
 def test_characterize_child_leaves_every_event_in_its_log(tmp_path):
-    done = python_m_fibersdc(
-        "characterize", "--seconds-per-state", "0.1", "--outdir", str(tmp_path)
-    )
+    done = run_python("characterize", "--seconds-per-state", "0.1", "--outdir", str(tmp_path))
     assert (done.returncode, done.stderr) == (0, "")
     total = int(re.search(r"^events_total=(\d+)$", done.stdout, re.M).group(1))
     lines = (tmp_path / "events.csv").read_text(encoding="utf-8").splitlines()
@@ -207,7 +178,7 @@ def test_argparse_exits_of_the_child_match_main(monkeypatch, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     expected = capsys.readouterr()
-    done = python_m_fibersdc(*argv)
+    done = run_python(*argv)
     assert (done.returncode, done.stdout, done.stderr) == (
         exc.value.code, expected.out, expected.err
     )
@@ -220,82 +191,29 @@ def test_a_closed_stdout_pipe_is_reported_by_the_interpreter_exit(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = python_m_fibersdc(
-            "calibrate", "--grid", "3", "--outdir", str(tmp_path), stdout=write_end
-        )
+        done = run_python("calibrate", "--grid", "3", "--outdir", str(tmp_path), stdout=write_end)
     finally:
         os.close(write_end)
     assert done.returncode == 120
     assert "BrokenPipeError" in done.stderr
 
 
-COMMANDS = [
-    ["calibrate", "--grid", "3"],
-    ["capacity", "--resamples", "10"],
-    ["characterize", "--seconds-per-state", "0.1"],
-    ["transfer"],
-]
-
-_HASH_AT_EXIT = """
-import atexit, json, runpy, sys
-
-def report():
-    modules = sorted(name for name, module in sys.modules.items() if module)
-    import hashlib, hmac, secrets
-    from fibersdc.seeds import substream_seed
-    print(json.dumps({
-        "modules": modules,
-        "sha256": hashlib.sha256(b"abc").hexdigest(),
-        "hmac": hmac.new(b"key", b"message", "sha256").hexdigest(),
-        "token": secrets.token_hex(16),
-        "entropy": substream_seed(1, "characterize").entropy,
-    }))
-
-atexit.register(report)
-sys.argv = ["fibersdc", *sys.argv[1:]]
-runpy.run_module("fibersdc", run_name="__main__", alter_sys=True)
-"""
-
-
-def exit_report(done: subprocess.CompletedProcess) -> dict:
-    """What the child's exit handler printed, as the last line of stdout,
-    after the command's own report."""
-    assert (done.returncode, done.stderr) == (0, "")
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[0] for argv in COMMANDS])
-def test_no_command_loads_openssl_and_hashing_still_works(tmp_path, argv):
-    report = exit_report(
-        python_m_fibersdc(*argv, "--outdir", str(tmp_path), code=_HASH_AT_EXIT)
-    )
-    assert "fibersdc.cli" in report["modules"]
-    assert "_hashlib" not in report["modules"]
-    # the built-in hashes agree with OpenSSL's, in this process
-    assert report["sha256"] == hashlib.sha256(b"abc").hexdigest()
-    assert report["hmac"] == hmac.new(b"key", b"message", "sha256").hexdigest()
-    assert len(report["token"]) == 32
-    # as pinned in test_seeds.py
-    assert report["entropy"] == [1, 543815835, 344174542, 2607538168, 832824954]
-
-
 _WITHOUT_BUILTIN_MD5 = """
-import atexit, json, runpy, sys
+import atexit, sys
 
 def report():
     import _hashlib
-    print(json.dumps({"modules": sorted(n for n, m in sys.modules.items() if m)}))
+    print("imported", _hashlib.__name__)
 
 atexit.register(report)
 sys.modules["_md5"] = None
-sys.argv = ["fibersdc", *sys.argv[1:]]
-runpy.run_module("fibersdc", run_name="__main__", alter_sys=True)
-"""
+""" + THROUGH_THE_ENTRY
 
 
 def test_without_a_builtin_hash_the_entry_leaves_openssl_importable(tmp_path):
     pytest.importorskip("_hashlib")
-    report = exit_report(python_m_fibersdc(
+    done = run_python(
         "capacity", "--resamples", "10", "--outdir", str(tmp_path), code=_WITHOUT_BUILTIN_MD5
-    ))
-    assert "_hashlib" in report["modules"]
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "imported _hashlib"

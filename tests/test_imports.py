@@ -4,9 +4,12 @@ calls the public functions and reads the public names.
 No linter is among the test dependencies, so the first check reads each
 module's syntax tree: a name an import binds must be read somewhere in
 the module.  `__init__.py` is skipped, since it resolves the public API
-by name.  The second runs each command in a fresh interpreter and reads
-`sys.modules` after it, and checks that the kernel loads no numpy when
-its tables are read and a calibration point is scored.  The third reads
+by name.  The second runs each command in a fresh interpreter through
+the process entry and checks `sys.modules` at its exit against
+`FOOTPRINTS`, the one statement of what each command loads, and that
+hashing still works there without OpenSSL; it also checks that the
+kernel loads no numpy when its tables are read and a calibration point
+is scored.  The third reads
 the syntax trees of the package, the demos and the acceptance tests:
 each public function a module of the package defines at its top level
 must be referred to there, outside its own definition.  The fourth
@@ -15,12 +18,13 @@ level, read by the package, the demos or any test.
 """
 
 import ast
-import os
-import subprocess
-import sys
+import hashlib
+import hmac
+import json
 from pathlib import Path
 
 import pytest
+from conftest import THROUGH_THE_ENTRY, run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fibersdc"
@@ -53,13 +57,15 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# Each command loads the layers it runs and no other.  No command loads
-# the state algebra, the kernel's oracle, the wire codec and state
-# machines, another command's body, `dataclasses`, or argparse and the
-# `gettext` and `locale` it loads: a well-formed command line is parsed
-# without it, and argparse is left to help, `--version`, abbreviations
-# and errors.  The settings load only for the commands that take them,
-# and numpy for the commands that use arrays.  `characterize` writes its
+# What each command loads: the one statement of it, checked through the
+# process entry, as `python -m fibersdc` and the installed script run it.
+# No command loads the state algebra, the kernel's oracle, the wire codec
+# and state machines, another command's body, `dataclasses`, OpenSSL
+# (`_hashlib`, which the entry blocks), or argparse and the `gettext`
+# and `locale` it loads: a well-formed command line is parsed without
+# it, and argparse is left to help, `--version`, abbreviations and
+# errors.  The settings load only for the commands that take them, and
+# numpy for the commands that use arrays.  `characterize` writes its
 # counts through the timed-run layer and loads no capacity layer;
 # `transfer` draws through the sampler and loads no timed-run layer.
 COMMANDS = ["calibrate", "capacity", "characterize", "transfer"]
@@ -69,7 +75,7 @@ def never(command: str) -> list[str]:
     """What no command loads, plus the other commands' bodies."""
     others = [f"fibersdc.commands.{name}" for name in COMMANDS if name != command]
     return ["fibersdc.states", "fibersdc.interferometer", "fibersdc.wire", "dataclasses",
-            "argparse", "gettext", "locale", *others]
+            "argparse", "gettext", "locale", "_hashlib", *others]
 
 
 FOOTPRINTS = [
@@ -85,41 +91,41 @@ FOOTPRINTS = [
     (["transfer"], [*never("transfer"), "fibersdc.noise", "fibersdc.capacity"]),
 ]
 
+# At exit, after the command's report: the modules it loaded (a blocked
+# one is None and not counted), then hashes taken without OpenSSL.
+_REPORT_AT_EXIT = """
+import atexit, json, sys
 
-def run_python(code: str, *argv: str) -> str:
-    """stdout of `python -c CODE ARGV` in a fresh interpreter, with this
-    checkout's sources first on the path."""
-    env = dict(os.environ)
-    paths = [str(PACKAGE.parent), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout
+def report():
+    modules = sorted(name for name, module in sys.modules.items() if module)
+    import hashlib, hmac, secrets
+    from fibersdc.seeds import substream_seed
+    print(json.dumps({
+        "modules": modules,
+        "sha256": hashlib.sha256(b"abc").hexdigest(),
+        "hmac": hmac.new(b"key", b"message", "sha256").hexdigest(),
+        "token": secrets.token_hex(16),
+        "entropy": substream_seed(1, "characterize").entropy,
+    }))
 
-
-_RUN_AND_LIST_MODULES = """
-import sys
-from fibersdc.cli import main
-code = main(sys.argv[1:])
-print("modules:", " ".join(sorted(sys.modules)))
-sys.exit(code)
-"""
+atexit.register(report)
+""" + THROUGH_THE_ENTRY
 
 
 @pytest.mark.parametrize("argv, unloaded", FOOTPRINTS, ids=[a[0] for a, _ in FOOTPRINTS])
 def test_command_loads_only_the_layers_it_runs(tmp_path, argv, unloaded):
-    stdout = run_python(_RUN_AND_LIST_MODULES, *argv, "--outdir", str(tmp_path))
-    loaded = set(stdout.rsplit("modules: ", 1)[1].split())
+    done = run_python(*argv, "--outdir", str(tmp_path), code=_REPORT_AT_EXIT)
+    assert (done.returncode, done.stderr) == (0, "")
+    report = json.loads(done.stdout.splitlines()[-1])
+    loaded = set(report["modules"])
     assert {"fibersdc.cli", f"fibersdc.commands.{argv[0]}"} <= loaded
     assert sorted(loaded.intersection(unloaded)) == []
-    # The package hashes without OpenSSL; only `numpy.random` loads it,
-    # through `secrets`, when `cli.main` is called directly as here.  So a
-    # command that loads no `numpy.random` (`calibrate`, which loads no
-    # numpy at all) loads no OpenSSL either.  The process entry blocks
-    # OpenSSL for every command; tests/test_entry.py checks that.
-    if "numpy.random" not in loaded:
-        assert "_hashlib" not in loaded
+    # the built-in hashes agree with OpenSSL's, in this process
+    assert report["sha256"] == hashlib.sha256(b"abc").hexdigest()
+    assert report["hmac"] == hmac.new(b"key", b"message", "sha256").hexdigest()
+    assert len(report["token"]) == 32
+    # as pinned in test_seeds.py
+    assert report["entropy"] == [1, 543815835, 344174542, 2607538168, 832824954]
 
 
 _KERNEL_TABLES_AND_SCORE = """
@@ -134,7 +140,8 @@ print("numpy" in sys.modules)
 
 
 def test_the_kernel_loads_no_numpy_whatever_is_read():
-    assert run_python(_KERNEL_TABLES_AND_SCORE).split() == ["False"]
+    done = run_python(code=_KERNEL_TABLES_AND_SCORE)
+    assert (done.stderr, done.stdout.split()) == ("", ["False"])
 
 
 CALLER_SOURCES = [

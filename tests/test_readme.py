@@ -1,12 +1,10 @@
 """The README's Python examples run as written."""
 
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
@@ -19,9 +17,5 @@ def test_readme_has_python_examples():
 
 @pytest.mark.parametrize("code", BLOCKS, ids=lambda code: code.splitlines()[0][:40])
 def test_readme_python_block_runs(tmp_path, code):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    run = subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=120,
-    )
+    run = run_python(code=code, cwd=tmp_path, timeout=120)
     assert run.returncode == 0, run.stderr
