@@ -242,6 +242,26 @@ def test_arrivals_match_a_one_at_a_time_reference(monkeypatch, chunk):
     assert [(t, BELL_ORDER[k]) for t, k in got] == want
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_chunks_hold_at_most_event_chunk_events_of_one_entry(monkeypatch, chunk):
+    schedule = [(BELL_ORDER[2], 0.1), (BELL_ORDER[0], 0.0), (BELL_ORDER[3], 0.3), (BELL_ORDER[1], 0.05)]
+    monkeypatch.setattr(sampler, "EVENT_CHUNK", chunk)
+    chunks = list(iter_event_chunks(
+        schedule, CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT, substream(6, "test.chunks"),
+    ))
+    assert all(0 < len(c) <= chunk for c in chunks)
+    assert all(len(set(c.truth.tolist())) == 1 for c in chunks)
+    ends = np.cumsum([duration for _, duration in schedule])
+    for c in chunks:
+        entry = int(np.searchsorted(ends, c.wall_time_s[0], side="right"))
+        assert c.truth[0] == schedule[entry][0].index
+        assert c.wall_time_s[-1] < ends[entry]
+    sent = [c.truth[0] for c in chunks]
+    assert [k for i, k in enumerate(sent) if not i or k != sent[i - 1]] == [
+        BELL_ORDER[2].index, BELL_ORDER[3].index, BELL_ORDER[1].index,
+    ]
+
+
 def test_event_stream_is_deterministic_per_seed():
     def run():
         rng = substream(99, "test.stream.det")
