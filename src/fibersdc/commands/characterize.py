@@ -31,9 +31,10 @@ def run(args, outdir):
     counts = np.zeros((len(BELL_ORDER), len(BELL_ORDER)), dtype=np.int64)
     ambiguous = np.zeros(len(BELL_ORDER), dtype=np.int64)
     header = {"settings_sha256": settings_digest(settings), "master_seed": str(args.seed)}
+    # The schedule is checked here, before the log is opened.
+    chunks = iter_event_chunks(schedule, source, drift, substream(args.seed, "characterize"))
     with open_event_log(outdir / "events.csv", header) as log:
-        rng = substream(args.seed, "characterize")
-        for chunk in iter_event_chunks(schedule, source, drift, rng):
+        for chunk in chunks:
             kept_counts, ambiguous_counts = tally_verdicts(chunk)
             counts += kept_counts
             ambiguous += ambiguous_counts

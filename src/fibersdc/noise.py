@@ -64,10 +64,27 @@ def iter_event_chunks(
     between arrivals and recalibrates on its period.  Events come in
     strictly increasing wall time, in chunks of at most `sampler.EVENT_CHUNK`
     events that never span schedule entries.
+
+    The schedule is checked when this is called, before anything is
+    drawn.  A run of more than 2**52 mean arrivals is refused: its mean
+    gap is below the float spacing of its end time, so it would never
+    end.  A run at that bound would take decades to sample, so no run
+    that could finish is refused.
     """
     for _, duration in schedule:
         if not (math.isfinite(duration) and duration >= 0):
             raise ConfigError(f"schedule durations must be finite and >= 0, got {duration!r}")
+    mean_arrivals = source_cfg.total_rate_hz * sum(duration for _, duration in schedule)
+    if mean_arrivals > 2**52:
+        raise ConfigError(
+            "coincidence_rate_hz + accidental_rate_hz times the run length "
+            f"(seconds_per_state per class) must be at most 2**52 arrivals, got {mean_arrivals!r}"
+        )
+    return _event_chunks(schedule, source_cfg, drift_cfg, rng)
+
+
+def _event_chunks(schedule, source_cfg, drift_cfg, rng) -> Iterator[EventChunk]:
+    """The chunks of `iter_event_chunks`, on a checked schedule."""
     arrivals, walk_rng, draws = rng.spawn(3)
     walk = sampler.PhaseWalk(drift_cfg, walk_rng)
     mean_gap = 1.0 / source_cfg.total_rate_hz

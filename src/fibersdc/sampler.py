@@ -9,7 +9,9 @@ stream:
   Gaussian random walks between recalibrations, detuning the analyzer
   (`PhaseWalk`);
 * accidental coincidences: uncorrelated detector pairs fire at a fixed
-  rate and produce uniformly random signatures.
+  rate, uniformly over ordered pairs of clicks, so two simultaneous
+  clicks on different detectors, which either order gives, are twice as
+  likely as any other signature (`UNCORRELATED_DIST`).
 
 `sample_detections` draws a batch of detections at known times from the
 closed-form kernel of `fibersdc.kernel`, never from the state algebra,

@@ -22,26 +22,26 @@ from fibersdc.errors import ConfigError
 
 CLASSES = [SourceConfig, DriftConfig, TimingConfig, InterferometerConfig]
 
-# One value per key outside the key's range; the phases have no range.
+# Values of each key outside its range; the phases have no range.
 OUT_OF_RANGE = {
-    "coincidence_rate_hz": 0.0,
-    "source_fidelity": 1.2,
-    "accidental_rate_hz": -1.0,
-    "sigma_rad_per_sqrt_s": -0.5,
-    "recalibration_period_s": 1e-7,
-    "recalibration_residual_rad": 4.0,
-    "message_latency_s": -0.1,
-    "encoder_settle_s": -0.1,
-    "frame_window_s": 0.0,
-    "recalibration_pause_s": -2.0,
+    "coincidence_rate_hz": (0.0,),
+    "source_fidelity": (1.2, -0.1),
+    "accidental_rate_hz": (-1.0,),
+    # A sigma of 1e308 or a residual of -1e308 would overflow the phase walk.
+    "sigma_rad_per_sqrt_s": (-0.5, 1e308),
+    "recalibration_period_s": (1e-7, 0.0),
+    "recalibration_residual_rad": (4.0, -1e308),
+    "message_latency_s": (-0.1,),
+    "encoder_settle_s": (-0.1,),
+    "frame_window_s": (0.0,),
+    "recalibration_pause_s": (-2.0,),
 }
 
 BAD_VALUES = [
     (cls, key, value)
     for cls in CLASSES
     for key in cls._fields
-    for value in (math.nan, math.inf, OUT_OF_RANGE.get(key))
-    if value is not None
+    for value in (math.nan, math.inf, -math.inf, *OUT_OF_RANGE.get(key, ()))
 ]
 
 
@@ -75,6 +75,12 @@ def test_every_key_has_an_out_of_range_value_or_none():
 def test_every_route_rejects_a_bad_value_naming_its_key(route, cls, key, value):
     with pytest.raises(ConfigError, match=key):
         ROUTES[route](cls, key, value)
+
+
+def test_an_infinite_total_rate_is_rejected_naming_both_rates():
+    # Each rate is finite and their sum is not.
+    with pytest.raises(ConfigError, match=r"coincidence_rate_hz \+ accidental_rate_hz"):
+        SourceConfig(coincidence_rate_hz=1e308, accidental_rate_hz=1e308)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -41,38 +41,6 @@ def _default_schedule(seconds=SECONDS_PER_STATE):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"coincidence_rate_hz": 0.0},
-        {"source_fidelity": 1.2},
-        {"source_fidelity": -0.1},
-        {"accidental_rate_hz": -1.0},
-        {"coincidence_rate_hz": 1e308, "accidental_rate_hz": 1e308},  # an infinite total
-    ],
-)
-def test_source_config_rejects_bad_values(kwargs):
-    with pytest.raises(ConfigError):
-        SourceConfig(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"sigma_rad_per_sqrt_s": -0.5},
-        {"recalibration_period_s": 0.0},
-        # these overflow the phase walk into NaN phases
-        {"sigma_rad_per_sqrt_s": 1e308},
-        {"recalibration_residual_rad": 1e308},
-        {"recalibration_residual_rad": -1e308},
-    ],
-)
-def test_drift_config_rejects_bad_values(kwargs):
-    (key,) = kwargs
-    with pytest.raises(ConfigError, match=key):
-        DriftConfig(**kwargs)
-
-
 def test_rate_properties():
     cfg = SourceConfig(coincidence_rate_hz=200.0, accidental_rate_hz=2.0)
     assert cfg.total_rate_hz == pytest.approx(202.0)
@@ -283,6 +251,21 @@ def test_event_stream_rejects_negative_duration():
         )
 
 
+def test_a_run_that_cannot_end_is_refused_when_called_before_any_draw():
+    # At about 201 Hz a 1e300 s entry is far past 2**52 arrivals: their mean
+    # gap is below the float spacing of the entry's end, which is never reached.
+    schedule = [(BELL_ORDER[0], 1e300)]
+    rng = substream(1, "x")
+    with pytest.raises(ConfigError, match="coincidence_rate_hz.*seconds_per_state"):
+        generate_event_stream(
+            schedule, CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT, InterferometerConfig(), rng
+        )
+    with pytest.raises(ConfigError):
+        iter_event_chunks(schedule, CHARACTERIZATION_SOURCE, CHARACTERIZATION_DRIFT, rng)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    assert rng.bit_generator.state == substream(1, "x").bit_generator.state
+
+
 def test_accuracy_degrades_as_drift_grows():
     interf = InterferometerConfig()
     schedule = [(b, 12.5) for b in BELL_ORDER]
@@ -319,21 +302,6 @@ def test_empty_schedule_gives_no_events():
     counts, ambiguous = tally_verdicts(events)
     assert counts.shape == (4, 4) and ambiguous.shape == (4,)
     assert not counts.any() and not ambiguous.any()
-
-
-def test_characterization_accuracies_near_reference():
-    targets = np.array([710 / 730, 715 / 744, 748 / 780, 840 / 912])
-    interf = InterferometerConfig()
-    acc = np.zeros((3, 4))
-    for i, seed in enumerate((101, 102, 103)):
-        rng = substream(seed, "characterize")
-        events = generate_event_stream(
-            _default_schedule(), CHARACTERIZATION_SOURCE,
-            CHARACTERIZATION_DRIFT, interf, rng,
-        )
-        counts, _ = tally_verdicts(events)
-        acc[i] = np.diag(counts) / counts.sum(axis=1)
-    assert np.abs(acc.mean(axis=0) - targets).max() < 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -140,13 +140,6 @@ def test_decode_any_bytes_at_any_offset(pieces, data):
         assert encode_message(msg) == head
 
 
-def test_timing_config_validation():
-    with pytest.raises(ConfigError):
-        TimingConfig(message_latency_s=-0.1)
-    with pytest.raises(ConfigError):
-        TimingConfig(frame_window_s=0.0)
-
-
 # ---------------------------------------------------------------------------
 # state machines
 # ---------------------------------------------------------------------------
@@ -318,18 +311,6 @@ def test_receiver_rejects_unexpected_traffic():
 # ---------------------------------------------------------------------------
 # end-to-end sessions
 # ---------------------------------------------------------------------------
-
-
-def test_noiseless_session_delivers_exactly():
-    dibits = [0, 1, 2, 3, 3, 2, 1, 0, 2, 2]
-    result = run_session(
-        dibits, CLEAN_SOURCE, NO_DRIFT, DEFAULT_INTERFEROMETER,
-        DEFAULT_TIMING, master_seed=5,
-    )
-    assert result.dibits == dibits
-    assert not any(result.erasures)
-    assert result.stats.erasure_count == 0
-    assert result.stats.frames == len(dibits)
 
 
 def test_session_is_deterministic_per_seed():
