@@ -8,6 +8,7 @@ packed four to a byte, most significant pair first.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import NamedTuple
 
@@ -33,6 +34,8 @@ class ImageRaster(CheckedRecord, _Raster):
     __slots__ = ()
 
     def _check(self):
+        if not isinstance(self.pixels, bytes):
+            raise ConfigError(f"pixels must be bytes, got {type(self.pixels).__name__}")
         if self.width <= 0 or self.height <= 0:
             raise ConfigError("image dimensions must be positive")
         if len(self.pixels) != self.width * self.height:
@@ -49,7 +52,12 @@ def raster_to_dibits(image: ImageRaster) -> list[int]:
 
 
 def dibits_to_raster(dibits, width: int, height: int) -> ImageRaster:
-    return ImageRaster(width, height, bytes(dibits))
+    try:
+        pixels = bytes(dibits)
+    except (TypeError, ValueError):
+        pack_dibits(dibits)  # raises ConfigError naming the bad dibit
+        raise
+    return ImageRaster(width, height, pixels)
 
 
 def pack_dibits(dibits) -> bytes:
@@ -70,6 +78,10 @@ def pack_dibits(dibits) -> bytes:
 
 def unpack_dibits(data: bytes, count: int) -> list[int]:
     """The first `count` dibits of `pack_dibits` output."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ConfigError(f"dibit count {count!r} is not an integer") from None
     if not 0 <= count <= 4 * len(data):
         raise ConfigError(f"cannot unpack {count} dibits from {len(data)} bytes")
     bits = np.unpackbits(np.frombuffer(data, np.uint8), count=2 * count)
@@ -92,8 +104,11 @@ def write_ppm(path, image: ImageRaster) -> None:
         fh.write("\n".join(["P3", f"{w} {image.height}", "255", *rows]) + "\n")
 
 
+# ASCII whitespace, the only separator in a header or a body.
+_SPACE = " \t\n\r\v\f"
+_SEPARATOR = re.compile(f"[{_SPACE}]+")
 # Anything in a channel body but ASCII digits and ASCII whitespace.
-_NOT_DECIMAL = re.compile(r"[^0-9 \t\n\r\v\f]")
+_NOT_DECIMAL = re.compile(f"[^0-9{_SPACE}]")
 # The palette index of each gray level 0..256, 4 for a level off the
 # palette; any level above 255 reads as 256.
 _GRAY_INDEX = np.full(257, 4, dtype=np.uint8)
@@ -103,8 +118,9 @@ _GRAY_INDEX[[gray for gray, _, _ in PALETTE]] = range(len(PALETTE))
 def read_ppm(path) -> ImageRaster:
     """Parse a P3 PPM whose colors all belong to the fixed palette.
 
-    Channel values are ASCII decimal digits separated by ASCII
-    whitespace; the body is parsed in one call, with no object per value.
+    Header fields and channel values are ASCII decimal digits separated
+    by ASCII whitespace; the body is parsed in one call, with no object
+    per value.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -112,22 +128,22 @@ def read_ppm(path) -> ImageRaster:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read image {path}: {exc}") from exc
     # Only the header is split into tokens; the fifth part is the body.
-    tokens = text.split(maxsplit=4)
+    tokens = _SEPARATOR.split(text.lstrip(_SPACE), maxsplit=4)
     del text
-    if not tokens or tokens[0] != "P3":
+    if not tokens[0].startswith("P3"):
         raise ConfigError("only plain-text P3 images are supported")
     if len(tokens) < 4:
         raise ConfigError("truncated image header")
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise ConfigError("bad image header") from exc
+    # `int` would also take signs, underscores and non-ASCII digits.
+    if tokens[0] != "P3" or not all(t.isascii() and t.isdigit() for t in tokens[1:4]):
+        raise ConfigError("bad image header")
+    width, height, maxval = map(int, tokens[1:4])
     if maxval != 255:
         raise ConfigError("palette images must use maxval 255")
     body = tokens.pop() if len(tokens) == 5 else ""
     if _NOT_DECIMAL.search(body):
         raise ConfigError("bad channel value")
-    # `split` strips the body's leading whitespace, so every value the
+    # The split takes the body's leading whitespace, so every value the
     # parse finds is one run of digits.
     channels = np.fromstring(body, dtype=np.int64, sep=" ")
     del body

@@ -302,6 +302,7 @@ INPUTS = {
     "settings.cfg": b"grid = 3\n",
     "bad.cfg": b"source_fidelity 0.9\n",
     "binary.ppm": b"P6\n2 1\n255\n\xff\x00\x00\xff\x00\x00",  # not UTF-8
+    "digits.ppm": ("P3 \u0663 1 255" + " 0" * 9).encode(),  # an Arabic-Indic 3
     "blocker": b"",  # a file where a directory should be
     **{f"counts{i}.txt": (row + "\n" + "1 1 1 1\n" * 3).encode()
        for i, row in enumerate(BIG_COUNTS)},
@@ -356,6 +357,7 @@ BAD_COMMAND_LINES = [
       for key in sorted(set().union(*ACCEPTED_KEYS.values())) + NOT_SETTINGS),
     (["characterize", "--config", "bad.cfg"], ["bad.cfg:1: expected key=value"]),
     (["transfer", "--image", "absent.ppm"], ["cannot read image absent.ppm"]),
+    (["transfer", "--image", "digits.ppm"], ["bad image header"]),
     (["capacity", "--counts", "absent.txt"], ["cannot read counts file absent.txt"]),
     *(([c, *QUICK_RUN.get(c, []), option, "binary.ppm"], ["binary.ppm", "utf-8"]) for c, option
       in [("transfer", "--image"), ("capacity", "--counts"), ("characterize", "--config")]),

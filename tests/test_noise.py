@@ -230,19 +230,6 @@ def test_chunks_hold_at_most_event_chunk_events_of_one_entry(monkeypatch, chunk)
     ]
 
 
-def test_event_stream_is_deterministic_per_seed():
-    def run():
-        rng = substream(99, "test.stream.det")
-        return generate_event_stream(
-            [(BELL_ORDER[1], 2.0)], CHARACTERIZATION_SOURCE,
-            CHARACTERIZATION_DRIFT, InterferometerConfig(), rng,
-        )
-    first, second = run(), run()
-    assert len(first) > 0
-    for name in ("wall_time_s", "truth", "outcome", "verdict"):
-        assert np.array_equal(getattr(first, name), getattr(second, name)), name
-
-
 def test_event_stream_rejects_negative_duration():
     with pytest.raises(ConfigError):
         generate_event_stream(
