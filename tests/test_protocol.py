@@ -369,46 +369,48 @@ def _frame_by_frame(dibits, source, drift, timing, seed):
     return received, erasures, sum(erasures), elapsed, timeouts, recalibrations, counts
 
 
-def test_session_matches_a_frame_by_frame_reference():
-    # A slow source empties about one window in five, and a short period
-    # recalibrates every few frames.
-    slow = TRANSFER_SOURCE._replace(coincidence_rate_hz=2.0)
-    drift = TRANSFER_DRIFT._replace(recalibration_period_s=7.0)
-    # A near-silent source times out every window, so no detection is drawn.
-    silent = TRANSFER_SOURCE._replace(coincidence_rate_hz=1e-3, accidental_rate_hz=0.0)
-    instant = DEFAULT_TIMING._replace(message_latency_s=0.0)
-    dibits = np.random.default_rng(6).integers(0, 4, 300).tolist()
-    cases = [
-        (dibits, slow, drift, DEFAULT_TIMING),
-        (dibits[:1], TRANSFER_SOURCE, TRANSFER_DRIFT, DEFAULT_TIMING),
-        (dibits, slow, drift, instant),
-        (dibits[:40], silent, drift, DEFAULT_TIMING),
-        ([], TRANSFER_SOURCE, TRANSFER_DRIFT, DEFAULT_TIMING),
-    ]
-    checked = []
-    for frames, source, walk_cfg, timing in cases:
-        result = run_session(frames, source, walk_cfg, DEFAULT_INTERFEROMETER, timing, 17)
-        stats = result.stats
-        assert (
-            result.dibits, result.erasures, stats.erasure_count, stats.elapsed_s,
-            stats.timeout_count, stats.recalibrations, stats.verdict_counts,
-        ) == _frame_by_frame(frames, source, walk_cfg, timing, 17)
-        checked.append(stats)
-    busy, _, _, idle, empty = checked
+# A slow source empties about one window in five, and a short period
+# recalibrates every few frames.
+_SLOW = TRANSFER_SOURCE._replace(coincidence_rate_hz=2.0)
+_SHORT_PERIOD = TRANSFER_DRIFT._replace(recalibration_period_s=7.0)
+# A near-silent source times out every window, so no detection is drawn.
+_SILENT = TRANSFER_SOURCE._replace(coincidence_rate_hz=1e-3, accidental_rate_hz=0.0)
+_DIBITS = np.random.default_rng(6).integers(0, 4, 300).tolist()
+
+# Each session the reference replays, with what its stats must also show.
+SESSIONS = {
     # Drift leaks some detected frames into flagged erasures.
-    assert busy.erasure_count > busy.timeout_count > 20 and busy.recalibrations > 20
+    "busy": (_DIBITS, _SLOW, _SHORT_PERIOD, DEFAULT_TIMING, lambda stats: (
+        stats.erasure_count > stats.timeout_count > 20 and stats.recalibrations > 20)),
+    "one frame": (_DIBITS[:1], TRANSFER_SOURCE, TRANSFER_DRIFT, DEFAULT_TIMING,
+                  lambda stats: stats.frames == 1),
+    # The same arrivals without hop times span fewer periods.
+    "no latency": (_DIBITS, _SLOW, _SHORT_PERIOD, DEFAULT_TIMING._replace(message_latency_s=0.0),
+                   lambda stats: stats.timeout_count > 20 and 0 < stats.recalibrations < 20),
     # The silent session never advances the walk, yet its last window
     # closes at 55.9 s, after seven 7 s periods.
-    assert idle.timeout_count == 40 and idle.recalibrations == 7
-    assert idle.elapsed_s == pytest.approx(55.9 + 0.3 + 7 * 2.0)
-    assert (empty.frames, empty.throughput_bits_per_s) == (0, 0.0)
+    "silent": (_DIBITS[:40], _SILENT, _SHORT_PERIOD, DEFAULT_TIMING, lambda stats: (
+        (stats.timeout_count, stats.recalibrations) == (40, 7)
+        and stats.elapsed_s == pytest.approx(55.9 + 0.3 + 7 * 2.0))),
+    "empty": ([], TRANSFER_SOURCE, TRANSFER_DRIFT, DEFAULT_TIMING,
+              lambda stats: (stats.frames, stats.throughput_bits_per_s) == (0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("frames, source, drift, timing, shows", SESSIONS.values(), ids=SESSIONS)
+def test_session_matches_a_frame_by_frame_reference(frames, source, drift, timing, shows):
+    result = run_session(frames, source, drift, DEFAULT_INTERFEROMETER, timing, 17)
+    stats = result.stats
+    assert (
+        result.dibits, result.erasures, stats.erasure_count, stats.elapsed_s,
+        stats.timeout_count, stats.recalibrations, stats.verdict_counts,
+    ) == _frame_by_frame(frames, source, drift, timing, 17)
+    assert shows(stats)
 
 
 def test_session_does_not_depend_on_the_run_length(monkeypatch):
-    # The slow, often-recalibrated case of the frame-by-frame reference.
-    slow = TRANSFER_SOURCE._replace(coincidence_rate_hz=2.0)
-    drift = TRANSFER_DRIFT._replace(recalibration_period_s=7.0)
-    dibits = np.random.default_rng(6).integers(0, 4, 300).tolist()
+    # The busy case of the frame-by-frame reference.
+    slow, drift, dibits = _SLOW, _SHORT_PERIOD, _DIBITS
     n = len(dibits)
     gap = substream(17, "protocol.arrivals").exponential(1.0 / slow.total_rate_hz, n)
     closes = _window_closes(gap, DEFAULT_TIMING)
