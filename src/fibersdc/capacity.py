@@ -11,12 +11,11 @@ bits (base-2 logs).
 from __future__ import annotations
 
 import math
-import operator
 import os
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integer
 
 
 def _as_matrix(counts) -> np.ndarray:
@@ -189,10 +188,7 @@ def bootstrap_spread(counts, resamples: int, rng: np.random.Generator) -> tuple[
     with `resamples`.
     """
     m = _as_matrix(counts)
-    try:
-        resamples = operator.index(resamples)
-    except TypeError:
-        raise ConfigError(f"resamples {resamples!r} is not an integer") from None
+    resamples = require_integer(resamples, "resamples")
     if resamples < 2:
         raise ConfigError("need at least 2 resamples")
     # Exact row totals in Python ints: whole counts, each total within

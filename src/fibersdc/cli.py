@@ -15,12 +15,11 @@ for byte.  `main` creates the output directory, runs the command's body,
 which writes its own files there and returns its report, and then writes
 the report and the manifest and echoes the report, so a failed run
 writes neither.  `characterize` and `transfer` take settings, the fields of
-their default configs (`configs.command_settings`), from an optional
-key=value config file plus repeatable --set overrides, merged by
-`configs.merged_settings`; `calibrate` and `capacity` depend on no
-setting and take neither option.  The output directory falls back to
-$FIBERSDC_OUTDIR, then the current directory.  Exit codes: 0 success,
-2 configuration problem, 1 anything else.
+their default configs (`configs.command_settings`), only from repeatable
+--set KEY=VALUE overrides, merged by `configs.merged_settings`;
+`calibrate` and `capacity` depend on no setting and do not take --set.
+The output directory is --outdir, or the current directory without it.
+Exit codes: 0 success, 2 configuration problem, 1 anything else.
 
 A command loads only what it runs.  Each command's options are one
 table (`_options`), the only statement of the grammar.  `main` parses a
@@ -39,7 +38,6 @@ checked once, by `FOOTPRINTS` in tests/test_imports.py.
 
 from __future__ import annotations
 
-import os
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -48,8 +46,6 @@ from types import SimpleNamespace
 from . import __version__
 from .errors import ConfigError
 from .seeds import STREAM_VERSION, sha256
-
-OUTDIR_ENV = "FIBERSDC_OUTDIR"
 
 
 def _settings_body(settings: dict[str, str]) -> str:
@@ -83,7 +79,7 @@ def write_report(
 
 def output_dir(args) -> Path:
     """The run's output directory, created if missing."""
-    path = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
+    path = Path(args.outdir or ".")
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -120,7 +116,7 @@ COMMANDS = {
 }
 
 _RUN_OPTIONS = (
-    ("--outdir", str, None, f"output directory (default ${OUTDIR_ENV} or .)"),
+    ("--outdir", str, None, "output directory (default .)"),
     ("--seed", _seed, 1, "master seed (default 1)"),
 )
 
@@ -140,15 +136,12 @@ def _options(command: str) -> tuple:
     from .configs import SECONDS_PER_STATE, command_settings
 
     keys = ", ".join(name for cfg in command_settings(command) for name in cfg._fields)
-    settings = (
-        ("--config", str, None, "key=value settings file"),
-        ("--set", str, None, f"override one setting (repeatable); keys: {keys}"),
-    )
+    set_option = ("--set", str, None, f"override one setting (repeatable); keys: {keys}")
     if command == "characterize":
         last = ("--seconds-per-state", float, SECONDS_PER_STATE, "timed run length per sent class")
     else:
         last = ("--image", str, None, "P3 PPM in the four-gray palette (default: bundled demo)")
-    return (*settings, *_RUN_OPTIONS, last)
+    return (set_option, *_RUN_OPTIONS, last)
 
 
 def _plain_args(argv: list[str]) -> SimpleNamespace | None:

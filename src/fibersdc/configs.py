@@ -11,11 +11,12 @@ The four settings classes live here, not in the layers that read them:
 
 Each layer re-exports the classes it reads, so
 `from fibersdc.noise import SourceConfig` still works.  This module
-imports nothing but `math`, `pathlib`, `typing` and `fibersdc.errors`,
-so the command line can build its parser and merge settings without
-loading the simulator.  It also holds the one settings merge,
-`merged_settings`, of `characterize` and `transfer`, the only commands
-that load it.
+imports nothing but `math`, `typing` and `fibersdc.errors`, so the
+command line can build its parser and merge settings without loading
+the simulator.  It also holds the one settings merge, `merged_settings`,
+of `characterize` and `transfer`, the only commands that load it: the
+defaults, then each `--set KEY=VALUE` in order, the only way a run
+changes a setting.
 
 Each class is a `typing.NamedTuple` of its fields under a subclass that
 checks them (`errors.CheckedRecord`): an instance built by keyword or
@@ -38,7 +39,6 @@ Two operating points are bundled:
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CheckedRecord, ConfigError, require_finite
@@ -192,45 +192,32 @@ def command_settings(command: str) -> tuple:
     }[command]
 
 
-def merge_settings(defaults: tuple, config_file, overrides) -> tuple:
-    """`defaults` with the key=value lines of `config_file` (if not None)
-    applied, then the `overrides` (KEY=VALUE strings, as given to --set).
+def merge_settings(defaults: tuple, overrides) -> tuple:
+    """`defaults` with the `overrides` (KEY=VALUE strings, as given to
+    --set) applied in order, so the last value of a key wins.
 
     A key that no default config has is rejected.  Each config is rebuilt
     with its `_replace`, so its own checks run on the merged values.
     """
     owner = {name: i for i, cfg in enumerate(defaults) for name in cfg._fields}
     changes: list[dict[str, float]] = [{} for _ in defaults]
-
-    def put(where: str, text: str) -> None:
-        if "=" not in text:
-            raise ConfigError(f"{where}expected key=value, got {text!r}")
-        key, val = (part.strip() for part in text.split("=", 1))
+    for pair in overrides:
+        if "=" not in pair:
+            raise ConfigError(f"--set: expected key=value, got {pair!r}")
+        key, val = (part.strip() for part in pair.split("=", 1))
         if key not in owner:
-            raise ConfigError(f"{where}unknown setting {key!r}")
+            raise ConfigError(f"--set: unknown setting {key!r}")
         try:
             changes[owner[key]][key] = float(val)
         except ValueError as exc:
-            raise ConfigError(f"{where}bad number for {key}: {val!r}") from exc
-
-    if config_file is not None:
-        try:
-            text = Path(config_file).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {config_file}: {exc}") from exc
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                put(f"{config_file}:{lineno}: ", line)
-    for pair in overrides:
-        put("--set: ", pair)
+            raise ConfigError(f"--set: bad number for {key}: {val!r}") from exc
     return tuple(cfg._replace(**kw) for cfg, kw in zip(defaults, changes))
 
 
 def merged_settings(args) -> tuple:
-    """The invoked command's default configs, merged with its --config
-    file and --set overrides."""
-    return merge_settings(command_settings(args.command), args.config, args.set or ())
+    """The invoked command's default configs, merged with its --set
+    overrides."""
+    return merge_settings(command_settings(args.command), args.set or ())
 
 
 def resolved_settings(configs: tuple, **extras) -> dict[str, str]:

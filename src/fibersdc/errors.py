@@ -1,6 +1,7 @@
 """Exception types and the input checks shared across the package."""
 
 import math
+import operator
 
 
 class FiberSdcError(Exception):
@@ -8,7 +9,7 @@ class FiberSdcError(Exception):
 
 
 class ConfigError(FiberSdcError, ValueError):
-    """Raised for invalid configuration values or unparseable config files."""
+    """Raised for invalid settings, options, inputs or input files."""
 
 
 class StateError(FiberSdcError, ValueError):
@@ -51,3 +52,12 @@ def require_finite(config) -> None:
     for name, value in zip(config._fields, config):
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def require_integer(value, what: str, error: type[Exception] = ConfigError) -> int:
+    """`value` as an int by `operator.index` (so a float or a string is
+    refused, and a numpy integer taken), or `error` naming it as `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not an integer") from None

@@ -8,13 +8,13 @@ packed four to a byte, most significant pair first.
 
 from __future__ import annotations
 
-import operator
 import re
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckedRecord, ConfigError
+from .errors import CheckedRecord, ConfigError, require_integer
+from .kernel import dibit_array
 
 PALETTE = (
     (255, 255, 255),
@@ -36,52 +36,39 @@ class ImageRaster(CheckedRecord, _Raster):
     def _check(self):
         if not isinstance(self.pixels, bytes):
             raise ConfigError(f"pixels must be bytes, got {type(self.pixels).__name__}")
-        if self.width <= 0 or self.height <= 0:
+        width = require_integer(self.width, "image width")
+        height = require_integer(self.height, "image height")
+        if width <= 0 or height <= 0:
             raise ConfigError("image dimensions must be positive")
-        if len(self.pixels) != self.width * self.height:
+        if len(self.pixels) != width * height:
             raise ConfigError(
-                f"pixel buffer has {len(self.pixels)} entries, "
-                f"expected {self.width * self.height}"
+                f"pixel buffer has {len(self.pixels)} entries, expected {width * height}"
             )
-        if max(self.pixels) > 3:
-            raise ConfigError("pixel values must be 0..3")
+        dibit_array(self.pixels)
 
 
-def raster_to_dibits(image: ImageRaster) -> list[int]:
-    return list(image.pixels)
+def raster_to_dibits(image: ImageRaster) -> bytes:
+    """The image's dibits, row-major: its pixel buffer."""
+    return image.pixels
 
 
 def dibits_to_raster(dibits, width: int, height: int) -> ImageRaster:
-    try:
-        pixels = bytes(dibits)
-    except (TypeError, ValueError):
-        pack_dibits(dibits)  # raises ConfigError naming the bad dibit
-        raise
-    return ImageRaster(width, height, pixels)
+    return ImageRaster(width, height, dibit_array(dibits).tobytes())
 
 
 def pack_dibits(dibits) -> bytes:
     """Pack dibits four per byte, first dibit in the top two bits.
 
-    The dibits are integers or booleans, 0..3.  A trailing partial byte is
-    zero-padded on the right.
+    The dibits follow `kernel.dibit_array`'s rule.  A trailing partial
+    byte is zero-padded on the right.
     """
-    values = np.asarray(dibits)
-    if values.size and values.dtype.kind not in "biu":
-        raise ConfigError(f"dibits must be integers, got {values.dtype}")
-    bad = (values < 0) | (values > 3)
-    if bad.any():
-        raise ConfigError(f"dibit out of range: {values[bad][0].item()!r}")
-    bits = np.unpackbits(values.astype(np.uint8).reshape(-1, 1), axis=1)[:, 6:]
+    bits = np.unpackbits(dibit_array(dibits).reshape(-1, 1), axis=1)[:, 6:]
     return np.packbits(bits).tobytes()
 
 
 def unpack_dibits(data: bytes, count: int) -> list[int]:
     """The first `count` dibits of `pack_dibits` output."""
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise ConfigError(f"dibit count {count!r} is not an integer") from None
+    count = require_integer(count, "dibit count")
     if not 0 <= count <= 4 * len(data):
         raise ConfigError(f"cannot unpack {count} dibits from {len(data)} bytes")
     bits = np.unpackbits(np.frombuffer(data, np.uint8), count=2 * count)

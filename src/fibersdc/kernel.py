@@ -16,7 +16,7 @@ event sampler, which then draws from T_k or L_k; `mean_diagonal` scores
 a calibration point in `math`.
 
 This module holds the kernel and what runs around it: the Bell classes,
-the dibit maps, the outcome and verdict tables.  The tables are plain
+the dibit maps and the one dibit check, the outcome and verdict tables.  The tables are plain
 tuples, stored in `data/kernel_tables.txt` as `repr` floats and read at
 import, so the module loads no numpy; the tests rebuild every one of
 them bit for bit from the state algebra.
@@ -28,6 +28,8 @@ import enum
 import os
 from math import cos
 from typing import TYPE_CHECKING, NamedTuple
+
+from .errors import ConfigError
 
 if TYPE_CHECKING:
     from .states import PhotonMode
@@ -70,6 +72,23 @@ DIBIT_TO_BELL = {
 }
 
 BELL_TO_DIBIT = {b: d for d, b in DIBIT_TO_BELL.items()}
+
+
+def dibit_array(dibits):
+    """`dibits` as a uint8 array, by the one rule for a dibit payload: a
+    1-D sequence of integers or booleans, each 0..3, or else ConfigError.
+    A `bytes` payload, such as an image's pixel buffer, is read in place."""
+    import numpy as np
+
+    values = np.frombuffer(dibits, np.uint8) if isinstance(dibits, bytes) else np.asarray(dibits)
+    if values.ndim != 1:
+        raise ConfigError(f"dibits must be a 1-D sequence, got {type(dibits).__name__}")
+    if values.size and values.dtype.kind not in "biu":
+        raise ConfigError(f"dibits must be integers or booleans, got {values.dtype}")
+    bad = (values < 0) | (values > 3)
+    if bad.any():
+        raise ConfigError(f"dibit must be 0..3, got {values[bad][0].item()!r}")
+    return values.astype(np.uint8, copy=False)
 
 
 class DetectionOutcome(NamedTuple):

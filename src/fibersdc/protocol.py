@@ -22,7 +22,9 @@ import numpy as np
 from . import sampler
 from .configs import DriftConfig, InterferometerConfig, SourceConfig, TimingConfig
 from .errors import ConfigError
-from .kernel import BELL_TO_DIBIT, DIBIT_TO_BELL, OUTCOME_VERDICT, VERDICTS, verdict_label
+from .kernel import (
+    BELL_TO_DIBIT, DIBIT_TO_BELL, OUTCOME_VERDICT, VERDICTS, dibit_array, verdict_label,
+)
 from .seeds import substream
 
 
@@ -37,7 +39,7 @@ class SessionStats(NamedTuple):
 
 
 class SessionResult(NamedTuple):
-    dibits: list[int]
+    dibits: bytes
     erasures: list[bool]
     stats: SessionStats
 
@@ -73,14 +75,15 @@ def _window_closes(
 
 
 def run_session(
-    dibits: list[int],
+    dibits,
     source_cfg: SourceConfig,
     drift_cfg: DriftConfig,
     interf_cfg: InterferometerConfig,
     timing: TimingConfig,
     master_seed: int,
 ) -> SessionResult:
-    """Transfer a dibit sequence over the simulated link.
+    """Transfer a dibit payload (`kernel.dibit_array`'s rule) over the
+    simulated link; the received dibits are `bytes`, one per frame.
 
     Each frame's window closes at its first detection (later arrivals in
     the same window are ignored) or times out empty into an erasure.  On
@@ -98,9 +101,7 @@ def run_session(
     offsets `interf_cfg` holds.  Everything is reproducible from the
     master seed.
     """
-    for d in dibits:
-        if d not in DIBIT_TO_BELL:
-            raise ConfigError(f"dibit out of range: {d!r}")
+    dibits = dibit_array(dibits)
     n = len(dibits)
     walk = sampler.PhaseWalk(drift_cfg, substream(master_seed, "protocol.drift"))
     rng_q = substream(master_seed, "protocol.quantum")
@@ -133,7 +134,7 @@ def run_session(
             )
         detected = gap < timing.frame_window_s
         timeout_count += int((~detected).sum())
-        sent = _DIBIT_CLASS[np.array(dibits[a:b], dtype=np.intp)[detected]]
+        sent = _DIBIT_CLASS[dibits[a:b][detected]]
         outcome = sampler.sample_detections(sent, closes[detected], walk, source_cfg, rng_q)
         verdict[a:b][detected] = np.take(OUTCOME_VERDICT, outcome)
     erasures = verdict == _AMBIGUOUS
@@ -149,4 +150,4 @@ def run_session(
         recalibrations=recalibrations,
         verdict_counts={verdict_label(v): c for v, c in zip(VERDICTS, counts) if c},
     )
-    return SessionResult(_VERDICT_DIBIT[verdict].tolist(), erasures.tolist(), stats)
+    return SessionResult(_VERDICT_DIBIT[verdict].tobytes(), erasures.tolist(), stats)

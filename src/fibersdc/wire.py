@@ -24,11 +24,10 @@ exchange never varies, in closed form; it does not load this module.
 from __future__ import annotations
 
 import enum
-import operator
 import struct
 from typing import NamedTuple
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, require_integer
 
 MAGIC = b"SDC1"
 _HEADER = struct.Struct("<4sBI")
@@ -46,16 +45,8 @@ class Message(NamedTuple):
     frame_index: int
 
 
-def _integer(value, error: type[Exception], what: str) -> int:
-    """`value` as an int by `operator.index`, or `error` naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} {value!r} is not an integer") from None
-
-
 def encode_message(msg: Message) -> bytes:
-    frame = _integer(msg.frame_index, ProtocolError, "frame index")
+    frame = require_integer(msg.frame_index, "frame index", ProtocolError)
     if not 0 <= frame < _MAX_FRAMES:
         raise ProtocolError(f"frame index {frame} does not fit a u32")
     try:
@@ -67,7 +58,7 @@ def encode_message(msg: Message) -> bytes:
 
 def decode_message(buffer: bytes, offset: int = 0) -> tuple[Message, int] | None:
     """Decode one message starting at offset, or None if incomplete."""
-    offset = _integer(offset, ProtocolError, "offset")
+    offset = require_integer(offset, "offset", ProtocolError)
     if offset < 0:
         raise ProtocolError(f"negative offset {offset}")
     if len(buffer) - offset < _HEADER.size:
@@ -83,7 +74,7 @@ def decode_message(buffer: bytes, offset: int = 0) -> tuple[Message, int] | None
 
 
 def _frame_count(n_frames) -> int:
-    n = _integer(n_frames, ConfigError, "n_frames")
+    n = require_integer(n_frames, "n_frames")
     if not 0 <= n <= _MAX_FRAMES:
         raise ConfigError(f"n_frames must be in [0, 2**32], got {n}")
     return n

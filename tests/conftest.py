@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fibersdc.cli import OUTDIR_ENV
 from fibersdc.kernel import BRANCH_OUTCOMES, leak_weight
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -32,12 +31,11 @@ runpy.run_module("fibersdc", run_name="__main__", alter_sys=True)
 def run_python(*argv: str, code: str | None = None, **options) -> subprocess.CompletedProcess:
     """Run `python -m fibersdc ARGV` in a child, or `python -c CODE ARGV`
     when `code` is given, with this checkout's `src` first on the path and
-    neither $FIBERSDC_OUTDIR nor PYTHONUNBUFFERED set.  The child's stdout
+    PYTHONUNBUFFERED unset.  The child's stdout
     is block-buffered, as on a pipe by default, so output the entry fails
     to flush is lost.  stdout and stderr are captured as text unless
     `options`, passed on to `subprocess.run`, say otherwise."""
-    env = {key: value for key, value in os.environ.items()
-           if key not in (OUTDIR_ENV, "PYTHONUNBUFFERED")}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     entry = ["-m", "fibersdc"] if code is None else ["-c", code]
     options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **options}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fibersdc
 from fibersdc import noise, sampler
-from fibersdc.capacity import load_counts
+from fibersdc.capacity import channel_capacity, estimate_conditionals, load_counts
 from fibersdc.cli import COMMANDS, _options, _plain_args, build_parser, main
 from fibersdc.configs import command_settings
 from fibersdc.imagecodec import ImageRaster, read_ppm, write_ppm
@@ -86,18 +86,15 @@ def test_characterize_writes_all_outputs(tmp_path):
     assert "seconds_per_state=0.5\n" in manifest
 
 
+# An ideal link: no drift, no substitution, no accidentals.
+CLEAN = ["sigma_rad_per_sqrt_s=0", "source_fidelity=1", "accidental_rate_hz=0"]
+
+
 def test_characterize_clean_settings_give_diagonal_counts(tmp_path):
-    cfg = tmp_path / "clean.cfg"
-    cfg.write_text(
-        "# ideal link\n"
-        "sigma_rad_per_sqrt_s = 0\n"
-        "source_fidelity = 1\n"
-        "accidental_rate_hz = 0\n"
-    )
     outdir = tmp_path / "run"
     rc = main([
-        "characterize", "--outdir", str(outdir), "--config", str(cfg),
-        "--seconds-per-state", "0.5",
+        "characterize", "--outdir", str(outdir), "--seconds-per-state", "0.5",
+        *(arg for pair in CLEAN for arg in ("--set", pair)),
     ])
     assert rc == 0
     counts = load_counts(outdir / "counts.txt")
@@ -108,18 +105,17 @@ def test_characterize_clean_settings_give_diagonal_counts(tmp_path):
         assert report[f"ambiguous_{key}"] == "0"
 
 
-def test_set_overrides_config_file(tmp_path):
-    cfg = tmp_path / "clean.cfg"
-    cfg.write_text("sigma_rad_per_sqrt_s = 0\nsource_fidelity = 1\naccidental_rate_hz = 0\n")
+def test_a_later_set_of_the_same_key_wins(tmp_path):
     outdir = tmp_path / "run"
     rc = main([
-        "characterize", "--outdir", str(outdir), "--config", str(cfg),
-        "--set", "source_fidelity=0.5", "--seconds-per-state", "1",
+        "characterize", "--outdir", str(outdir), "--seconds-per-state", "1",
+        *(arg for pair in CLEAN for arg in ("--set", pair)), "--set", "source_fidelity=0.5",
     ])
     assert rc == 0
     counts = load_counts(outdir / "counts.txt")
     off_diagonal = counts.sum() - np.trace(counts)
     assert off_diagonal > 0
+    assert "source_fidelity=0.5\n" in (outdir / "manifest.txt").read_text()
 
 
 def test_characterize_reports_no_conditionals_for_a_class_without_events(tmp_path):
@@ -178,6 +174,24 @@ def test_capacity_on_bundled_counts(tmp_path):
     assert _manifest_settings(tmp_path / "manifest.txt") == [
         "counts=bundled:characterization_counts.txt", "resamples=50",
     ]
+
+
+def test_capacity_reads_the_counts_characterize_writes(tmp_path):
+    # `noise.save_counts` writes counts.txt and `capacity.load_counts`
+    # reads it back, through the command line.
+    assert main([
+        "characterize", "--outdir", str(tmp_path / "run"), "--seconds-per-state", "0.5",
+    ]) == 0
+    path = tmp_path / "run" / "counts.txt"
+    assert main([
+        "capacity", "--outdir", str(tmp_path / "cap"), "--counts", str(path),
+        "--resamples", "10",
+    ]) == 0
+    report = _read_report(tmp_path / "cap" / "capacity_report.txt")
+    assert report["counts"] == str(path)
+    want = channel_capacity(estimate_conditionals(load_counts(path))).capacity_bits
+    assert report["capacity_bits"] == f"{want:.9f}"
+    assert f"counts={path}\n" in (tmp_path / "cap" / "manifest.txt").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +284,16 @@ def test_transfer_tiny_image(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_outdir_env_fallback(tmp_path, monkeypatch):
+def test_without_outdir_a_run_writes_into_the_working_directory(tmp_path, monkeypatch):
+    # --outdir is the only way to name the output directory; the
+    # environment is not read.
     monkeypatch.setenv("FIBERSDC_OUTDIR", str(tmp_path / "envdir"))
+    monkeypatch.chdir(tmp_path)
     rc = main(["capacity", "--resamples", "10"])
     assert rc == 0
-    assert (tmp_path / "envdir" / "capacity_report.txt").is_file()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "capacity_report.txt", "manifest.txt",
+    ]
 
 
 def test_manifest_has_no_timestamps(tmp_path):
@@ -300,7 +319,6 @@ BIG_COUNTS = [f"{10**29} 1 1 1", f"{2**62} {2**62} {2**62} {2**62}", f"{2**63 - 
 # The files the refused command lines read, in the working directory.
 INPUTS = {
     "settings.cfg": b"grid = 3\n",
-    "bad.cfg": b"source_fidelity 0.9\n",
     "binary.ppm": b"P6\n2 1\n255\n\xff\x00\x00\xff\x00\x00",  # not UTF-8
     "digits.ppm": ("P3 \u0663 1 255" + " 0" * 9).encode(),  # an Arabic-Indic 3
     "blocker": b"",  # a file where a directory should be
@@ -355,18 +373,21 @@ BAD_COMMAND_LINES = [
     ]),
     *(_non_finite(key, value) for value in ("nan", "inf", "-inf")
       for key in sorted(set().union(*ACCEPTED_KEYS.values())) + NOT_SETTINGS),
-    (["characterize", "--config", "bad.cfg"], ["bad.cfg:1: expected key=value"]),
+    (["characterize", "--set", "source_fidelity"], ["--set: expected key=value"]),
+    (_set("characterize", "source_fidelity=abc"), ["bad number for source_fidelity"]),
     (["transfer", "--image", "absent.ppm"], ["cannot read image absent.ppm"]),
     (["transfer", "--image", "digits.ppm"], ["bad image header"]),
     (["capacity", "--counts", "absent.txt"], ["cannot read counts file absent.txt"]),
-    *(([c, *QUICK_RUN.get(c, []), option, "binary.ppm"], ["binary.ppm", "utf-8"]) for c, option
-      in [("transfer", "--image"), ("capacity", "--counts"), ("characterize", "--config")]),
+    *(([c, option, "binary.ppm"], ["binary.ppm", "utf-8"])
+      for c, option in [("transfer", "--image"), ("capacity", "--counts")]),
     *((["capacity", "--counts", f"counts{i}.txt"], [row]) for i, row in enumerate(BIG_COUNTS)),
     *((["capacity", "--outdir", d], [f"output directory {d}"]) for d in ("blocker", "blocker/sub")),
     # Refused while parsing.
-    *(([c, *option], [f"unrecognized arguments: {' '.join(option)}"])
-      for c in ("calibrate", "capacity")
-      for option in (["--set", "grid=3"], ["--config", "settings.cfg"])),
+    *(([c, "--set", "grid=3"], ["unrecognized arguments: --set grid=3"])
+      for c in ("calibrate", "capacity")),
+    # No command takes a settings file: settings have one way in, --set.
+    *(([c, "--config", "settings.cfg"], ["unrecognized arguments: --config settings.cfg"])
+      for c in COMMANDS),
     *(([c, "--seed", seed], [f"argument --seed: must be a non-negative integer, got '{seed}'"])
       for c in COMMANDS for seed in ("-1", "-9223372036854775808")),
     (["bogus"], ["invalid choice: 'bogus'", *COMMANDS]),
@@ -487,7 +508,7 @@ def test_the_plain_parse_agrees_with_argparse_wherever_it_accepts(argv):
      {"grid": "4", "seed": "7"}),
     (["capacity", "--outdir", ""], {"outdir": "''", "resamples": "1000"}),
     (["characterize", "--set", "a=1", "--set=b=2", "--seconds-per-state", "nan"],
-     {"set": "['a=1', 'b=2']", "seconds_per_state": "nan", "config": "None"}),
+     {"set": "['a=1', 'b=2']", "seconds_per_state": "nan", "outdir": "None"}),
     (["transfer", "--outdir=-x", "--image", "in.ppm"],
      {"outdir": "'-x'", "image": "'in.ppm'", "set": "None"}),
 ])
@@ -543,18 +564,17 @@ options:
   --version             show program's version number and exit
 """,
     "characterize": """\
-usage: fibersdc characterize [-h] [--config CONFIG] [--set KEY=VALUE]
-                             [--outdir OUTDIR] [--seed SEED]
+usage: fibersdc characterize [-h] [--set KEY=VALUE] [--outdir OUTDIR]
+                             [--seed SEED]
                              [--seconds-per-state SECONDS_PER_STATE]
 
 options:
   -h, --help            show this help message and exit
-  --config CONFIG       key=value settings file
   --set KEY=VALUE       override one setting (repeatable); keys:
                         coincidence_rate_hz, source_fidelity,
                         accidental_rate_hz, sigma_rad_per_sqrt_s,
                         recalibration_period_s, recalibration_residual_rad
-  --outdir OUTDIR       output directory (default $FIBERSDC_OUTDIR or .)
+  --outdir OUTDIR       output directory (default .)
   --seed SEED           master seed (default 1)
   --seconds-per-state SECONDS_PER_STATE
                         timed run length per sent class
@@ -565,7 +585,7 @@ usage: fibersdc capacity [-h] [--outdir OUTDIR] [--seed SEED]
 
 options:
   -h, --help            show this help message and exit
-  --outdir OUTDIR       output directory (default $FIBERSDC_OUTDIR or .)
+  --outdir OUTDIR       output directory (default .)
   --seed SEED           master seed (default 1)
   --counts COUNTS       count matrix file (default: bundled reference)
   --resamples RESAMPLES
@@ -576,23 +596,22 @@ usage: fibersdc calibrate [-h] [--outdir OUTDIR] [--seed SEED] [--grid GRID]
 
 options:
   -h, --help       show this help message and exit
-  --outdir OUTDIR  output directory (default $FIBERSDC_OUTDIR or .)
+  --outdir OUTDIR  output directory (default .)
   --seed SEED      master seed (default 1)
   --grid GRID      grid points per phase axis
 """,
     "transfer": """\
-usage: fibersdc transfer [-h] [--config CONFIG] [--set KEY=VALUE]
-                         [--outdir OUTDIR] [--seed SEED] [--image IMAGE]
+usage: fibersdc transfer [-h] [--set KEY=VALUE] [--outdir OUTDIR]
+                         [--seed SEED] [--image IMAGE]
 
 options:
   -h, --help       show this help message and exit
-  --config CONFIG  key=value settings file
   --set KEY=VALUE  override one setting (repeatable); keys:
                    coincidence_rate_hz, source_fidelity, accidental_rate_hz,
                    sigma_rad_per_sqrt_s, recalibration_period_s,
                    recalibration_residual_rad, message_latency_s,
                    encoder_settle_s, frame_window_s, recalibration_pause_s
-  --outdir OUTDIR  output directory (default $FIBERSDC_OUTDIR or .)
+  --outdir OUTDIR  output directory (default .)
   --seed SEED      master seed (default 1)
   --image IMAGE    P3 PPM in the four-gray palette (default: bundled demo)
 """,

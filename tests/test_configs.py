@@ -57,9 +57,7 @@ ROUTES = {
     "position": lambda cls, key, value: cls(*_with(cls, key, value)),
     "make": lambda cls, key, value: cls._make(_with(cls, key, value)),
     "replace": lambda cls, key, value: cls()._replace(**{key: value}),
-    "merge_settings": lambda cls, key, value: merge_settings(
-        (cls(),), None, [f"{key}={value!r}"]
-    )[0],
+    "merge_settings": lambda cls, key, value: merge_settings((cls(),), [f"{key}={value!r}"])[0],
 }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,7 +48,9 @@ def test_pack_takes_flags():
     assert pack_dibits([True, False, False, True, True]) == b"\x41\x40"
 
 
-@pytest.mark.parametrize("bad", [[0, 4], [0, 1.5], [2.0], ["a"], [None]])
+@pytest.mark.parametrize("bad", [
+    [0, 4], [0, 1.5], [2.0], ["a"], [None], [1.0, True, 2], 2, 5, [[1]], "0123",
+])
 def test_pack_rejects_a_bad_dibit(bad):
     with pytest.raises(ConfigError):
         pack_dibits(bad)
@@ -73,8 +76,15 @@ BAD_RASTERS = {
     "bytearray": (lambda: ImageRaster(1, 1, bytearray(1)), "pixels must be bytes, got bytearray"),
     "_replace": (lambda: ImageRaster(2, 2, bytes(4))._replace(pixels=bytes(3)), "has 3 entries"),
     "_make": (lambda: ImageRaster._make((2, 2, bytes([0, 1, 2, 4]))), "0..3"),
-    "dibit -1": (lambda: dibits_to_raster([0, -1], 2, 1), "dibit out of range: -1"),
+    "float width": (lambda: ImageRaster(1.5, 2, bytes(3)), "image width 1.5 is not an integer"),
+    "string height": (lambda: ImageRaster(1, "2", bytes(2)), "image height '2' is not"),
+    "dibit -1": (lambda: dibits_to_raster([0, -1], 2, 1), "dibit must be 0..3, got -1"),
     "dibit 2.5": (lambda: dibits_to_raster([0, 2.5], 2, 1), "dibits must be integers"),
+    "a float among flags": (lambda: dibits_to_raster([1.0, True, 2], 3, 1), "must be integers"),
+    # An int64 array is read by value, not as its raw 8-byte buffer.
+    "int64 array": (lambda: dibits_to_raster(np.array([1]), 8, 1), "has 1 entries, expected 8"),
+    # A count is not a payload.
+    "a count": (lambda: dibits_to_raster(5, 5, 1), "1-D sequence, got int"),
 }
 
 
@@ -87,8 +97,9 @@ def test_raster_validation(build, message):
 def test_raster_dibit_roundtrip():
     image = ImageRaster(3, 2, bytes([0, 1, 2, 3, 1, 1]))
     dibits = raster_to_dibits(image)
-    assert dibits == [0, 1, 2, 3, 1, 1]
-    assert dibits_to_raster(dibits, 3, 2) == image
+    assert dibits == bytes([0, 1, 2, 3, 1, 1])
+    for payload in (dibits, list(dibits), np.array(list(dibits))):
+        assert dibits_to_raster(payload, 3, 2) == image
     assert image._replace(pixels=bytes(6)) == ImageRaster(3, 2, bytes(6))
 
 
@@ -118,6 +129,7 @@ def test_ppm_roundtrip(tmp_path):
         "P3\n1 1\n255\n1 2 3\n",
         "P3\n2 1\n255\n255 255 255\n",
         "P3\n1 1\n255\n255 255\n",
+        "P3 2 1",  # a truncated header
     ],
 )
 def test_ppm_rejects_foreign_files(tmp_path, text):

@@ -303,10 +303,21 @@ def test_receiver_rejects_unexpected_traffic():
 # ---------------------------------------------------------------------------
 
 
-def test_session_rejects_bad_dibits():
-    with pytest.raises(ConfigError):
+# Each refused session payload, with what its message must hold.
+BAD_PAYLOADS = {
+    "dibit 4": ([0, 4], "dibit must be 0..3, got 4"),
+    "byte 4": (b"\x00\x04", "dibit must be 0..3, got 4"),
+    "a float among flags": ([1.0, True, 2], "dibits must be integers or booleans, got float64"),
+    "a count": (2, "dibits must be a 1-D sequence"),
+    "nested": ([[1]], "dibits must be a 1-D sequence"),
+}
+
+
+@pytest.mark.parametrize("dibits, message", BAD_PAYLOADS.values(), ids=BAD_PAYLOADS)
+def test_session_rejects_bad_dibits(dibits, message):
+    with pytest.raises(ConfigError, match=message):
         run_session(
-            [0, 4], CLEAN_SOURCE, NO_DRIFT, DEFAULT_INTERFEROMETER,
+            dibits, CLEAN_SOURCE, NO_DRIFT, DEFAULT_INTERFEROMETER,
             DEFAULT_TIMING, master_seed=1,
         )
 
@@ -366,7 +377,7 @@ def _frame_by_frame(dibits, source, drift, timing, seed):
     if dibits:
         op_time += timing.message_latency_s
     elapsed = op_time + recalibrations * timing.recalibration_pause_s
-    return received, erasures, sum(erasures), elapsed, timeouts, recalibrations, counts
+    return bytes(received), erasures, sum(erasures), elapsed, timeouts, recalibrations, counts
 
 
 # A slow source empties about one window in five, and a short period
@@ -375,7 +386,7 @@ _SLOW = TRANSFER_SOURCE._replace(coincidence_rate_hz=2.0)
 _SHORT_PERIOD = TRANSFER_DRIFT._replace(recalibration_period_s=7.0)
 # A near-silent source times out every window, so no detection is drawn.
 _SILENT = TRANSFER_SOURCE._replace(coincidence_rate_hz=1e-3, accidental_rate_hz=0.0)
-_DIBITS = np.random.default_rng(6).integers(0, 4, 300).tolist()
+_DIBITS = bytes(np.random.default_rng(6).integers(0, 4, 300).tolist())
 
 # Each session the reference replays, with what its stats must also show.
 SESSIONS = {
@@ -434,9 +445,10 @@ def test_session_does_not_depend_on_the_run_length(monkeypatch):
 # Traced bytes per pixel of reading a generated image and sending it, at
 # most.  Measured 34 B/px on a 400x500 image (numpy 2.4), the parse's
 # peak: it holds the body text and one int64 per channel.  The session
-# peaks at 27 B/px, its three lists and one verdict byte per frame.
-# Parsing one str per token and drawing the session in one batch took
-# 208 B/px.
+# peaks at 12 B/px: the erasure list's 8 B per frame and a few one-byte
+# arrays, since it reads the pixel buffer in place and returns the
+# received dibits as bytes (27 B/px when both were lists).  Parsing one
+# str per token and drawing the session in one batch took 208 B/px.
 _TRANSFER_BYTES_PER_PIXEL = 48
 
 
