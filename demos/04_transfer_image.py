@@ -64,7 +64,7 @@ write_ppm(outdir / "sent.ppm", image)
 write_ppm(outdir / "received.ppm", received)
 (outdir / "erasures.bin").write_bytes(pack_dibits(result.erasures))
 flags = unpack_dibits((outdir / "erasures.bin").read_bytes(), len(dibits))
-assert flags == [int(e) for e in result.erasures]
+assert flags == list(result.erasures)
 
 s = result.stats
 print(f"\nimage fidelity:  {image_fidelity(image, received):.4f}")

@@ -40,7 +40,7 @@ class SessionStats(NamedTuple):
 
 class SessionResult(NamedTuple):
     dibits: bytes
-    erasures: list[bool]
+    erasures: bytes
     stats: SessionStats
 
 
@@ -83,7 +83,8 @@ def run_session(
     master_seed: int,
 ) -> SessionResult:
     """Transfer a dibit payload (`kernel.dibit_array`'s rule) over the
-    simulated link; the received dibits are `bytes`, one per frame.
+    simulated link; the received dibits are `bytes`, one per frame, and so
+    are the erasure flags, 1 for an erasure.
 
     Each frame's window closes at its first detection (later arrivals in
     the same window are ignored) or times out empty into an erasure.  On
@@ -150,4 +151,6 @@ def run_session(
         recalibrations=recalibrations,
         verdict_counts={verdict_label(v): c for v, c in zip(VERDICTS, counts) if c},
     )
-    return SessionResult(_VERDICT_DIBIT[verdict].tobytes(), erasures.tolist(), stats)
+    return SessionResult(
+        _VERDICT_DIBIT[verdict].tobytes(), erasures.view(np.uint8).tobytes(), stats
+    )

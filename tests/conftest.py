@@ -5,8 +5,11 @@ simplex (coarse sweep, then a local refinement), sharing no code with the
 iterative solver under test.  `kernel_mixture` is the kernel's whole
 outcome distribution, built from the pieces the sampler draws from.
 `run_python` runs the command line, or any code, in a child interpreter.
+Every test must leave the cyclic garbage collector on and its frozen set
+as it found them (`_collector_left_as_found`).
 """
 
+import gc
 import os
 import subprocess
 import sys
@@ -40,6 +43,21 @@ def run_python(*argv: str, code: str | None = None, **options) -> subprocess.Com
     entry = ["-m", "fibersdc"] if code is None else ["-c", code]
     options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **options}
     return subprocess.run([sys.executable, *entry, *argv], env=env, **options)
+
+
+@pytest.fixture(autouse=True)
+def _collector_left_as_found():
+    """Fail a test that ends with the cyclic garbage collector off or with
+    a different number of frozen objects.  The process entry turns the
+    collector off for good; an in-process test of it that did not turn it
+    back on would run the rest of the session without it, unnoticed."""
+    frozen = gc.get_freeze_count()
+    yield
+    enabled, left_frozen = gc.isenabled(), gc.get_freeze_count()
+    gc.enable()
+    if not frozen:
+        gc.unfreeze()
+    assert (enabled, left_frozen) == (True, frozen), "the test left the collector changed"
 
 
 def kernel_mixture(which: int, phi0, phi1) -> np.ndarray:

@@ -2,10 +2,13 @@
 and the installed `fibersdc` script call.  The CLI tests call `cli.main`
 in-process; these run the real entry, in a child or with `main` stubbed.
 What each command loads through the entry is checked by `FOOTPRINTS` in
-test_imports.py.
+test_imports.py.  The entry turns the cyclic garbage collector off for
+good, so `GARBAGE_FREE_RUNS` checks that no command leaves a reference
+cycle behind.
 """
 
 import ast
+import gc
 import io
 import os
 import re
@@ -15,11 +18,13 @@ from importlib.util import find_spec
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from conftest import THROUGH_THE_ENTRY, run_python
 
 import fibersdc.__main__ as entry
 from fibersdc import cli
+from fibersdc.imagecodec import ImageRaster, write_ppm
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,7 +100,15 @@ def stub_the_exit(monkeypatch, events: list, stdout_fails: bool = False) -> None
     monkeypatch.setattr(sys, "stderr", _Recorder(events, "stderr"))
 
 
-def test_the_entry_runs_atexit_flushes_and_ends_with_mains_code(monkeypatch):
+@pytest.fixture
+def collector_back_on():
+    """`run` leaves the collector off, as a command process needs; this
+    process turns it back on after the test."""
+    yield
+    gc.enable()
+
+
+def test_the_entry_runs_atexit_flushes_and_ends_with_mains_code(monkeypatch, collector_back_on):
     events: list = []
     stub_the_exit(monkeypatch, events)
     entry.run()
@@ -103,7 +116,7 @@ def test_the_entry_runs_atexit_flushes_and_ends_with_mains_code(monkeypatch):
     assert sys.stdout.getvalue() == "report\n"
 
 
-def test_a_failed_flush_leaves_through_the_interpreter_exit(monkeypatch):
+def test_a_failed_flush_leaves_through_the_interpreter_exit(monkeypatch, collector_back_on):
     # The interpreter's exit flushes again and reports the failure itself.
     events: list = []
     stub_the_exit(monkeypatch, events, stdout_fails=True)
@@ -111,7 +124,20 @@ def test_a_failed_flush_leaves_through_the_interpreter_exit(monkeypatch):
     assert events == ["atexit", "flush stdout"]
 
 
-def test_the_entry_blocks_openssl_before_it_imports_the_cli(monkeypatch):
+def test_the_entry_disables_collection_before_it_imports_the_cli(monkeypatch, collector_back_on):
+    stub_the_exit(monkeypatch, [])
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()))
+    entry.run()
+    assert seen == [False]
+
+
+def test_cli_main_in_process_leaves_the_collector_on(tmp_path, capsys):
+    assert cli.main(["calibrate", "--grid", "2", "--outdir", str(tmp_path)]) == 0
+    assert gc.isenabled()
+
+
+def test_the_entry_blocks_openssl_before_it_imports_the_cli(monkeypatch, collector_back_on):
     stub_the_exit(monkeypatch, [])
     del sys.modules["_hashlib"]
     seen = []
@@ -120,7 +146,7 @@ def test_the_entry_blocks_openssl_before_it_imports_the_cli(monkeypatch):
     assert seen == [None]
 
 
-def test_the_entry_leaves_a_loaded_hashlib_loaded(monkeypatch):
+def test_the_entry_leaves_a_loaded_hashlib_loaded(monkeypatch, collector_back_on):
     loaded = pytest.importorskip("_hashlib")
     stub_the_exit(monkeypatch, [])
     sys.modules["_hashlib"] = loaded
@@ -135,6 +161,70 @@ def test_the_guard_lists_the_module_behind_every_guaranteed_hash():
     done = run_python(code=_BUILTIN_HASH_MODULES)
     assert (done.returncode, done.stderr) == (0, "")
     assert sorted(done.stdout.split()) == sorted(entry.BUILTIN_HASHES)
+
+
+# Each command at two sizes, `{tmp}` standing for the test's directory.
+# A command process runs without the collector, so a cycle left by each
+# chunk of events, session run or resample would hold its memory until
+# the process ends.
+GARBAGE_FREE_RUNS = {
+    "characterize 1 s": ["characterize", "--seconds-per-state", "1"],
+    "characterize 50 s": ["characterize", "--seconds-per-state", "50"],
+    "transfer bundled": ["transfer"],
+    "transfer 68x100": ["transfer", "--image", "{tmp}/image.ppm"],
+    "capacity 300": ["capacity", "--resamples", "300"],
+    "capacity 3000": ["capacity", "--resamples", "3000"],
+    "calibrate 8": ["calibrate", "--grid", "8"],
+    "calibrate 64": ["calibrate", "--grid", "64"],
+}
+
+
+@pytest.mark.parametrize("argv", GARBAGE_FREE_RUNS.values(), ids=GARBAGE_FREE_RUNS)
+def test_a_command_leaves_no_cyclic_garbage(tmp_path, capsys, argv):
+    pixels = np.random.default_rng(3).integers(0, 4, 68 * 100, dtype=np.uint8)
+    write_ppm(tmp_path / "image.ppm", ImageRaster(68, 100, pixels.tobytes()))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    gc.collect()
+    gc.disable()  # as in a command process: nothing is collected during the run
+    try:
+        assert cli.main([*argv, "--outdir", str(tmp_path / "out")]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# Linux starts a child's ru_maxrss at the RSS of the process it was
+# spawned from, so a small launcher, not this process, spawns the command
+# and prints its exit code and peak RSS in kB.
+_PEAK_RSS = """
+import os, sys
+quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+argv = [sys.executable, "-m", "fibersdc", *sys.argv[1:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet), 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _characterize_peak_rss_mb(outdir, seconds_per_state: str) -> tuple[float, int]:
+    """Peak RSS in MB of a `characterize` child, and its event count."""
+    done = run_python(
+        "characterize", "--seconds-per-state", seconds_per_state, "--outdir", str(outdir),
+        code=_PEAK_RSS,
+    )
+    assert done.stderr == ""
+    code, peak_kb = map(int, done.stdout.split())
+    assert code == 0
+    report = (outdir / "characterization_report.txt").read_text(encoding="utf-8")
+    return peak_kb / 1024, int(re.search(r"^events_total=(\d+)$", report, re.M).group(1))
+
+
+def test_characterize_memory_through_the_entry_does_not_grow_with_the_run(tmp_path):
+    # About 1.6k and 160k events, in processes that never collect.  Both
+    # peak near 32 MB; one object left per event would add about 16 MB.
+    short_mb, short_events = _characterize_peak_rss_mb(tmp_path / "short", "2")
+    long_mb, long_events = _characterize_peak_rss_mb(tmp_path / "long", "200")
+    assert long_events > 50 * short_events
+    assert long_mb - short_mb < 4
 
 
 _BUILTIN_HASH_MODULES = """

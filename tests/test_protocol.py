@@ -377,7 +377,9 @@ def _frame_by_frame(dibits, source, drift, timing, seed):
     if dibits:
         op_time += timing.message_latency_s
     elapsed = op_time + recalibrations * timing.recalibration_pause_s
-    return bytes(received), erasures, sum(erasures), elapsed, timeouts, recalibrations, counts
+    return (
+        bytes(received), bytes(erasures), sum(erasures), elapsed, timeouts, recalibrations, counts
+    )
 
 
 # A slow source empties about one window in five, and a short period
@@ -445,10 +447,12 @@ def test_session_does_not_depend_on_the_run_length(monkeypatch):
 # Traced bytes per pixel of reading a generated image and sending it, at
 # most.  Measured 34 B/px on a 400x500 image (numpy 2.4), the parse's
 # peak: it holds the body text and one int64 per channel.  The session
-# peaks at 12 B/px: the erasure list's 8 B per frame and a few one-byte
-# arrays, since it reads the pixel buffer in place and returns the
-# received dibits as bytes (27 B/px when both were lists).  Parsing one
-# str per token and drawing the session in one batch took 208 B/px.
+# peaks at 11 B/px, the image's pixel buffer included: `np.bincount`'s
+# int64 copy of the verdicts and a few one-byte arrays, since it reads
+# the pixel buffer in place and returns the received dibits and the
+# erasure flags as bytes (12 B/px with the flags as a list of bools,
+# 27 B/px with the dibits a list too).  Parsing one str per token and
+# drawing the session in one batch took 208 B/px.
 _TRANSFER_BYTES_PER_PIXEL = 48
 
 
