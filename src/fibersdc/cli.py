@@ -45,16 +45,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import ConfigError
-from .seeds import STREAM_VERSION, sha256
-
-
-def _settings_body(settings: dict[str, str]) -> str:
-    return "".join(f"{k}={settings[k]}\n" for k in sorted(settings))
-
-
-def settings_digest(settings: dict[str, str]) -> str:
-    """SHA-256 of the resolved settings, one `key=value` line per key."""
-    return sha256(_settings_body(settings).encode("utf-8")).hexdigest()
+from .seeds import STREAM_VERSION, _settings_body, settings_digest
 
 
 def write_report(

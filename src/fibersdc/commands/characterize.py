@@ -11,12 +11,11 @@ import math
 
 import numpy as np
 
-from ..cli import settings_digest
 from ..configs import merged_settings, resolved_settings
 from ..errors import ConfigError
 from ..kernel import BELL_ORDER
 from ..noise import append_events, iter_event_chunks, open_event_log, save_counts, tally_verdicts
-from ..seeds import substream
+from ..seeds import settings_digest, substream
 
 
 def run(args, outdir):

@@ -16,10 +16,15 @@ event sampler, which then draws from T_k or L_k; `mean_diagonal` scores
 a calibration point in `math`.
 
 This module holds the kernel and what runs around it: the Bell classes,
-the dibit maps and the one dibit check, the outcome and verdict tables.  The tables are plain
-tuples, stored in `data/kernel_tables.txt` as `repr` floats and read at
-import, so the module loads no numpy; the tests rebuild every one of
-them bit for bit from the state algebra.
+the dibit maps, the one rule for a dibit payload and the one rule for a
+count matrix, and the outcome tables.  The tables are plain tuples, so
+the module loads no numpy.  One table is stored, in
+`data/kernel_tables.txt` as `repr` floats, and read at import: each
+outcome's signature, its verdict and its probability on each class's
+target and leak branch.  The accidental distribution and the verdict
+diagonal that the calibration score needs are derived from it.  The
+tests rebuild every stored and derived value bit for bit from the state
+algebra.
 """
 
 from __future__ import annotations
@@ -91,6 +96,26 @@ def dibit_array(dibits):
     return values.astype(np.uint8, copy=False)
 
 
+def count_matrix(counts):
+    """`counts` as a 4x4 int64 array, by the one rule for a count matrix
+    over (sent class, verdict): every entry a whole number >= 0, not a
+    boolean or a string, and every row total within int64, or else
+    ConfigError naming the first bad row by its values."""
+    import numpy as np
+
+    m = np.asarray(counts)
+    if m.shape != (4, 4):
+        raise ConfigError(f"a count matrix is 4x4, got shape {m.shape}")
+    for row in m.tolist():
+        whole = all(type(v) is int or (type(v) is float and v.is_integer()) for v in row)
+        if not (whole and min(row) >= 0 and sum(map(int, row)) < 2**63):
+            raise ConfigError(
+                "count rows need whole numbers >= 0 with a total within int64, got: "
+                + " ".join(map(str, row))
+            )
+    return m.astype(np.int64, copy=False)
+
+
 class DetectionOutcome(NamedTuple):
     """Which two detectors fired and how many delay bins apart.
 
@@ -148,43 +173,39 @@ CAL_DEPTH = (0.0644, 0.2031, 0.2359, 0.0643)
 LOOP_TRAVERSALS = ((2.0, 2.0), (2.0, 0.0), (2.0, 0.0), (0.0, 2.0))
 
 
-def _read_tables() -> tuple[tuple, ...]:
-    """The tables below, from the table file, opened by path:
+def _read_table() -> tuple[tuple, ...]:
+    """The outcome table, from the table file, opened by path:
     `importlib.resources` would cost about a millisecond of every
-    command's start-up.  The outcome rows end in one column per
-    distribution: the accidentals, then each class's target and leak."""
+    command's start-up.  Each row ends in one column per distribution:
+    each class's target, then its leak."""
     path = os.path.join(os.path.dirname(__file__), "data", "kernel_tables.txt")
-    sections: dict[str, list[list[str]]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            fields = line.split("#", 1)[0].split()
-            if fields and fields[0].startswith("["):
-                rows = sections[fields[0][1:-1]] = []
-            elif fields:
-                rows.append(fields)
-    outcomes = sections["outcomes"]
-    columns = tuple(zip(*(map(float, row[6:]) for row in outcomes)))
-    verdict_rows = [tuple(map(float, row)) for row in sections["branch_verdicts"]]
+        rows = [fields for line in fh if (fields := line.split("#", 1)[0].split())]
+    columns = tuple(zip(*(map(float, row[6:]) for row in rows)))
     return (
-        tuple(DetectionOutcome(*row[:4], int(row[4])) for row in outcomes),
-        tuple(int(row[5]) for row in outcomes),
-        columns[0],
-        tuple(zip(columns[1::2], columns[2::2])),
-        tuple(zip(verdict_rows[0::2], verdict_rows[1::2])),
+        tuple(DetectionOutcome(*row[:4], int(row[4])) for row in rows),
+        tuple(int(row[5]) for row in rows),
+        tuple(zip(columns[0::2], columns[1::2])),
     )
 
 
 # OUTCOMES: every signature the detectors can report, in sorted order: two
 # clicks on any of the four detectors, 0 to 3 time bins apart.  OUTCOME_VERDICT:
-# each one's index into VERDICTS.  UNCORRELATED_DIST: two uncorrelated clicks,
-# an accidental.  BRANCH_OUTCOMES[k][b]: T_k (b = 0) and L_k (b = 1), class k's
-# target and leak distributions, whose supports are disjoint; BRANCH_VERDICTS
-# the same over VERDICTS.
-OUTCOMES, OUTCOME_VERDICT, UNCORRELATED_DIST, BRANCH_OUTCOMES, BRANCH_VERDICTS = _read_tables()
+# each one's index into VERDICTS.  BRANCH_OUTCOMES[k][b]: T_k (b = 0) and L_k
+# (b = 1), class k's target and leak distributions, whose supports are disjoint.
+OUTCOMES, OUTCOME_VERDICT, BRANCH_OUTCOMES = _read_table()
 
-# Per class: 2 v (1 - v), its traversals, and its own verdict's target and leak probabilities.
+# Two uncorrelated clicks, an accidental: uniform over the 64 ordered pairs
+# of detectors and delays, so simultaneous clicks on two detectors, stored
+# in sorted order, count twice.
+UNCORRELATED_DIST = tuple((1 + (o.dt_bins == 0 and o[:2] != o[2:4])) / 64 for o in OUTCOMES)
+
+# Per class: 2 v (1 - v), its traversals, and the probability that its
+# target and its leak branch are decoded as the class itself: the branch
+# times the one-hot of OUTCOME_VERDICT, on the diagonal, summed in outcome order.
 _DIAGONAL = [
-    (2.0 * v * (1.0 - v), *LOOP_TRAVERSALS[k], BRANCH_VERDICTS[k][0][k], BRANCH_VERDICTS[k][1][k])
+    (2.0 * v * (1.0 - v), *LOOP_TRAVERSALS[k],
+     *(sum((p for p, c in zip(d, OUTCOME_VERDICT) if c == k), 0.0) for d in BRANCH_OUTCOMES[k]))
     for k, v in enumerate(CAL_DEPTH)
 ]
 

@@ -25,7 +25,9 @@ import numpy as np
 from . import sampler
 from .configs import DriftConfig, InterferometerConfig, SourceConfig
 from .errors import ConfigError
-from .kernel import BELL_ORDER, OUTCOME_VERDICT, OUTCOMES, VERDICTS, BellState, verdict_label
+from .kernel import (
+    BELL_ORDER, OUTCOME_VERDICT, OUTCOMES, VERDICTS, BellState, count_matrix, verdict_label,
+)
 
 
 class EventChunk:
@@ -138,12 +140,14 @@ def tally_verdicts(events: EventChunk) -> tuple[np.ndarray, np.ndarray]:
 
 def save_counts(path, counts) -> None:
     """Write a count matrix over (sent class, verdict), such as the first
-    of `tally_verdicts`, in the text form `capacity.load_counts` reads."""
-    m = np.asarray(counts)
+    of `tally_verdicts`, in the text form `capacity.load_counts` reads;
+    `kernel.count_matrix`'s rule refuses, before the file is opened, what
+    it could not read back."""
+    m = count_matrix(counts)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# rows: sent class, columns: verdict, canonical Bell order\n")
-        for row in m:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        for row in m.tolist():
+            fh.write(" ".join(map(str, row)) + "\n")
 
 
 # --------------------------------------------------------------------------

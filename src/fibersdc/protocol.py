@@ -108,6 +108,8 @@ def run_session(
     rng_q = substream(master_seed, "protocol.quantum")
     rng_arr = substream(master_seed, "protocol.arrivals")
     verdict = np.full(n, _AMBIGUOUS, dtype=np.int8)
+    # Counted run by run: one bincount of the whole array would cast it to int64.
+    counts = np.zeros(len(VERDICTS), dtype=np.int64)
     last_close, timeout_count, recalibrations, elapsed = None, 0, 0, 0.0
     for a in range(0, n, sampler.EVENT_CHUNK):
         b = min(a + sampler.EVENT_CHUNK, n)
@@ -138,8 +140,8 @@ def run_session(
         sent = _DIBIT_CLASS[dibits[a:b][detected]]
         outcome = sampler.sample_detections(sent, closes[detected], walk, source_cfg, rng_q)
         verdict[a:b][detected] = np.take(OUTCOME_VERDICT, outcome)
+        counts += np.bincount(verdict[a:b], minlength=len(VERDICTS))
     erasures = verdict == _AMBIGUOUS
-    counts = np.bincount(verdict, minlength=len(VERDICTS)).tolist()
 
     throughput = (2.0 * n / elapsed) if elapsed > 0 else 0.0
     stats = SessionStats(
@@ -149,7 +151,7 @@ def run_session(
         elapsed_s=elapsed,
         throughput_bits_per_s=throughput,
         recalibrations=recalibrations,
-        verdict_counts={verdict_label(v): c for v, c in zip(VERDICTS, counts) if c},
+        verdict_counts={verdict_label(v): c for v, c in zip(VERDICTS, counts.tolist()) if c},
     )
     return SessionResult(
         _VERDICT_DIBIT[verdict].tobytes(), erasures.view(np.uint8).tobytes(), stats

@@ -3,7 +3,8 @@
 Every stochastic component (source noise, phase drift, accidentals,
 bootstrap resampling, ...) pulls its generator from `substream`, so a
 single integer reproduces an entire run while keeping the streams
-statistically independent of each other.
+statistically independent of each other.  The module also hashes a run's
+resolved settings (`settings_digest`), for its manifest and event log.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ Bumped by every change that alters which draws a seeded run makes, since
 such a change alters seeded outputs; manifests record it.  Version 2:
 events are sampled in chunks from the closed-form kernel.
 """
+
+
+def _settings_body(settings: dict[str, str]) -> str:
+    return "".join(f"{k}={settings[k]}\n" for k in sorted(settings))
+
+
+def settings_digest(settings: dict[str, str]) -> str:
+    """SHA-256 of the resolved settings, one `key=value` line per key."""
+    return sha256(_settings_body(settings).encode("utf-8")).hexdigest()
 
 
 def substream_seed(master_seed: int, name: str) -> np.random.SeedSequence:

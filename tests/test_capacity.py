@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import mi_many, random_channel
 
@@ -81,21 +83,13 @@ def test_estimate_conditionals_normalizes_rows():
     assert P[0, 0] == pytest.approx(710 / 730)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        np.zeros((4, 4)),
-        np.ones((3, 4)),
-        np.ones((4, 5)),
-        -np.ones((4, 4)),
-        np.where(np.eye(4) == 1, np.nan, 1.0),
-        np.where(np.eye(4) == 1, np.inf, 1.0),
-        np.full((4, 4), 1e308),  # finite entries whose row totals overflow
-    ],
-)
-def test_estimate_conditionals_rejects_bad_input(bad):
-    with pytest.raises(ConfigError):
-        estimate_conditionals(bad)
+@pytest.mark.parametrize("estimate", [
+    estimate_conditionals, lambda counts: bootstrap_spread(counts, 2, substream(1, "bootstrap"))
+], ids=["estimate_conditionals", "bootstrap_spread"])
+@pytest.mark.parametrize("counts", [np.zeros((4, 4)), BENCH_COUNTS * [[1], [0], [1], [1]]])
+def test_estimates_need_a_count_in_every_row(estimate, counts):
+    with pytest.raises(ConfigError, match="at least one count"):
+        estimate(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -335,31 +329,81 @@ def test_bootstrap_draws_the_exact_integer_row_totals():
     assert totals == [[2**63 - 1, 2**53 + 1, 4, 5]]
 
 
-@pytest.mark.parametrize(
-    "counts, message",
-    [
-        (load_reference_counts() / 1000, "whole numbers"),
-        (np.full((4, 4), 1e300), "int64"),
-        # refused before a row sum overflows the float range
-        (np.full((4, 4), 1e308), "int64"),
-        (np.array([[2**62, 2**62, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]), "int64"),
-    ],
-    ids=["fractional", "beyond-int64", "row-sum-overflows", "row-total-wraps"],
-)
-def test_bootstrap_rejects_counts_a_count_file_could_not_hold(counts, message):
-    with pytest.raises(ConfigError, match=message):
-        bootstrap_spread(counts, 2, substream(1, "bootstrap"))
-
-
 # ---------------------------------------------------------------------------
 # count files
 # ---------------------------------------------------------------------------
 
 
-def test_count_file_roundtrip(tmp_path):
-    path = tmp_path / "counts.txt"
-    save_counts(path, BENCH_COUNTS)
-    assert np.array_equal(load_counts(path), BENCH_COUNTS)
+def _first_row(row):
+    """The all-ones count matrix with `row` first."""
+    return [row, *[[1, 1, 1, 1]] * 3]
+
+
+# What the count rule (`kernel.count_matrix`) refuses: whole numbers >= 0,
+# each row total within int64, in a 4x4 matrix.
+BAD_COUNT_MATRICES = {
+    "fractional": np.full((4, 4), 1.5),
+    "fractional-bench": load_reference_counts() / 1000,
+    "nan": np.where(np.eye(4) == 1, np.nan, 1.0),
+    "inf": np.where(np.eye(4) == 1, np.inf, 1.0),
+    "minus-inf": np.where(np.eye(4) == 1, -np.inf, 1.0),
+    "negative": np.full((4, 4), -1),
+    "negative-float": -np.ones((4, 4)),
+    "bool": np.ones((4, 4), dtype=bool),
+    "shape-2x3": np.ones((2, 3), dtype=int),
+    "shape-3x4": np.ones((3, 4)),
+    "shape-4x5": np.ones((4, 5)),
+    "strings": np.full((4, 4), "1"),
+    "entry-beyond-int64": _first_row([10**29, 1, 1, 1]),
+    "float-beyond-int64": np.full((4, 4), 1e300),
+    "row-total-wraps": _first_row([2**62, 2**62, 0, 0]),
+    # finite entries whose row totals overflow the float range
+    "1e308": np.full((4, 4), 1e308),
+}
+
+
+def _load_as_file(tmp_path, counts):
+    """`load_counts` of a file of `counts`' values, a row per line, as
+    `repr` spells them (a string in its quotes)."""
+    path = tmp_path / "input.txt"
+    rows = np.asarray(counts).tolist()
+    path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+    return load_counts(path)
+
+
+COUNT_ENTRY_POINTS = {
+    "save_counts": lambda tmp_path, counts: save_counts(tmp_path / "counts.txt", counts),
+    "load_counts": _load_as_file,
+    "estimate_conditionals": lambda _, counts: estimate_conditionals(counts),
+    "bootstrap_spread": lambda _, counts: bootstrap_spread(counts, 2, substream(1, "bootstrap")),
+}
+
+
+@pytest.mark.parametrize("counts", BAD_COUNT_MATRICES.values(), ids=BAD_COUNT_MATRICES.keys())
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS.values(), ids=COUNT_ENTRY_POINTS.keys())
+def test_every_entry_point_refuses_a_bad_count_matrix(tmp_path, entry, counts):
+    with pytest.raises(ConfigError):
+        entry(tmp_path, counts)
+    assert not (tmp_path / "counts.txt").exists()  # refused before the file is opened
+
+
+def _matrices(entries):
+    return st.lists(st.lists(entries, min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    _matrices(st.integers(0, (2**63 - 1) // 4)),
+    _matrices(st.integers(0, 2**53)).map(lambda rows: np.array(rows, dtype=float)),
+))
+@example(BENCH_COUNTS)
+@example(np.array(_first_row([2**63 - 4, 1, 1, 1]), dtype=object))  # a row total of 2**63 - 1
+def test_count_files_read_back_every_matrix_the_rule_accepts(tmp_path_factory, counts):
+    path = tmp_path_factory.mktemp("counts") / "counts.txt"
+    save_counts(path, counts)
+    got = load_counts(path)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[int(v) for v in row] for row in np.asarray(counts).tolist()]
 
 
 @pytest.mark.parametrize(

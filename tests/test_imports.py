@@ -132,7 +132,7 @@ _KERNEL_TABLES_AND_SCORE = """
 import sys
 import fibersdc.kernel as kernel
 for name in ("CAL_DEPTH", "LOOP_TRAVERSALS", "OUTCOMES", "OUTCOME_VERDICT",
-             "UNCORRELATED_DIST", "BRANCH_OUTCOMES", "BRANCH_VERDICTS"):
+             "UNCORRELATED_DIST", "BRANCH_OUTCOMES", "_DIAGONAL"):
     getattr(kernel, name)
 kernel.mean_diagonal(0.3, 0.7)
 print("numpy" in sys.modules)

@@ -1,3 +1,4 @@
+import functools
 import math
 from importlib import resources
 
@@ -21,7 +22,6 @@ from fibersdc.interferometer import (
 from fibersdc.kernel import (
     BELL_ORDER,
     BRANCH_OUTCOMES,
-    BRANCH_VERDICTS,
     OUTCOME_VERDICT,
     OUTCOMES,
     VERDICTS,
@@ -273,8 +273,10 @@ CLICK_PAIRS = [
 ]
 
 
+@functools.cache
 def rebuild_kernel_tables() -> dict:
-    """The tables `fibersdc.kernel` stores, built from the state algebra."""
+    """The tables `fibersdc.kernel` stores or derives, built from the state
+    algebra, and the verdict table whose diagonal the kernel derives."""
     outcomes = tuple(sorted(set(CLICK_PAIRS)))
     index = {o: i for i, o in enumerate(outcomes)}
     verdicts = (*BELL_ORDER, None)
@@ -298,7 +300,7 @@ def rebuild_kernel_tables() -> dict:
             minlength=len(outcomes),
         ),
         "BRANCH_OUTCOMES": branch_outcomes,
-        "BRANCH_VERDICTS": np.array(
+        "branch_verdicts": np.array(
             [
                 [np.bincount(outcome_verdict, weights=d, minlength=len(verdicts)) for d in pair]
                 for pair in branch_outcomes
@@ -308,46 +310,41 @@ def rebuild_kernel_tables() -> dict:
 
 
 _TABLE_FILE_HEADER = """\
-# Kernel tables of fibersdc.kernel, built from the state algebra.  Do not
-# edit: tests/test_interferometer.py rebuilds them and checks this file
-# bit for bit, and run as a script it writes the file anew:
+# Outcome table of fibersdc.kernel, built from the state algebra.  Do not
+# edit: tests/test_interferometer.py rebuilds it and checks this file bit
+# for bit, and run as a script it writes the file anew:
 #   PYTHONPATH=src python tests/test_interferometer.py > src/fibersdc/data/kernel_tables.txt
 #
-# [outcomes]: one row per entry of OUTCOMES, in order: the signature
-# (first port, first pol, second port, second pol, dt_bins), its index in
-# OUTCOME_VERDICT, its UNCORRELATED_DIST probability, then its
-# BRANCH_OUTCOMES probability for each class in BELL_ORDER, target branch
-# then leak branch.
-# [branch_verdicts]: BRANCH_VERDICTS over VERDICTS, one row per class in
-# BELL_ORDER and branch, target then leak.
+# One row per entry of OUTCOMES, in order: the signature (first port,
+# first pol, second port, second pol, dt_bins), its index in
+# OUTCOME_VERDICT, then its BRANCH_OUTCOMES probability for each class in
+# BELL_ORDER, target branch then leak branch.  The kernel derives the rest.
 """
 
 
 def render_kernel_tables(tables: dict) -> str:
     """The text of `data/kernel_tables.txt` for `tables`; floats as repr."""
-    lines = [_TABLE_FILE_HEADER, "[outcomes]\n"]
+    lines = [_TABLE_FILE_HEADER]
     branches = tables["BRANCH_OUTCOMES"].reshape(-1, len(tables["OUTCOMES"])).T
-    for o, v, u, row in zip(
-        tables["OUTCOMES"], tables["OUTCOME_VERDICT"].tolist(),
-        tables["UNCORRELATED_DIST"].tolist(), branches.tolist(),
-    ):
-        lines.append(" ".join([*o[:4], str(o.dt_bins), str(v), *map(repr, [u, *row])]) + "\n")
-    lines.append("[branch_verdicts]\n")
-    for row in tables["BRANCH_VERDICTS"].reshape(-1, len(VERDICTS)).tolist():
-        lines.append(" ".join(map(repr, row)) + "\n")
+    for o, v, row in zip(tables["OUTCOMES"], tables["OUTCOME_VERDICT"].tolist(), branches.tolist()):
+        lines.append(" ".join([*o[:4], str(o.dt_bins), str(v), *map(repr, row)]) + "\n")
     return "".join(lines)
 
 
 def test_stored_kernel_tables_equal_the_state_algebras():
     # Seeded outputs depend on the tables' last bits, through the sampler's
-    # inverse-CDF table: each bin must be the sum of its terms in order,
-    # which `np.bincount` adds as the algebra lists them.
+    # inverse-CDF table and the calibration score: each bin must be the sum
+    # of its terms in order, which `np.bincount` adds as the algebra lists
+    # them.  UNCORRELATED_DIST and the verdict diagonal are derived in the
+    # kernel, and must match too.
     rebuilt = rebuild_kernel_tables()
-    assert kernel.OUTCOMES == rebuilt.pop("OUTCOMES")
-    for name, want in rebuilt.items():
-        got = np.array(getattr(kernel, name))
+    assert kernel.OUTCOMES == rebuilt["OUTCOMES"]
+    for name in ("OUTCOME_VERDICT", "UNCORRELATED_DIST", "BRANCH_OUTCOMES"):
+        got, want = np.array(getattr(kernel, name)), rebuilt[name]
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
+    own = rebuilt["branch_verdicts"][range(4), :, range(4)]
+    assert np.array([d[3:] for d in kernel._DIAGONAL]).tobytes() == own.tobytes()
 
 
 def test_kernel_table_file_is_the_rendered_algebra():
@@ -407,10 +404,11 @@ def test_mean_diagonal_is_the_leak_weight_mixture(n):
     # text, not bit for bit.
     phis = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     phi0, phi1 = (a.ravel() for a in np.meshgrid(phis, phis, indexing="ij"))
+    verdicts = rebuild_kernel_tables()["branch_verdicts"]
     want = 0.0
     for k in range(len(BELL_ORDER)):
         w = leak_weight(k, phi0, phi1)
-        want += (1.0 - w) * BRANCH_VERDICTS[k][0][k] + w * BRANCH_VERDICTS[k][1][k]
+        want += (1.0 - w) * verdicts[k, 0, k] + w * verdicts[k, 1, k]
     want /= 4.0
     got = np.array([mean_diagonal(p0, p1) for p0, p1 in zip(phi0.tolist(), phi1.tolist())])
     assert np.all(np.abs(got - want) <= 4 * np.spacing(want))

@@ -447,12 +447,13 @@ def test_session_does_not_depend_on_the_run_length(monkeypatch):
 # Traced bytes per pixel of reading a generated image and sending it, at
 # most.  Measured 34 B/px on a 400x500 image (numpy 2.4), the parse's
 # peak: it holds the body text and one int64 per channel.  The session
-# peaks at 11 B/px, the image's pixel buffer included: `np.bincount`'s
-# int64 copy of the verdicts and a few one-byte arrays, since it reads
-# the pixel buffer in place and returns the received dibits and the
-# erasure flags as bytes (12 B/px with the flags as a list of bools,
-# 27 B/px with the dibits a list too).  Parsing one str per token and
-# drawing the session in one batch took 208 B/px.
+# peaks at 5 B/px, the image's pixel buffer included: a few one-byte
+# arrays, since it reads the pixel buffer in place, counts the verdicts
+# run by run and returns the received dibits and the erasure flags as
+# bytes (11 B/px with one `np.bincount` of all the verdicts, 12 B/px with
+# the flags a list of bools too, 27 B/px with the dibits a list too).
+# Parsing one str per token and drawing the session in one batch took
+# 208 B/px.
 _TRANSFER_BYTES_PER_PIXEL = 48
 
 

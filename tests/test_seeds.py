@@ -7,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fibersdc.cli import _settings_body
-from fibersdc.seeds import sha256, substream, substream_seed
+from fibersdc.seeds import _settings_body, sha256, substream, substream_seed
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fibersdc"
 
