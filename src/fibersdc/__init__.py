@@ -19,8 +19,7 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "capacity": (
         "CapacityResult", "bootstrap_ci", "channel_capacity", "estimate_conditionals",
-        "load_counts", "load_reference_counts", "mutual_information",
-        "partial_bsm_channel",
+        "mutual_information", "partial_bsm_channel",
     ),
     "configs": (
         "CHARACTERIZATION_DRIFT", "CHARACTERIZATION_SOURCE", "DEFAULT_INTERFEROMETER",
@@ -36,8 +35,9 @@ _EXPORTS = {
         "beamsplitter", "classify", "evolve_bsm", "load_reference_outputs",
         "measurement_distribution", "verdict_distribution",
     ),
-    "kernel": ("BELL_ORDER", "BellState", "DetectionOutcome", "verdict_label"),
-    "noise": ("generate_event_stream", "save_counts", "tally_verdicts"),
+    "kernel": ("BELL_ORDER", "BellState", "DetectionOutcome", "load_counts",
+               "load_reference_counts", "save_counts", "verdict_label"),
+    "noise": ("generate_event_stream", "tally_verdicts"),
     "protocol": ("SessionResult", "SessionStats", "run_session"),
     "sampler": ("PhaseWalk",),
     "seeds": ("substream",),

@@ -1,17 +1,16 @@
 """Channel-capacity analysis of the four-class verdict channel.
 
 The characterization run yields a 4x4 count matrix over (sent class,
-decoded verdict).  This module turns counts into conditional
-probabilities, computes mutual information, maximizes it over input
-distributions with the Blahut-Arimoto iteration, and attaches a bootstrap
-uncertainty to the capacity estimate.  All information quantities are in
-bits (base-2 logs).
+decoded verdict), read back by `kernel.load_counts`.  This module turns
+counts into conditional probabilities, computes mutual information,
+maximizes it over input distributions with the Blahut-Arimoto iteration,
+and attaches a bootstrap uncertainty to the capacity estimate.  All
+information quantities are in bits (base-2 logs).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -227,34 +226,3 @@ def partial_bsm_channel() -> np.ndarray:
         ]
     )
 
-
-def load_reference_counts() -> np.ndarray:
-    """The bundled bench count matrix (canonical Bell order).  Read by
-    path, as `kernel` reads its tables: `importlib.resources` would add
-    its import to the command's start-up."""
-    path = os.path.join(os.path.dirname(__file__), "data", "characterization_counts.txt")
-    return load_counts(path)
-
-
-def load_counts(path) -> np.ndarray:
-    """Read a whitespace-separated 4x4 count matrix, by
-    `kernel.count_matrix`'s rule.  `#` starts a comment; every data row
-    holds four integers."""
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read counts file {path}: {exc}") from exc
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ConfigError(f"count rows need 4 entries, got: {raw!r}")
-        try:
-            rows.append([int(p) for p in parts])
-        except ValueError as exc:
-            raise ConfigError(f"bad count entry in line: {raw!r}") from exc
-    return count_matrix(rows)

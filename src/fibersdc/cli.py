@@ -9,15 +9,16 @@ Four subcommands cover the package's workflows:
     transfer       send a four-gray image over the simulated link
 
 Every run writes a manifest (subcommand, resolved settings, their hash,
-seed, package version, random-stream version, no timestamps), so
-rerunning with the same seed and settings reproduces every output byte
-for byte.  `main` creates the output directory, runs the command's body,
-which writes its own files there and returns its report, and then writes
-the report and the manifest and echoes the report, so a failed run
-writes neither.  `characterize` and `transfer` take settings, the fields of
-their default configs (`configs.command_settings`), only from repeatable
---set KEY=VALUE overrides, merged by `configs.merged_settings`;
-`calibrate` and `capacity` depend on no setting and do not take --set.
+seed, package version, random-stream version, no timestamps), whose
+text `seeds.run_manifest` composes, so rerunning with the same seed and
+settings reproduces every output byte for byte.  `main` creates the
+output directory, runs the command's body, which writes its own files
+there and returns its report, and then writes the report and the
+manifest and echoes the report, so a failed run writes neither.
+`characterize` and `transfer` take settings, the fields of their default
+configs (`configs.command_settings`), only from repeatable --set
+KEY=VALUE overrides, merged by `configs.merged_settings`; `calibrate`
+and `capacity` depend on no setting and do not take --set.
 The output directory is --outdir, or the current directory without it.
 Exit codes: 0 success, 2 configuration problem, 1 anything else.
 
@@ -45,7 +46,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import ConfigError
-from .seeds import STREAM_VERSION, _settings_body, settings_digest
+from .seeds import run_manifest
 
 
 def write_report(
@@ -55,16 +56,8 @@ def write_report(
     echo the report to stdout."""
     report = "".join(f"{line}\n" for line in lines)
     (outdir / name).write_text(report, encoding="utf-8")
-    manifest = [
-        f"command={args.command}",
-        f"package_version={__version__}",
-        f"stream_version={STREAM_VERSION}",
-        f"master_seed={args.seed}",
-        f"settings_sha256={settings_digest(settings)}",
-        "",
-    ]
-    body = "".join(f"{line}\n" for line in manifest) + _settings_body(settings)
-    (outdir / "manifest.txt").write_text(body, encoding="utf-8")
+    manifest = run_manifest(args.command, args.seed, settings)
+    (outdir / "manifest.txt").write_text(manifest, encoding="utf-8")
     print(report, end="")
 
 

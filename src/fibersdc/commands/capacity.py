@@ -1,19 +1,14 @@
 """`fibersdc capacity`: the channel capacity of a count matrix, with a
 bootstrap spread.  It loads the capacity layer and the kernel's class
-labels."""
+labels and count file reader."""
 
 # The kernel loads first, before numpy: its tables then sit below
 # numpy's allocations, and the command's peak RSS was about 0.07 MB
 # lower than with the kernel loaded after (median of 30 runs).
-from ..kernel import BELL_ORDER
+from ..kernel import BELL_ORDER, load_counts, load_reference_counts
 
 from ..capacity import (
-    bootstrap_spread,
-    channel_capacity,
-    estimate_conditionals,
-    load_counts,
-    load_reference_counts,
-    mutual_information,
+    bootstrap_spread, channel_capacity, estimate_conditionals, mutual_information,
 )
 from ..seeds import substream
 

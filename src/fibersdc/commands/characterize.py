@@ -3,8 +3,8 @@
 It samples a timed run per sent class, tallies and logs each chunk of
 events, and writes the count matrix.  It loads numpy, the settings, the
 timed run (`fibersdc.noise`), the sampler and the kernel, and no
-capacity layer: `noise.save_counts` writes the counts that
-`capacity.load_counts` reads back.
+capacity layer: the kernel owns the count file, whose `save_counts`
+writes what its `load_counts` reads back.
 """
 
 import math
@@ -13,8 +13,8 @@ import numpy as np
 
 from ..configs import merged_settings, resolved_settings
 from ..errors import ConfigError
-from ..kernel import BELL_ORDER
-from ..noise import append_events, iter_event_chunks, open_event_log, save_counts, tally_verdicts
+from ..kernel import BELL_ORDER, save_counts
+from ..noise import append_events, iter_event_chunks, open_event_log, tally_verdicts
 from ..seeds import settings_digest, substream
 
 

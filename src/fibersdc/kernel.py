@@ -17,8 +17,9 @@ a calibration point in `math`.
 
 This module holds the kernel and what runs around it: the Bell classes,
 the dibit maps, the one rule for a dibit payload and the one rule for a
-count matrix, and the outcome tables.  The tables are plain tuples, so
-the module loads no numpy.  One table is stored, in
+count matrix, the count file (`save_counts` writes it and `load_counts`
+reads that grammar only), and the outcome tables.  The tables are plain
+tuples, so the module loads no numpy.  One table is stored, in
 `data/kernel_tables.txt` as `repr` floats, and read at import: each
 outcome's signature, its verdict and its probability on each class's
 target and leak branch.  The accidental distribution and the verdict
@@ -85,8 +86,12 @@ def dibit_array(dibits):
     A `bytes` payload, such as an image's pixel buffer, is read in place."""
     import numpy as np
 
-    values = np.frombuffer(dibits, np.uint8) if isinstance(dibits, bytes) else np.asarray(dibits)
-    if values.ndim != 1:
+    try:
+        values = (np.frombuffer(dibits, np.uint8) if isinstance(dibits, bytes)
+                  else np.asarray(dibits))
+    except ValueError:  # a ragged nesting
+        values = None
+    if values is None or values.ndim != 1:
         raise ConfigError(f"dibits must be a 1-D sequence, got {type(dibits).__name__}")
     if values.size and values.dtype.kind not in "biu":
         raise ConfigError(f"dibits must be integers or booleans, got {values.dtype}")
@@ -103,7 +108,10 @@ def count_matrix(counts):
     ConfigError naming the first bad row by its values."""
     import numpy as np
 
-    m = np.asarray(counts)
+    try:
+        m = np.asarray(counts)
+    except ValueError:  # a ragged nesting, refused by its shape or a row below
+        m = np.asarray(counts, dtype=object)
     if m.shape != (4, 4):
         raise ConfigError(f"a count matrix is 4x4, got shape {m.shape}")
     for row in m.tolist():
@@ -114,6 +122,46 @@ def count_matrix(counts):
                 + " ".join(map(str, row))
             )
     return m.astype(np.int64, copy=False)
+
+
+# Data files are read by path: `importlib.resources` costs ~1 ms of each command's start-up.
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _rows(lines) -> list[list[str]]:
+    """The fields of each row of a whitespace table; `#` starts a comment."""
+    return [fields for line in lines if (fields := line.split("#", 1)[0].split())]
+
+
+def save_counts(path, counts) -> None:
+    """Write a count matrix over (sent class, verdict), such as the first of
+    `noise.tally_verdicts`, a row per sent class; `count_matrix`'s rule
+    refuses, before the file is opened, what `load_counts` could not read."""
+    m = count_matrix(counts)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# rows: sent class, columns: verdict, canonical Bell order\n")
+        fh.writelines(" ".join(map(str, row)) + "\n" for row in m.tolist())
+
+
+def load_counts(path):
+    """Read a count matrix as `save_counts` writes it: `#` starts a comment
+    and a row is four fields of ASCII decimal digits, then `count_matrix`'s
+    rule.  Anything else, or a file not readable as UTF-8, is ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = _rows(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read counts file {path}: {exc}") from exc
+    for row in rows:
+        if len(row) != 4 or not all(f.isascii() and f.isdigit() for f in row):
+            line = " ".join(row)
+            raise ConfigError(f"counts file {path}: need four ASCII decimal counts, got {line!r}")
+    return count_matrix([[int(f) for f in row] for row in rows])
+
+
+def load_reference_counts():
+    """The bundled bench count matrix (canonical Bell order)."""
+    return load_counts(os.path.join(_DATA, "characterization_counts.txt"))
 
 
 class DetectionOutcome(NamedTuple):
@@ -174,13 +222,11 @@ LOOP_TRAVERSALS = ((2.0, 2.0), (2.0, 0.0), (2.0, 0.0), (0.0, 2.0))
 
 
 def _read_table() -> tuple[tuple, ...]:
-    """The outcome table, from the table file, opened by path:
-    `importlib.resources` would cost about a millisecond of every
-    command's start-up.  Each row ends in one column per distribution:
-    each class's target, then its leak."""
-    path = os.path.join(os.path.dirname(__file__), "data", "kernel_tables.txt")
-    with open(path, encoding="utf-8") as fh:
-        rows = [fields for line in fh if (fields := line.split("#", 1)[0].split())]
+    """The outcome table, from the table file.  Each row ends in one
+    column per distribution: each class's target, then its leak.  A
+    missing file is a broken install, not a ConfigError."""
+    with open(os.path.join(_DATA, "kernel_tables.txt"), encoding="utf-8") as fh:
+        rows = _rows(fh)
     columns = tuple(zip(*(map(float, row[6:]) for row in rows)))
     return (
         tuple(DetectionOutcome(*row[:4], int(row[4])) for row in rows),

@@ -10,9 +10,8 @@ generator, spawned from the caller's, and are consumed in a fixed amount
 per arrival or event; the events therefore do not depend on the chunk
 size.
 
-The module also tallies the verdicts and writes what a timed run keeps:
-the event log (`open_event_log`, `append_events`) and the count matrix
-(`save_counts`, which `capacity.load_counts` reads back).
+The module also tallies the verdicts and writes the event log
+(`open_event_log`, `append_events`); the kernel writes the count file.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from . import sampler
 from .configs import DriftConfig, InterferometerConfig, SourceConfig
 from .errors import ConfigError
 from .kernel import (
-    BELL_ORDER, OUTCOME_VERDICT, OUTCOMES, VERDICTS, BellState, count_matrix, verdict_label,
+    BELL_ORDER, OUTCOME_VERDICT, OUTCOMES, VERDICTS, BellState, verdict_label,
 )
 
 
@@ -136,18 +135,6 @@ def tally_verdicts(events: EventChunk) -> tuple[np.ndarray, np.ndarray]:
     table = np.bincount(events.truth * width + events.verdict, minlength=len(BELL_ORDER) * width)
     table = table.reshape(len(BELL_ORDER), width)
     return table[:, :-1], table[:, -1]
-
-
-def save_counts(path, counts) -> None:
-    """Write a count matrix over (sent class, verdict), such as the first
-    of `tally_verdicts`, in the text form `capacity.load_counts` reads;
-    `kernel.count_matrix`'s rule refuses, before the file is opened, what
-    it could not read back."""
-    m = count_matrix(counts)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# rows: sent class, columns: verdict, canonical Bell order\n")
-        for row in m.tolist():
-            fh.write(" ".join(map(str, row)) + "\n")
 
 
 # --------------------------------------------------------------------------

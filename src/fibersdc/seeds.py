@@ -4,12 +4,14 @@ Every stochastic component (source noise, phase drift, accidentals,
 bootstrap resampling, ...) pulls its generator from `substream`, so a
 single integer reproduces an entire run while keeping the streams
 statistically independent of each other.  The module also hashes a run's
-resolved settings (`settings_digest`), for its manifest and event log.
+resolved settings (`settings_digest`) and composes its manifest (`run_manifest`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+from . import __version__
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,6 +44,15 @@ def _settings_body(settings: dict[str, str]) -> str:
 def settings_digest(settings: dict[str, str]) -> str:
     """SHA-256 of the resolved settings, one `key=value` line per key."""
     return sha256(_settings_body(settings).encode("utf-8")).hexdigest()
+
+
+def run_manifest(command: str, master_seed: int, settings: dict[str, str]) -> str:
+    """A run's `manifest.txt`: command, package and stream versions, master seed
+    and settings digest, then a blank line and the settings; no timestamp."""
+    return (
+        f"command={command}\npackage_version={__version__}\nstream_version={STREAM_VERSION}\n"
+        f"master_seed={master_seed}\nsettings_sha256={settings_digest(settings)}\n\n"
+    ) + _settings_body(settings)
 
 
 def substream_seed(master_seed: int, name: str) -> np.random.SeedSequence:

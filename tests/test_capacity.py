@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,13 +16,11 @@ from fibersdc.capacity import (
     bootstrap_spread,
     channel_capacity,
     estimate_conditionals,
-    load_counts,
-    load_reference_counts,
     mutual_information,
     partial_bsm_channel,
 )
 from fibersdc.errors import ConfigError
-from fibersdc.noise import save_counts
+from fibersdc.kernel import load_counts, load_reference_counts, save_counts
 from fibersdc.seeds import substream
 
 UNIFORM = np.full(4, 0.25)
@@ -353,6 +352,7 @@ BAD_COUNT_MATRICES = {
     "shape-2x3": np.ones((2, 3), dtype=int),
     "shape-3x4": np.ones((3, 4)),
     "shape-4x5": np.ones((4, 5)),
+    "ragged": [[1, 2, 3, 4], [1]],
     "strings": np.full((4, 4), "1"),
     "entry-beyond-int64": _first_row([10**29, 1, 1, 1]),
     "float-beyond-int64": np.full((4, 4), 1e300),
@@ -366,7 +366,7 @@ def _load_as_file(tmp_path, counts):
     """`load_counts` of a file of `counts`' values, a row per line, as
     `repr` spells them (a string in its quotes)."""
     path = tmp_path / "input.txt"
-    rows = np.asarray(counts).tolist()
+    rows = np.asarray(counts, dtype=object).tolist()
     path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
     return load_counts(path)
 
@@ -398,6 +398,7 @@ def _matrices(entries):
 ))
 @example(BENCH_COUNTS)
 @example(np.array(_first_row([2**63 - 4, 1, 1, 1]), dtype=object))  # a row total of 2**63 - 1
+@example([[np.int64(1)] * 4] * 4)  # numpy scalars, not Python numbers
 def test_count_files_read_back_every_matrix_the_rule_accepts(tmp_path_factory, counts):
     path = tmp_path_factory.mktemp("counts") / "counts.txt"
     save_counts(path, counts)
@@ -424,3 +425,52 @@ def test_count_file_rejects_malformed(tmp_path, text):
 def test_count_file_missing_raises_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_counts(tmp_path / "absent.txt")
+
+
+# Spellings `int()` takes and `save_counts` never writes: a count field is
+# ASCII decimal digits, as a PPM number is.
+SPELLED_COUNTS = {
+    "underscore": "1_0",
+    "plus-sign": "+2",
+    "minus-zero": "-0",
+    "arabic-indic-digit": "\u0663",
+    "full-width-digit": "\uff11",
+    "decimal-point": "1.0",
+}
+
+
+def _count_file(path, field):
+    """A count file of ones whose first field is `field`."""
+    path.write_text(f"{field} 1 1 1\n" + "1 1 1 1\n" * 3, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("field", SPELLED_COUNTS.values(), ids=SPELLED_COUNTS.keys())
+def test_count_file_refuses_a_spelled_count(tmp_path, field):
+    path = _count_file(tmp_path / "spelled.txt", field)
+    message = re.escape(f"counts file {path}: ") + ".*" + re.escape(field)
+    with pytest.raises(ConfigError, match=message):
+        load_counts(path)
+
+
+def test_count_file_takes_blanks_comments_and_no_header(tmp_path):
+    path = tmp_path / "counts.txt"
+    path.write_text("\n  # a comment\n\t1 2 3 4  # a row\n\n" + " 5 6 7 8\n" * 3)
+    assert load_counts(path).tolist() == [[1, 2, 3, 4], *[[5, 6, 7, 8]] * 3]
+
+
+# A text with a blank at either end is not one field: the reader splits on
+# blanks.  Four characters cannot hold a row of four fields and a line break.
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=4), st.text("0123456789", min_size=1, max_size=4))
+       .filter(lambda text: text == text.strip()))
+@example("0")
+@example("\u0663")
+def test_a_count_field_loads_if_and_only_if_it_is_ascii_digits(tmp_path_factory, text):
+    path = _count_file(tmp_path_factory.mktemp("counts") / "counts.txt", text)
+    try:
+        load_counts(path)
+        loaded = True
+    except ConfigError:
+        loaded = False
+    assert loaded == (text.isascii() and text.isdigit())

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 import fibersdc
 from fibersdc import noise, sampler
-from fibersdc.capacity import channel_capacity, estimate_conditionals, load_counts
+from fibersdc.capacity import channel_capacity, estimate_conditionals
 from fibersdc.cli import COMMANDS, _options, _plain_args, build_parser, main
 from fibersdc.configs import command_settings
 from fibersdc.imagecodec import ImageRaster, read_ppm, write_ppm
 from fibersdc.interferometer import InterferometerConfig, verdict_distribution
-from fibersdc.kernel import BELL_ORDER
+from fibersdc.kernel import BELL_ORDER, load_counts
 
 ACCEPTED_KEYS = {
     command: {name for cfg in command_settings(command) for name in cfg._fields}
@@ -177,7 +177,7 @@ def test_capacity_on_bundled_counts(tmp_path):
 
 
 def test_capacity_reads_the_counts_characterize_writes(tmp_path):
-    # `noise.save_counts` writes counts.txt and `capacity.load_counts`
+    # `kernel.save_counts` writes counts.txt and `kernel.load_counts`
     # reads it back, through the command line.
     assert main([
         "characterize", "--outdir", str(tmp_path / "run"), "--seconds-per-state", "0.5",
@@ -321,6 +321,7 @@ INPUTS = {
     "settings.cfg": b"grid = 3\n",
     "binary.ppm": b"P6\n2 1\n255\n\xff\x00\x00\xff\x00\x00",  # not UTF-8
     "digits.ppm": ("P3 \u0663 1 255" + " 0" * 9).encode(),  # an Arabic-Indic 3
+    "spelled.txt": ("1_0 +2 \u0663 4\n" + "1 1 1 1\n" * 3).encode(),  # int() takes each
     "blocker": b"",  # a file where a directory should be
     **{f"counts{i}.txt": (row + "\n" + "1 1 1 1\n" * 3).encode()
        for i, row in enumerate(BIG_COUNTS)},
@@ -378,6 +379,8 @@ BAD_COMMAND_LINES = [
     (["transfer", "--image", "absent.ppm"], ["cannot read image absent.ppm"]),
     (["transfer", "--image", "digits.ppm"], ["bad image header"]),
     (["capacity", "--counts", "absent.txt"], ["cannot read counts file absent.txt"]),
+    (["capacity", "--counts", "spelled.txt"],
+     ["counts file spelled.txt", "four ASCII decimal counts", "'1_0 +2 \u0663 4'"]),
     *(([c, option, "binary.ppm"], ["binary.ppm", "utf-8"])
       for c, option in [("transfer", "--image"), ("capacity", "--counts")]),
     *((["capacity", "--counts", f"counts{i}.txt"], [row]) for i, row in enumerate(BIG_COUNTS)),

@@ -1,20 +1,20 @@
 """What the package's modules import, what each command loads, and who
 calls the public functions and reads the public names.
 
-No linter is among the test dependencies, so the first check reads each
-module's syntax tree: a name an import binds must be read somewhere in
-the module.  `__init__.py` is skipped, since it resolves the public API
-by name.  The second runs each command in a fresh interpreter through
-the process entry and checks `sys.modules` at its exit against
-`FOOTPRINTS`, the one statement of what each command loads, and that
-hashing still works there without OpenSSL; it also checks that the
-kernel loads no numpy when its tables are read and a calibration point
-is scored.  The third reads
-the syntax trees of the package, the demos and the acceptance tests:
-each public function a module of the package defines at its top level
-must be referred to there, outside its own definition.  The fourth
-widens the third to every public name a module defines at its top
-level, read by the package, the demos or any test.
+No linter is among the test dependencies, so the first check reads the
+syntax tree of each module, test and demo: a name an import binds must
+be read somewhere in the file.  The package's `__init__.py` is skipped,
+since it resolves the public API by name.  The second runs each command
+in a fresh interpreter through the process entry and checks `sys.modules`
+at its exit against `FOOTPRINTS`, the one statement of what each command
+loads, and that hashing still works there without OpenSSL; it also
+checks that the kernel loads no numpy when its tables are read and a
+calibration point is scored.  The third reads the syntax trees of the
+package, the demos and the acceptance tests: each public function a
+module of the package defines at its top level must be referred to
+there, outside its own definition.  The fourth widens the third to every
+public name a module defines at its top level, read by the package, the
+demos or any test.
 """
 
 import ast
@@ -31,6 +31,8 @@ PACKAGE = ROOT / "src" / "fibersdc"
 # Every source file of the package, its subpackages included.
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,7 +54,10 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["2: np", "3: c"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+@pytest.mark.parametrize(
+    "path", [*MODULES, *TESTS, *DEMOS],
+    ids=lambda p: p.relative_to(PACKAGE if PACKAGE in p.parents else ROOT).as_posix(),
+)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -66,7 +71,7 @@ def test_module_has_no_unused_imports(path):
 # it, and argparse is left to help, `--version`, abbreviations and
 # errors.  The settings load only for the commands that take them, and
 # numpy for the commands that use arrays.  `characterize` writes its
-# counts through the timed-run layer and loads no capacity layer;
+# counts through the kernel and loads no capacity layer;
 # `transfer` draws through the sampler and loads no timed-run layer.
 COMMANDS = ["calibrate", "capacity", "characterize", "transfer"]
 
@@ -144,11 +149,7 @@ def test_the_kernel_loads_no_numpy_whatever_is_read():
     assert (done.stderr, done.stdout.split()) == ("", ["False"])
 
 
-CALLER_SOURCES = [
-    *SOURCES,
-    *sorted((ROOT / "demos").glob("*.py")),
-    ROOT / "tests" / "test_acceptance.py",
-]
+CALLER_SOURCES = [*SOURCES, *DEMOS, ROOT / "tests" / "test_acceptance.py"]
 
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -211,12 +212,7 @@ def test_every_public_function_has_a_caller():
 
 
 def test_every_public_name_is_read():
-    readers = [
-        *SOURCES,
-        *sorted((ROOT / "demos").glob("*.py")),
-        *sorted((ROOT / "tests").glob("*.py")),
-    ]
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in readers]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in [*SOURCES, *DEMOS, *TESTS]]
     unread = [
         f"{path.stem}.{name}"
         for path in SOURCES

@@ -352,6 +352,14 @@ def test_kernel_table_file_is_the_rendered_algebra():
     assert stored.read_text(encoding="utf-8") == render_kernel_tables(rebuild_kernel_tables())
 
 
+def test_a_missing_kernel_table_is_not_a_config_error(tmp_path, monkeypatch):
+    # It shares its row reader with the count file, whose read errors are
+    # ConfigError (exit 2); a command without its table exits 1.
+    monkeypatch.setattr(kernel, "_DATA", str(tmp_path))
+    with pytest.raises(FileNotFoundError):
+        kernel._read_table()
+
+
 MOVED_TO_KERNEL = {
     states: ["BellState", "BELL_ORDER"],
     interferometer: ["BellState", "BELL_ORDER", "DetectionOutcome", "CAL_DEPTH", "LOOP_TRAVERSALS"],

@@ -310,6 +310,7 @@ BAD_PAYLOADS = {
     "a float among flags": ([1.0, True, 2], "dibits must be integers or booleans, got float64"),
     "a count": (2, "dibits must be a 1-D sequence"),
     "nested": ([[1]], "dibits must be a 1-D sequence"),
+    "ragged": ([[1, 2, 3, 4], [1]], "dibits must be a 1-D sequence"),
 }
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from fibersdc.seeds import _settings_body, sha256, substream, substream_seed
+from fibersdc import __version__
+from fibersdc.seeds import _settings_body, run_manifest, sha256, substream, substream_seed
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fibersdc"
 
@@ -39,6 +40,21 @@ def test_builtin_sha256_matches_hashlib_on_a_settings_body():
     body = _settings_body({"source_fidelity": "0.97", "image": "'bundled:demo'", "grid": "25"})
     data = body.encode("utf-8")
     assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_the_manifest_text_is_pinned():
+    # `capacity --counts x.txt --resamples 10 --seed 7`'s manifest.txt
+    settings = {"resamples": "10", "counts": "x.txt"}
+    assert run_manifest("capacity", 7, settings) == (
+        "command=capacity\n"
+        f"package_version={__version__}\n"
+        "stream_version=2\n"
+        "master_seed=7\n"
+        "settings_sha256=f0e4358bc30cba7f3a3ed716c0ac5a974b2560f49ebc6f90082c355040101354\n"
+        "\n"
+        "counts=x.txt\n"
+        "resamples=10\n"
+    )
 
 
 def test_substream_seed_is_pinned():
