@@ -130,7 +130,12 @@ class TimingConfig(CheckedRecord, _Timing):
     """Wall-clock model of the classical and quantum steps.
 
     The link never loses a message, so a session charges three one-way
-    latencies per frame and no retransmission timeout.
+    latencies per frame and no retransmission timeout.  Each step is at
+    most 1e6 s, so no session numpy can index overflows: fewer than 2**63
+    frames of at most 5e6 s each close their last window before 4.7e25 s,
+    which, at a period of at least 1e-6 s, ends at most 4.7e31 periods.
+    Their pauses keep the elapsed time below 4.7e37 s, and no walk step
+    exceeds 1e6 * sqrt(4.7e25), about 6.9e18 rad.
     """
 
     __slots__ = ()
@@ -138,8 +143,8 @@ class TimingConfig(CheckedRecord, _Timing):
     def _check(self):
         require_finite(self)
         for name, value in zip(self._fields, self):
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not (0 <= value <= 1e6):
+                raise ConfigError(f"{name} must be within [0, 1e6] s, got {value!r}")
         if self.frame_window_s <= 0:
             raise ConfigError("frame_window_s must be positive")
 

@@ -146,7 +146,8 @@ def save_counts(path, counts) -> None:
 def load_counts(path):
     """Read a count matrix as `save_counts` writes it: `#` starts a comment
     and a row is four fields of ASCII decimal digits, then `count_matrix`'s
-    rule.  Anything else, or a file not readable as UTF-8, is ConfigError."""
+    rule.  Anything else, or a file not readable as UTF-8, is a ConfigError
+    that names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             rows = _rows(fh)
@@ -156,7 +157,10 @@ def load_counts(path):
         if len(row) != 4 or not all(f.isascii() and f.isdigit() for f in row):
             line = " ".join(row)
             raise ConfigError(f"counts file {path}: need four ASCII decimal counts, got {line!r}")
-    return count_matrix([[int(f) for f in row] for row in rows])
+    try:
+        return count_matrix([[int(f) for f in row] for row in rows])
+    except ConfigError as exc:
+        raise ConfigError(f"counts file {path}: {exc}") from None
 
 
 def load_reference_counts():

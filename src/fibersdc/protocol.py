@@ -14,14 +14,12 @@ loop; its detections come from `fibersdc.sampler`.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import sampler
 from .configs import DriftConfig, InterferometerConfig, SourceConfig, TimingConfig
-from .errors import ConfigError
 from .kernel import (
     BELL_TO_DIBIT, DIBIT_TO_BELL, OUTCOME_VERDICT, VERDICTS, dibit_array, verdict_label,
 )
@@ -69,8 +67,7 @@ def _window_closes(
     clock[:, 3] = timing.encoder_settle_s
     clock[:, 4] = np.minimum(gap, timing.frame_window_s)
     clock[:1, 0] = 0.0 if after is None else after + timing.message_latency_s
-    with np.errstate(over="ignore"):  # run_session refuses an infinite close
-        np.cumsum(clock, out=clock.reshape(-1))
+    np.cumsum(clock, out=clock.reshape(-1))
     return clock[:, 4].copy()
 
 
@@ -91,16 +88,13 @@ def run_session(
     the lossless link no verdict changes the message flow, so the windows
     close at times known in closed form and the final RECEIPT adds one
     hop.  One loop takes the frames in runs of `sampler.EVENT_CHUNK`: it
-    draws a run's arrival gaps, lays out its window closes, refuses a
-    session time or recalibration pauses that overflow, and then draws
-    the run's detections in one batch.  Every generator is consumed in
-    frame order, so the outputs do not depend on the run length, and of
-    two overflows in different runs the first met in frame order is
-    reported.  Phase drift advances on operating time, and each
-    recalibration period that ends before the last window closes inserts
-    a fixed pause; the analyzer sits at the walk's phases, whatever
-    offsets `interf_cfg` holds.  Everything is reproducible from the
-    master seed.
+    draws a run's arrival gaps, lays out its window closes, and then
+    draws the run's detections in one batch.  Every generator is consumed
+    in frame order, so the outputs do not depend on the run length.
+    Phase drift advances on operating time, and each recalibration period
+    that ends before the last window closes inserts a fixed pause; the
+    analyzer sits at the walk's phases, whatever offsets `interf_cfg`
+    holds.  Everything is reproducible from the master seed.
     """
     dibits = dibit_array(dibits)
     n = len(dibits)
@@ -110,37 +104,26 @@ def run_session(
     verdict = np.full(n, _AMBIGUOUS, dtype=np.int8)
     # Counted run by run: one bincount of the whole array would cast it to int64.
     counts = np.zeros(len(VERDICTS), dtype=np.int64)
-    last_close, timeout_count, recalibrations, elapsed = None, 0, 0, 0.0
+    last_close, timeout_count = None, 0
     for a in range(0, n, sampler.EVENT_CHUNK):
         b = min(a + sampler.EVENT_CHUNK, n)
         gap = rng_arr.exponential(1.0 / source_cfg.total_rate_hz, b - a)
         closes = _window_closes(gap, timing, last_close)
         last_close = float(closes[-1])
-        # Both overflows are checked before the run is drawn: the walk
-        # never meets an infinite time.
-        op_time = last_close + timing.message_latency_s
-        if not math.isfinite(op_time):
-            raise ConfigError(
-                "session time overflows; lower message_latency_s, encoder_settle_s or "
-                "frame_window_s"
-            )
-        # Every period boundary up to the run's last window close is a
-        # recalibration, by the walk's own rule, whether or not a detection
-        # follows it.
-        resets = float(walk.resets_by(last_close))
-        recalibrations = int(resets) if math.isfinite(resets) else 0
-        elapsed = op_time + recalibrations * timing.recalibration_pause_s
-        if not (math.isfinite(resets) and math.isfinite(elapsed)):
-            raise ConfigError(
-                "recalibration pauses overflow the session time; raise recalibration_period_s "
-                "or lower recalibration_pause_s"
-            )
         detected = gap < timing.frame_window_s
         timeout_count += int((~detected).sum())
         sent = _DIBIT_CLASS[dibits[a:b][detected]]
         outcome = sampler.sample_detections(sent, closes[detected], walk, source_cfg, rng_q)
         verdict[a:b][detected] = np.take(OUTCOME_VERDICT, outcome)
         counts += np.bincount(verdict[a:b], minlength=len(VERDICTS))
+    recalibrations, elapsed = 0, 0.0
+    if n:
+        # Every period boundary up to the last window close is a
+        # recalibration, by the walk's own rule, whether or not a detection
+        # follows it.
+        recalibrations = int(walk.resets_by(last_close))
+        op_time = last_close + timing.message_latency_s
+        elapsed = op_time + recalibrations * timing.recalibration_pause_s
     erasures = verdict == _AMBIGUOUS
 
     throughput = (2.0 * n / elapsed) if elapsed > 0 else 0.0

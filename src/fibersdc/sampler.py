@@ -68,9 +68,8 @@ class PhaseWalk:
         # Each query continues the walk from the one before it, the first
         # from where the previous call left it.
         prev = np.concatenate(([self._t], times))
-        if prev[1] < self._t - 1e-9 or (n > 1 and (prev[2:] < prev[1:-1]).any()):
+        if (prev[1:] < prev[:-1]).any():
             raise ConfigError("PhaseWalk queries must be non-decreasing in time")
-        prev[1] = max(prev[1], self._t)
         cfg = self._cfg
         period = self.resets_by(prev)
         reset = period[1:] > period[:-1]

@@ -12,7 +12,7 @@ import fibersdc
 from fibersdc import noise, sampler
 from fibersdc.capacity import channel_capacity, estimate_conditionals
 from fibersdc.cli import COMMANDS, _options, _plain_args, build_parser, main
-from fibersdc.configs import command_settings
+from fibersdc.configs import TimingConfig, command_settings
 from fibersdc.imagecodec import ImageRaster, read_ppm, write_ppm
 from fibersdc.interferometer import InterferometerConfig, verdict_distribution
 from fibersdc.kernel import BELL_ORDER, load_counts
@@ -321,6 +321,7 @@ INPUTS = {
     "settings.cfg": b"grid = 3\n",
     "binary.ppm": b"P6\n2 1\n255\n\xff\x00\x00\xff\x00\x00",  # not UTF-8
     "digits.ppm": ("P3 \u0663 1 255" + " 0" * 9).encode(),  # an Arabic-Indic 3
+    "three.txt": b"1 2 3 4\n" * 3,  # well-formed rows, one too few
     "spelled.txt": ("1_0 +2 \u0663 4\n" + "1 1 1 1\n" * 3).encode(),  # int() takes each
     "blocker": b"",  # a file where a directory should be
     **{f"counts{i}.txt": (row + "\n" + "1 1 1 1\n" * 3).encode()
@@ -342,8 +343,6 @@ def _non_finite(key, value):
 
 
 RATES = ["coincidence_rate_hz", "accidental_rate_hz"]
-TIMELINE = ["message_latency_s", "encoder_settle_s", "frame_window_s"]
-PAUSES = ["recalibration_period_s", "recalibration_pause_s"]
 
 # Every command line that must be refused, with what its message must
 # hold.  `--outdir out` is appended to a line that names no output
@@ -358,12 +357,8 @@ BAD_COMMAND_LINES = [
     (["characterize", "--seconds-per-state", "1e300"], [*RATES, "seconds_per_state"]),
     # Each rate is finite and their sum is not.
     *((_set(c, *(f"{k}=1e308" for k in RATES)), RATES) for c in ("characterize", "transfer")),
-    # One step is finite and the window closes summed over the session are not.
-    *((_set("transfer", f"{key}=1e308"), TIMELINE) for key in TIMELINE[:2]),
-    # The recalibration count overflows, or it is finite and its pauses
-    # overflow the elapsed time.
-    (_set("transfer", "message_latency_s=1e300", "recalibration_period_s=1e-6"), PAUSES),
-    (_set("transfer", "recalibration_pause_s=1e308", "recalibration_period_s=1e-6"), PAUSES),
+    # A step beyond its bound, which keeps every session's time finite.
+    *((_set("transfer", f"{key}=2e6"), [f"{key} must be", "1e6"]) for key in TimingConfig._fields),
     # 5e-324 s passes a positivity check, then overflows the period count.
     *((_set(c, "recalibration_period_s=5e-324"), ["recalibration_period_s must be at least 1e-6"])
       for c in ("characterize", "transfer")),
@@ -379,6 +374,7 @@ BAD_COMMAND_LINES = [
     (["transfer", "--image", "absent.ppm"], ["cannot read image absent.ppm"]),
     (["transfer", "--image", "digits.ppm"], ["bad image header"]),
     (["capacity", "--counts", "absent.txt"], ["cannot read counts file absent.txt"]),
+    (["capacity", "--counts", "three.txt"], ["counts file three.txt", "4x4"]),
     (["capacity", "--counts", "spelled.txt"],
      ["counts file spelled.txt", "four ASCII decimal counts", "'1_0 +2 \u0663 4'"]),
     *(([c, option, "binary.ppm"], ["binary.ppm", "utf-8"])

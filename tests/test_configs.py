@@ -31,10 +31,11 @@ OUT_OF_RANGE = {
     "sigma_rad_per_sqrt_s": (-0.5, 1e308),
     "recalibration_period_s": (1e-7, 0.0),
     "recalibration_residual_rad": (4.0, -1e308),
-    "message_latency_s": (-0.1,),
-    "encoder_settle_s": (-0.1,),
-    "frame_window_s": (0.0,),
-    "recalibration_pause_s": (-2.0,),
+    # A step beyond 1e6 s could overflow a session's time.
+    "message_latency_s": (-0.1, 2e6),
+    "encoder_settle_s": (-0.1, 2e6),
+    "frame_window_s": (0.0, 2e6),
+    "recalibration_pause_s": (-2.0, 2e6),
 }
 
 BAD_VALUES = [

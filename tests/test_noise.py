@@ -3,7 +3,7 @@ import pytest
 
 from conftest import kernel_mixture
 
-from fibersdc import sampler
+from fibersdc import noise, sampler
 from fibersdc.configs import (
     CHARACTERIZATION_DRIFT,
     CHARACTERIZATION_SOURCE,
@@ -107,8 +107,9 @@ def test_batch_walk_resets_at_boundaries_however_the_times_are_split():
 def test_phase_walk_rejects_backwards_queries():
     walk = PhaseWalk(DriftConfig(), substream(9, "test.walk.back"))
     walk.advance(np.array([10.0]))
-    with pytest.raises(ConfigError):
-        walk.advance(np.array([5.0]))
+    for times in ([5.0], [10.0 - 1e-10], [10.0, 12.0, 11.0]):
+        with pytest.raises(ConfigError, match="non-decreasing"):
+            walk.advance(np.array(times))
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +323,14 @@ def test_event_log_writes_the_header_columns_and_one_row_per_event(tmp_path, mon
                 f"{out.second_port},{out.second_pol},{out.dt_bins},{verdict_label(VERDICTS[v])}"
             )
     assert path.read_text(encoding="utf-8") == "".join(line + "\n" for line in want)
+
+    # A header that cannot be written leaves no file open.
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+    monkeypatch.setattr(noise, "open", recording_open, raising=False)
+    with pytest.raises(TypeError):
+        open_event_log(path, {"a": "1", 2: "2"})  # keys that do not sort
+    assert len(opened) == 1 and opened[0].closed

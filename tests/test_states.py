@@ -138,6 +138,11 @@ def test_fidelity_properties(rng):
     assert state_fidelity(
         make_bell(BellState.PHI_PLUS), make_bell(BellState.PSI_PLUS)
     ) == pytest.approx(0.0, abs=1e-12)
+    # Either order of a larger and a smaller state is the plain inner product.
+    bell = make_bell(BellState.PHI_PLUS)
+    assert len(a) > len(bell)
+    assert overlap(a, bell) == pytest.approx(np.vdot(va, _vector_of(bell)))
+    assert overlap(bell, a) == pytest.approx(np.vdot(_vector_of(bell), va))
 
 
 def test_dump_parse_roundtrip(rng):
