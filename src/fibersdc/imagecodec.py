@@ -66,13 +66,13 @@ def pack_dibits(dibits) -> bytes:
     return np.packbits(bits).tobytes()
 
 
-def unpack_dibits(data: bytes, count: int) -> list[int]:
+def unpack_dibits(data: bytes, count: int) -> bytes:
     """The first `count` dibits of `pack_dibits` output."""
     count = require_integer(count, "dibit count")
     if not 0 <= count <= 4 * len(data):
         raise ConfigError(f"cannot unpack {count} dibits from {len(data)} bytes")
     bits = np.unpackbits(np.frombuffer(data, np.uint8), count=2 * count)
-    return (2 * bits[0::2] + bits[1::2]).tolist()
+    return (2 * bits[0::2] + bits[1::2]).tobytes()
 
 
 def image_fidelity(a: ImageRaster, b: ImageRaster) -> float:

@@ -129,7 +129,7 @@ def run_session(
     throughput = (2.0 * n / elapsed) if elapsed > 0 else 0.0
     stats = SessionStats(
         frames=n,
-        erasure_count=int(erasures.sum()),
+        erasure_count=int(counts[_AMBIGUOUS]),
         timeout_count=timeout_count,
         elapsed_s=elapsed,
         throughput_bits_per_s=throughput,

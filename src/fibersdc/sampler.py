@@ -68,8 +68,8 @@ class PhaseWalk:
         # Each query continues the walk from the one before it, the first
         # from where the previous call left it.
         prev = np.concatenate(([self._t], times))
-        if (prev[1:] < prev[:-1]).any():
-            raise ConfigError("PhaseWalk queries must be non-decreasing in time")
+        if not (np.isfinite(times).all() and (prev[1:] >= prev[:-1]).all()):
+            raise ConfigError("PhaseWalk queries must be finite and non-decreasing in time")
         cfg = self._cfg
         period = self.resets_by(prev)
         reset = period[1:] > period[:-1]
@@ -89,13 +89,6 @@ class PhaseWalk:
         self._phases = level.copy()
         self._t = float(prev[-1])
         return phases
-
-
-def _emitted(sent, u_keep, u_pick, fidelity):
-    """Emitted class index: `sent` when u_keep < fidelity, else one of the
-    three others, uniformly by u_pick."""
-    shift = (u_keep >= fidelity) * (1 + (3.0 * u_pick).astype(int))
-    return (sent + shift) % len(BELL_ORDER)
 
 
 def _sampling_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,21 +116,6 @@ _ACCIDENTAL_GROUP = len(_GROUP_LAST) - 1
 _DRAWS_PER_EVENT = 5
 
 
-def _sample_outcomes(sent, phases: np.ndarray, config: SourceConfig, u: np.ndarray):
-    """Outcome index (into OUTCOMES) per event.
-
-    `sent` holds class indices, `phases` the loop phases on its last axis
-    and `u` the event's uniforms on its last axis; one event takes
-    scalars, a batch takes arrays.
-    """
-    emitted = _emitted(sent, u[..., 1], u[..., 2], config.source_fidelity)
-    leak = u[..., 3] < leak_weight(emitted, phases[..., 0], phases[..., 1])
-    group = np.where(u[..., 0] < config.accidental_fraction, _ACCIDENTAL_GROUP, 2 * emitted + leak)
-    # Rounding can lift group + u onto the group's last entry, never further.
-    at = _GROUP_CDF.searchsorted(group + u[..., 4], side="right")
-    return _GROUP_OUTCOME[np.minimum(at, _GROUP_LAST[group])]
-
-
 def sample_detections(
     truth: np.ndarray,
     times: np.ndarray,
@@ -154,4 +132,13 @@ def sample_detections(
     an uncorrelated accidental instead of a real pair.
     """
     u = rng.random((len(times), _DRAWS_PER_EVENT))
-    return _sample_outcomes(truth, walk.advance(times), source_cfg, u)
+    phases = walk.advance(times)
+    # Emitted class: the sent one if u1 < fidelity, else another, uniformly by u2.
+    shift = (u[:, 1] >= source_cfg.source_fidelity) * (1 + (3.0 * u[:, 2]).astype(int))
+    emitted = (truth + shift) % len(BELL_ORDER)
+    leak = u[:, 3] < leak_weight(emitted, phases[:, 0], phases[:, 1])
+    accidental = u[:, 0] < source_cfg.accidental_fraction
+    group = np.where(accidental, _ACCIDENTAL_GROUP, 2 * emitted + leak)
+    # Rounding can lift group + u onto the group's last entry, never further.
+    at = _GROUP_CDF.searchsorted(group + u[:, 4], side="right")
+    return _GROUP_OUTCOME[np.minimum(at, _GROUP_LAST[group])]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import __version__
+from .errors import ConfigError, require_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,14 +62,17 @@ def substream_seed(master_seed: int, name: str) -> np.random.SeedSequence:
     The name is hashed with SHA-256 so adding new substreams never
     perturbs existing ones, and the result does not depend on Python's
     per-process string hashing.  The master seed enters whole, so every
-    non-negative integer gives its own streams; a negative one raises
-    ValueError.
+    non-negative integer gives its own streams; a negative one, or one
+    that is not an integer, raises ConfigError.
     """
     import numpy as np
 
+    seed = require_integer(master_seed, "master seed")
+    if seed < 0:
+        raise ConfigError(f"master seed must be non-negative, got {seed}")
     digest = sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.SeedSequence(entropy=[int(master_seed)] + words)
+    return np.random.SeedSequence(entropy=[seed] + words)
 
 
 def substream(master_seed: int, name: str) -> np.random.Generator:

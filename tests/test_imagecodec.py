@@ -31,7 +31,7 @@ def test_pack_unpack_roundtrip():
     for dibits in ([0], [1, 2], [3, 2, 1], list(range(4)) * 5, [2] * 7):
         packed = pack_dibits(dibits)
         assert len(packed) == (len(dibits) + 3) // 4
-        assert unpack_dibits(packed, len(dibits)) == dibits
+        assert unpack_dibits(packed, len(dibits)) == bytes(dibits)
 
 
 def test_pack_matches_a_bytewise_loop():

@@ -107,7 +107,7 @@ def test_batch_walk_resets_at_boundaries_however_the_times_are_split():
 def test_phase_walk_rejects_backwards_queries():
     walk = PhaseWalk(DriftConfig(), substream(9, "test.walk.back"))
     walk.advance(np.array([10.0]))
-    for times in ([5.0], [10.0 - 1e-10], [10.0, 12.0, 11.0]):
+    for times in ([5.0], [10.0 - 1e-10], [10.0, 12.0, 11.0], [np.nan], [np.inf], [11.0, np.nan]):
         with pytest.raises(ConfigError, match="non-decreasing"):
             walk.advance(np.array(times))
 

@@ -355,9 +355,9 @@ def _frame_by_frame(dibits, source, drift, timing, seed):
             verdict = None
         else:
             op_time += gap
-            phases = walk.advance(np.array([op_time]))[0]
-            u = rng_q.random(5)
-            outcome = sampler._sample_outcomes(DIBIT_TO_BELL[dibit].index, phases, source, u)
+            outcome = sampler.sample_detections(
+                np.array([DIBIT_TO_BELL[dibit].index]), np.array([op_time]), walk, source, rng_q
+            )[0]
             verdict = classify(OUTCOMES[int(outcome)])
         counts[verdict_label(verdict)] = counts.get(verdict_label(verdict), 0) + 1
         received.append(0 if verdict is None else BELL_TO_DIBIT[verdict])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fibersdc import __version__
+from fibersdc.errors import ConfigError
 from fibersdc.seeds import _settings_body, run_manifest, sha256, substream, substream_seed
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fibersdc"
@@ -76,5 +77,11 @@ def test_the_master_seed_enters_whole():
 
 
 def test_a_negative_master_seed_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="master seed must be non-negative, got -1"):
         substream_seed(-1, "characterize")
+
+
+@pytest.mark.parametrize("seed", [1.5, "7"])
+def test_a_master_seed_that_is_not_an_integer_raises(seed):
+    with pytest.raises(ConfigError, match=re.escape(f"master seed {seed!r} is not an integer")):
+        substream(seed, "characterize")
